@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bftvss.dpml import TrainingConfig, run
 from bftvss.field import FixedPointCodec, GroupParams, generate_group
 
 
@@ -27,3 +28,27 @@ def codec(group) -> FixedPointCodec:
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(12345)
+
+
+# -- the default five-seed training matrix -----------------------------------
+# Session-scoped: the acceptance gate and the byte lock share these runs.
+
+SEEDS = range(5)
+
+
+@pytest.fixture(scope="session")
+def plain_runs():
+    return [run(TrainingConfig(mode="fedavg-plain", seed=s)) for s in SEEDS]
+
+
+@pytest.fixture(scope="session")
+def baseline_attack_runs():
+    return [run(TrainingConfig(mode="baseline-vss+acumpa", attackers=(3,), seed=s))
+            for s in SEEDS]
+
+
+@pytest.fixture(scope="session")
+def defended_attack_runs():
+    return [run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,), seed=s),
+                collect_trace=True)
+            for s in SEEDS]

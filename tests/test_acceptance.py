@@ -1,7 +1,8 @@
 """Acceptance gate: end-to-end checks with pinned tolerances.
 
-Each test states its tolerance inline.  The training-matrix fixtures are
-session-scoped because criteria 7-9 share the same five-seed runs.
+Each test states its tolerance inline.  The five-seed training-matrix
+fixtures live in conftest.py, session-scoped, because criteria 7-8 and the
+byte lock share the same runs.
 """
 
 import itertools
@@ -21,25 +22,6 @@ from bftvss.scenarios import run_consensus
 from bftvss.vss import ShareBundle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-SEEDS = range(5)
-
-
-@pytest.fixture(scope="session")
-def plain_runs():
-    return [run(TrainingConfig(mode="fedavg-plain", seed=s)) for s in SEEDS]
-
-
-@pytest.fixture(scope="session")
-def baseline_attack_runs():
-    return [run(TrainingConfig(mode="baseline-vss+acumpa", attackers=(3,), seed=s))
-            for s in SEEDS]
-
-
-@pytest.fixture(scope="session")
-def defended_attack_runs():
-    return [run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,), seed=s),
-                collect_trace=True)
-            for s in SEEDS]
 
 
 class TestCriterion1RoundTrip:
