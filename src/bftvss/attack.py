@@ -103,6 +103,9 @@ def defense_cosine_check(candidate, reference, theta_cos: float,
     return c >= theta_cos - boundary_slack
 
 
+FALLBACKS = ("stale-or-random", "random")
+
+
 class AcumpaAttacker:
     """State for one malicious dealer across training rounds.
 
@@ -118,7 +121,7 @@ class AcumpaAttacker:
     def __init__(self, pid: int, params: AsdpParams, th: int,
                  group: GroupParams, codec: FixedPointCodec, seed: int,
                  fallback: str = "stale-or-random"):
-        if fallback not in ("stale-or-random", "random"):
+        if fallback not in FALLBACKS:
             raise ValueError(f"unknown fallback policy {fallback!r}")
         self.pid = pid
         self.params = params

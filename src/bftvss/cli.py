@@ -2,6 +2,7 @@
 
 Verbs:
   run <scenario.json> [--seed N] [--mode M] [--out-dir D] [--trace]
+  compare [--seeds N] [--rounds R] [--out-dir D]
   report <results.json ...> [--csv FILE]
   validate <scenario.json>
 
@@ -24,7 +25,8 @@ import sys
 from dataclasses import fields
 
 from . import dpml, scenarios
-from .dpml import TrainingConfig
+from .dpml import MODES, TrainingConfig
+from .netsim import SimConfig
 
 OUT_DIR_ENV = "BFTVSS_OUT_DIR"
 
@@ -83,6 +85,16 @@ def load_scenario(path: str) -> dict:
         n = data.get("n")
         if not isinstance(n, int) or n != 3 * ((n - 1) // 3) + 1 or n < 4:
             raise ScenarioError(f"{path}: 'n' must satisfy n = 3f + 1, n >= 4")
+        timing = {k: data[k] for k in ("gst", "delta", "request_time")
+                  if data.get(k) is not None}
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in timing.values()):
+            raise ScenarioError(f"{path}: 'gst', 'delta' and 'request_time' "
+                                f"must be integers")
+        try:
+            SimConfig(n=n, f=(n - 1) // 3, gst=timing.get("gst", 0),
+                      delta=timing.get("delta", 1))
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
         _reject_unknown(data.get("assertions", {}), _CONSENSUS_ASSERTS,
                         f"{path}: assertions")
     else:
@@ -152,6 +164,13 @@ def _write_json(path: str, payload: dict):
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _payload(outcome: dict, name: str, kind: str, checks: dict) -> dict:
+    """A result file: what the run produced plus the scenario bookkeeping
+    that report reads."""
+    return {**outcome, "scenario": name, "kind": kind, "assertions": checks,
+            "assertions_ok": all(c["ok"] for c in checks.values())}
+
+
 def run_scenario(path: str, seed=None, mode=None, out_dir=None,
                  trace: bool = False) -> int:
     scenario = load_scenario(path)
@@ -166,11 +185,8 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: config: {exc}") from exc
         result = dpml.run(config, collect_trace=trace)
-        checks = _training_assertions(asserts, result)
-        payload = result.to_dict()
-        payload["scenario"] = name
-        payload["kind"] = "training"
-        payload["assertions"] = checks
+        payload = _payload(result.to_dict(), name, "training",
+                           _training_assertions(asserts, result))
         out_path = os.path.join(out_dir, f"{name}_{config.mode}_{config.seed}.json")
         if trace and result.trace is not None:
             result.trace.to_jsonl(os.path.join(
@@ -183,23 +199,38 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
             n=scenario["n"], script=scenario["script"], seed=run_seed,
             gst=scenario.get("gst", 0), delta=scenario.get("delta", 1),
             request_time=scenario.get("request_time"))
-        checks = _consensus_assertions(asserts, outcome)
-        payload = dict(outcome)
-        payload["schema_version"] = dpml.RESULT_SCHEMA_VERSION
-        payload["scenario"] = name
-        payload["kind"] = "consensus"
-        payload["assertions"] = checks
+        payload = _payload({**outcome, "schema_version": dpml.RESULT_SCHEMA_VERSION},
+                           name, "consensus", _consensus_assertions(asserts, outcome))
         out_path = os.path.join(out_dir,
                                 f"{name}_{scenario['script']}_{run_seed}.json")
 
-    ok = all(c["ok"] for c in checks.values())
-    payload["assertions_ok"] = ok
     _write_json(out_path, payload)
     print(out_path)
-    for key, c in sorted(checks.items()):
+    for key, c in sorted(payload["assertions"].items()):
         status = "ok" if c["ok"] else "FAIL"
         print(f"  {status:4s} {key}: expected {c['expected']!r}, got {c['actual']!r}")
-    return 0 if ok else 1
+    return 0 if payload["assertions_ok"] else 1
+
+
+def compare(seeds: int = 5, rounds: int = 30, out_dir=None) -> int:
+    """Run every mode on seeds 0..seeds-1 of the default config (attacker 3
+    in the "+acumpa" modes) and print the report table."""
+    if rounds < 1:
+        raise ScenarioError("--rounds must be positive")
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    results = []
+    for mode in MODES:
+        attackers = (3,) if mode.endswith("+acumpa") else ()
+        for seed in range(seeds):
+            config = TrainingConfig(mode=mode, attackers=attackers, rounds=rounds,
+                                    seed=seed)
+            payload = _payload(dpml.run(config).to_dict(), "compare", "training", {})
+            results.append(payload)
+            if out_dir:
+                _write_json(os.path.join(out_dir, f"compare_{mode}_{seed}.json"),
+                            payload)
+    return _table(results)
 
 
 # -- report -------------------------------------------------------------------
@@ -229,16 +260,20 @@ def report(paths, csv_path=None) -> int:
             with open(p) as fh:
                 results.append(json.load(fh))
     training = [r for r in results if r.get("kind") == "training"]
+    compat = [{k: r["config"][k] for k in _COMPAT_KEYS} for r in training]
+    for r, cfg in zip(training, compat):
+        if cfg != compat[0]:
+            print(f"error: result {r['scenario']}_{r['mode']}_{r['seed']} has "
+                  f"incompatible config {cfg} vs {compat[0]}", file=sys.stderr)
+            return 2
+    return _table(training, csv_path)
+
+
+def _table(training, csv_path=None) -> int:
+    """Print one Acc/IT row per mode over the given training results."""
     if not training:
         print("error: no training results to report", file=sys.stderr)
         return 2
-    baseline_cfg = {k: training[0]["config"][k] for k in _COMPAT_KEYS}
-    for r in training:
-        cfg = {k: r["config"][k] for k in _COMPAT_KEYS}
-        if cfg != baseline_cfg:
-            print(f"error: result {r['scenario']}_{r['mode']}_{r['seed']} has "
-                  f"incompatible config {cfg} vs {baseline_cfg}", file=sys.stderr)
-            return 2
     by_mode: dict[str, list] = {}
     for r in training:
         by_mode.setdefault(r["mode"], []).append(r)
@@ -280,6 +315,14 @@ def main(argv=None) -> int:
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--trace", action="store_true")
 
+    p_cmp = sub.add_parser("compare", help="run every mode over seeds and "
+                           "print the report table")
+    p_cmp.add_argument("--seeds", type=int, default=5,
+                       help="number of seeds per mode (default 5)")
+    p_cmp.add_argument("--rounds", type=int, default=30)
+    p_cmp.add_argument("--out-dir", default=None,
+                       help="also write one result JSON per run")
+
     p_rep = sub.add_parser("report", help="summarize result files into a table")
     p_rep.add_argument("results", nargs="+")
     p_rep.add_argument("--csv", default=None)
@@ -292,6 +335,8 @@ def main(argv=None) -> int:
         if args.verb == "run":
             return run_scenario(args.scenario, seed=args.seed, mode=args.mode,
                                 out_dir=args.out_dir, trace=args.trace)
+        if args.verb == "compare":
+            return compare(args.seeds, args.rounds, out_dir=args.out_dir)
         if args.verb == "report":
             return report(args.results, csv_path=args.csv)
         load_scenario(args.scenario)

@@ -94,6 +94,13 @@ class Message:
         return self.body_bytes() + self.tag
 
 
+def signed(keyring: KeyRing, kind: MsgKind, view: int, sq: int, sender: int,
+           payload: tuple) -> Message:
+    """A message tagged with its sender's key over its body bytes."""
+    body = Message(kind, view, sq, sender, payload)
+    return Message(kind, view, sq, sender, payload, keyring.tag(sender, body.body_bytes()))
+
+
 def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
     if kind == MsgKind.REQUEST:
         req, rtag = payload
@@ -171,7 +178,6 @@ class Replica:
         f: int,
         keyring: KeyRing,
         delta: int = 1,
-        batch_size: Optional[int] = None,
         app=None,
     ):
         if n != 3 * f + 1:
@@ -181,7 +187,6 @@ class Replica:
         self.f = f
         self.keyring = keyring
         self.delta = max(1, delta)
-        self.batch_size = batch_size if batch_size is not None else 2 * f + 1
         self.app = app
 
         self.view = 0
@@ -209,9 +214,7 @@ class Replica:
 
     def _make(self, kind: MsgKind, sq: int, payload: tuple, view: Optional[int] = None) -> Message:
         v = self.view if view is None else view
-        m = Message(kind=kind, view=v, sq=sq, sender=self.rid, payload=payload)
-        return Message(kind=kind, view=v, sq=sq, sender=self.rid, payload=payload,
-                       tag=self.keyring.tag(self.rid, m.body_bytes()))
+        return signed(self.keyring, kind, v, sq, self.rid, payload)
 
     def _broadcast(self, m: Message):
         for dst in range(self.n):
@@ -301,7 +304,7 @@ class Replica:
         self._start_progress_timer(sq)
         if slot.proposal_view == self.view:
             return  # already pre-proposed this slot in this view
-        if len(self.pending[sq]) >= min(self.batch_size, self.n):
+        if len(self.pending[sq]) >= 2 * self.f + 1:
             if len(self.pending[sq]) >= self.n:
                 self._form_proposal(sq)
             else:
@@ -312,7 +315,7 @@ class Replica:
         slot = self._slot(sq)
         if slot.committed or slot.proposal_view == self.view:
             return
-        if len(self.pending[sq]) < min(self.batch_size, self.n):
+        if len(self.pending[sq]) < 2 * self.f + 1:
             return
         proposal = tuple(sorted(self.pending[sq].values(), key=lambda t: (t[0], t[1])))
         self.pending[sq] = {}

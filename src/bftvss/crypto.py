@@ -117,9 +117,10 @@ class IdentityScheme:
         return ciphertext
 
 
+SCHEMES = {"hybrid": HybridScheme, "identity": IdentityScheme}
+
+
 def make_scheme(name: str, params: GroupParams):
-    if name == "hybrid":
-        return HybridScheme(params)
-    if name == "identity":
-        return IdentityScheme(params)
-    raise ValueError(f"unknown encryption scheme {name!r}")
+    if name not in SCHEMES:
+        raise ValueError(f"unknown encryption scheme {name!r}")
+    return SCHEMES[name](params)

@@ -1,17 +1,22 @@
 """Distributed training workflows over the toy task.
 
-Three engines share the same data, initialization, and local-update rule:
+Every mode shares the same data, initialization, local-update rule and
+round bookkeeping (_Coordinator: metrics, divergence check, early stop).
+Two drivers run the rounds:
 
-* fedavg-plain: plain parameter averaging, no sharing, no adversary.
-* baseline-vss: every participant deals its updated parameters through
-  verifiable secret sharing with plaintext point-to-point shares and
-  independent verification; aggregation is not consensus-gated.  With
-  "+acumpa" a malicious dealer delays its submission, reconstructs the
-  honest average from eavesdropped shares, and submits a crafted vector.
-* ebyftves: the defended workflow.  Each round occupies three consensus
-  slots: encrypted shares plus commitments, then bundled verification votes,
-  then aggregated sum shares.  The commit deadline of the share slot closes
-  the observation window the baseline attacker depends on.
+* the local round loop (run_local) trains every participant in one
+  process and differs per mode only in its aggregate step:
+  - fedavg-plain: the plain mean of the updates, no sharing, no adversary;
+  - baseline-vss: every participant deals its updated parameters through
+    verifiable secret sharing with plaintext point-to-point shares and
+    independent verification; aggregation is not consensus-gated.  With
+    "+acumpa" a malicious dealer delays its submission, reconstructs the
+    honest average from eavesdropped shares, and submits a crafted vector.
+* the consensus workflow (run_defended) runs ebyftves, the defended mode,
+  over the network simulator.  Each round occupies three consensus slots:
+  encrypted shares plus commitments, then bundled verification votes, then
+  aggregated sum shares.  The commit deadline of the share slot closes the
+  observation window the baseline attacker depends on.
 
 Division by the dealer count happens after reconstruction, in the real
 domain; the field only ever sees sums.
@@ -22,15 +27,15 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import training, vss, wire
-from .attack import AcumpaAttacker, AsdpParams
+from .attack import FALLBACKS, AcumpaAttacker, AsdpParams
 from .consensus import MsgKind, Replica
-from .crypto import DecryptionError, KeyRing, make_scheme
+from .crypto import SCHEMES, DecryptionError, KeyRing, make_scheme
 from .field import FixedPointCodec, GroupParams, generate_group
 from .netsim import AdversaryPolicy, SimConfig, Simulator, Trace
 
@@ -43,6 +48,10 @@ MODES = (
 )
 
 RESULT_SCHEMA_VERSION = 1
+
+# accepted value types per TrainingConfig field annotation (attackers: per id)
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str,
+                "tuple[int, ...]": int}
 
 
 class WorkflowError(Exception):
@@ -77,8 +86,14 @@ class TrainingConfig:
     delta: int = 1
 
     def validate(self) -> None:
-        if self.n != 3 * self.f + 1:
-            raise ValueError("requires n = 3f + 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if f.name == "attackers" else (value,)
+            if not all(isinstance(v, _FIELD_TYPES[f.type]) and not isinstance(v, bool)
+                       for v in items):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        # n = 3f + 1, gst >= 0, delta >= 1: the simulator's own checks
+        SimConfig(n=self.n, f=self.f, gst=self.gst, delta=self.delta)
         if not 1 <= self.th <= self.n:
             raise ValueError("threshold must satisfy 1 <= th <= n")
         if self.mode not in MODES:
@@ -96,6 +111,10 @@ class TrainingConfig:
             raise ValueError("rounds must be positive")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
+        if self.encryption not in SCHEMES:
+            raise ValueError(f"unknown encryption scheme {self.encryption!r}")
+        if self.fallback not in FALLBACKS:
+            raise ValueError(f"unknown fallback policy {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +123,8 @@ class RoundMetrics:
     accuracy: float
     train_error: float
     dealer_count: int
-    adaptive_engaged: bool
-    fallback_engaged: bool
+    adaptive_engaged: bool = False
+    fallback_engaged: bool = False
 
 
 def compute_inference_time(accuracies, tau: float) -> float:
@@ -172,11 +191,37 @@ def _task(config: TrainingConfig):
     return datasets, test, w0
 
 
-def _round_metrics(t, w, datasets, test, dealer_count, adaptive, fallback) -> RoundMetrics:
-    acc = training.accuracy(w, test)
-    err = float(np.mean([training.loss(w, d) for d in datasets]))
-    return RoundMetrics(t=t, accuracy=acc, train_error=err, dealer_count=dealer_count,
-                        adaptive_engaged=adaptive, fallback_engaged=fallback)
+class _Coordinator:
+    """Experiment harness shared by every mode and participant: computes the
+    metrics once per round, checks that everyone arrived at bit-identical
+    weights, and makes the (global, deterministic) continue/stop call."""
+
+    def __init__(self, config: TrainingConfig, datasets, test):
+        self.config = config
+        self.datasets = datasets
+        self.test = test
+        self.metrics: list[RoundMetrics] = []
+        self.weights_history: list[np.ndarray] = []
+        self._decisions: dict[int, bool] = {}
+        self._weight_bytes: dict[int, bytes] = {}
+
+    def round_complete(self, pid: int, t: int, w: np.ndarray, dealer_count: int) -> bool:
+        key = w.tobytes()
+        if t in self._decisions:
+            if key != self._weight_bytes[t]:
+                raise WorkflowError(
+                    f"round {t}: participant {pid} reconstructed divergent weights")
+            return self._decisions[t]
+        self._weight_bytes[t] = key
+        m = RoundMetrics(
+            t=t, accuracy=training.accuracy(w, self.test),
+            train_error=float(np.mean([training.loss(w, d) for d in self.datasets])),
+            dealer_count=dealer_count)
+        self.metrics.append(m)
+        self.weights_history.append(w.copy())
+        go = m.train_error > self.config.error_threshold and t < self.config.rounds
+        self._decisions[t] = go
+        return go
 
 
 def _make_attacker(config: TrainingConfig, pid: int, group: GroupParams,
@@ -187,93 +232,89 @@ def _make_attacker(config: TrainingConfig, pid: int, group: GroupParams,
                           fallback=config.fallback)
 
 
-# -- engine: plain federated averaging ---------------------------------------
+# -- local round loop: fedavg-plain and baseline-vss ---------------------------
 
 
-def run_plain(config: TrainingConfig) -> RunResult:
-    datasets, test, w = _task(config)
-    metrics: list[RoundMetrics] = []
-    history: list[np.ndarray] = []
-    stopped = False
-    for t in range(1, config.rounds + 1):
-        updates = [training.local_train(w, datasets[i], config.learning_rate)
-                   for i in range(config.n)]
-        w = np.mean(updates, axis=0)
-        m = _round_metrics(t, w, datasets, test, config.n, False, False)
-        metrics.append(m)
-        history.append(w.copy())
-        if m.train_error <= config.error_threshold:
-            stopped = True
-            break
-    return RunResult(config=config, metrics=metrics, weights_history=history,
-                     adaptive_rounds=[], fallback_rounds=[], stopped_early=stopped)
+def _mean_step(config: TrainingConfig):
+    """fedavg-plain aggregate step: the plain mean of every update."""
+    def step(t, updates):
+        return np.mean(updates, axis=0), config.n
+    return step, {}
 
 
-# -- engine: share-based baseline ---------------------------------------------
-
-
-def run_baseline(config: TrainingConfig) -> RunResult:
-    datasets, test, w = _task(config)
+def _baseline_step(config: TrainingConfig):
+    """baseline-vss aggregate step: every dealer's shares travel in plaintext
+    over point-to-point channels and are verified independently; nothing is
+    consensus-gated."""
     group = generate_group(config.bits_p, config.bits_q, config.seed)
     codec = FixedPointCodec(config.fraction_bits, group.q)
     share_rng = random.Random(config.seed * 100003 + 7)
-    attackers = {
-        pid: _make_attacker(config, pid, group, codec)
-        for pid in (config.attackers if config.mode.endswith("+acumpa") else ())
-    }
-    metrics: list[RoundMetrics] = []
-    history: list[np.ndarray] = []
-    stopped = False
-    for t in range(1, config.rounds + 1):
-        updates = [training.local_train(w, datasets[i], config.learning_rate)
-                   for i in range(config.n)]
-        all_bundles: dict[int, list[vss.ShareBundle]] = {}
-        all_commits: dict[int, vss.CommitmentVector] = {}
+    attackers = {pid: _make_attacker(config, pid, group, codec)
+                 for pid in config.attackers}
+
+    def deal(vector, dealer):
+        return vss.share(vector, config.th, config.n, group, codec, share_rng,
+                         dealer=dealer)
+
+    def step(t, updates):
+        bundles: dict[int, list[vss.ShareBundle]] = {}
+        commits: dict[int, vss.CommitmentVector] = {}
         for i in range(config.n):
-            if i in attackers:
-                continue
-            bundles, commits = vss.share(updates[i], config.th, config.n,
-                                         group, codec, share_rng, dealer=i)
-            all_bundles[i] = bundles
-            all_commits[i] = commits
-        # shares travel in plaintext over point-to-point channels; a delaying
-        # dealer sees all of them before it has to submit anything
-        observed = {d: list(bs) for d, bs in all_bundles.items()}
-        round_adaptive = False
-        round_fallback = False
+            if i not in attackers:
+                bundles[i], commits[i] = deal(updates[i], i)
+        # a delaying dealer sees every honest share before it has to submit
+        observed = {d: list(bs) for d, bs in bundles.items()}
         for pid in sorted(attackers):
-            vec, engaged = attackers[pid].craft_submission(t, observed, updates[pid])
-            bundles, commits = vss.share(vec, config.th, config.n,
-                                         group, codec, share_rng, dealer=pid)
-            all_bundles[pid] = bundles
-            all_commits[pid] = commits
-            round_adaptive = round_adaptive or engaged
-            round_fallback = round_fallback or not engaged
-        votes = {
-            d: sum(vss.verify(b, all_commits[d], group) for b in bundles)
-            for d, bundles in all_bundles.items()
-        }
-        accepted = sorted(d for d, v in votes.items() if v >= config.n - config.f)
+            vec, _ = attackers[pid].craft_submission(t, observed, updates[pid])
+            bundles[pid], commits[pid] = deal(vec, pid)
+        accepted = sorted(
+            d for d, bs in bundles.items()
+            if sum(vss.verify(b, commits[d], group) for b in bs) >= config.n - config.f)
         if not accepted:
             raise WorkflowError(f"round {t}: no dealer cleared verification")
-        summed = [
-            vss.sum_shares([all_bundles[d][j] for d in accepted], group)
-            for j in range(config.n)
-        ]
+        summed = [vss.sum_shares([bundles[d][j] for d in accepted], group)
+                  for j in range(config.n)]
         total = vss.reconstruct(summed, config.th, group, codec)
-        w = np.asarray(total) / len(accepted)
-        m = _round_metrics(t, w, datasets, test, len(accepted),
-                           round_adaptive, round_fallback)
-        metrics.append(m)
-        history.append(w.copy())
-        if m.train_error <= config.error_threshold:
-            stopped = True
-            break
+        return np.asarray(total) / len(accepted), len(accepted)
+
+    return step, attackers
+
+
+def run_local(config: TrainingConfig) -> RunResult:
+    """One process trains every participant; the modes differ only in how a
+    round's updates are aggregated."""
+    datasets, test, w = _task(config)
+    make_step = _mean_step if config.mode == "fedavg-plain" else _baseline_step
+    step, attackers = make_step(config)
+    coordinator = _Coordinator(config, datasets, test)
+    t, go = 0, True
+    while go:
+        t += 1
+        updates = [training.local_train(w, d, config.learning_rate) for d in datasets]
+        w, dealer_count = step(t, updates)
+        go = coordinator.round_complete(0, t, w, dealer_count)
+    return _finish(config, coordinator, attackers)
+
+
+def _finish(config: TrainingConfig, coordinator: _Coordinator,
+            attackers: dict[int, AcumpaAttacker],
+            trace: Optional[Trace] = None) -> RunResult:
+    """Assemble the result of any mode from the coordinator's rounds and the
+    attackers' per-round record."""
     adaptive = sorted({t for a in attackers.values() for t in a.adaptive_rounds})
     fallback = sorted({t for a in attackers.values() for t in a.fallback_rounds})
-    return RunResult(config=config, metrics=metrics, weights_history=history,
+    metrics = [
+        replace(m, adaptive_engaged=m.t in adaptive, fallback_engaged=m.t in fallback)
+        for m in coordinator.metrics
+    ]
+    if trace is not None:
+        trace.flags["adaptive_rounds"] = adaptive
+        trace.flags["fallback_rounds"] = fallback
+    stopped = bool(metrics) and metrics[-1].train_error <= config.error_threshold
+    return RunResult(config=config, metrics=metrics,
+                     weights_history=coordinator.weights_history,
                      adaptive_rounds=adaptive, fallback_rounds=fallback,
-                     stopped_early=stopped)
+                     stopped_early=stopped, trace=trace)
 
 
 # -- engine: defended consensus-gated workflow --------------------------------
@@ -324,36 +365,6 @@ def decode_agg_request(req: bytes):
     bundle = vss.parse_bundle(r.lp())
     r.expect_end()
     return sender, bundle
-
-
-class _Coordinator:
-    """Experiment harness shared by all simulated participants: computes
-    metrics once per round, checks that everyone arrived at bit-identical
-    weights, and makes the (global, deterministic) continue/stop call."""
-
-    def __init__(self, config: TrainingConfig, datasets, test):
-        self.config = config
-        self.datasets = datasets
-        self.test = test
-        self.metrics: list[RoundMetrics] = []
-        self.weights_history: list[np.ndarray] = []
-        self._decisions: dict[int, bool] = {}
-        self._weight_bytes: dict[int, bytes] = {}
-
-    def round_complete(self, pid: int, t: int, w: np.ndarray, dealer_count: int) -> bool:
-        key = w.tobytes()
-        if t in self._decisions:
-            if key != self._weight_bytes[t]:
-                raise WorkflowError(
-                    f"round {t}: participant {pid} reconstructed divergent weights")
-            return self._decisions[t]
-        self._weight_bytes[t] = key
-        m = _round_metrics(t, w, self.datasets, self.test, dealer_count, False, False)
-        self.metrics.append(m)
-        self.weights_history.append(w.copy())
-        go = m.train_error > self.config.error_threshold and t < self.config.rounds
-        self._decisions[t] = go
-        return go
 
 
 class WorkflowParticipant:
@@ -587,14 +598,13 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
     publics = [kp.public for kp in keypairs]
     keyring = KeyRing(range(config.n), random.Random(config.seed * 100003 + 13))
     coordinator = _Coordinator(config, datasets, test)
-    attacked = config.mode.endswith("+acumpa")
 
     attackers: dict[int, AcumpaAttacker] = {}
     participants: dict[int, WorkflowParticipant] = {}
     nodes: dict[int, object] = {}
     for i in range(config.n):
         attacker = None
-        if attacked and i in config.attackers:
+        if i in config.attackers:
             attacker = _make_attacker(config, i, group, codec)
             attackers[i] = attacker
         part = WorkflowParticipant(i, config, group, codec, scheme,
@@ -614,10 +624,8 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
                            delta=config.delta, seed=config.seed)
     adversary = AdversaryPolicy(corrupt=frozenset(config.attackers))
     sim = Simulator(sim_config, nodes, adversary, trace_messages=collect_trace)
-    for i in range(config.n):
-        participants[i].replica.commit_listener = (
-            lambda rid, sq, view, digest: sim.record_commit(rid, sq, view, digest))
     for part in participants.values():
+        part.replica.commit_listener = sim.record_commit
         part.start_round(1)
     sim.run()
 
@@ -630,26 +638,12 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
             f"training stalled in round {participants[honest].t} "
             f"(simulation drained at t={sim.clock})")
 
-    adaptive = sorted({t for a in attackers.values() for t in a.adaptive_rounds})
-    fallback = sorted({t for a in attackers.values() for t in a.fallback_rounds})
-    metrics = [
-        replace(m, adaptive_engaged=m.t in adaptive, fallback_engaged=m.t in fallback)
-        for m in coordinator.metrics
-    ]
-    sim.trace.flags["adaptive_rounds"] = adaptive
-    sim.trace.flags["fallback_rounds"] = fallback
-    stopped = bool(metrics) and metrics[-1].train_error <= config.error_threshold
-    return RunResult(config=config, metrics=metrics,
-                     weights_history=coordinator.weights_history,
-                     adaptive_rounds=adaptive, fallback_rounds=fallback,
-                     stopped_early=stopped, trace=sim.trace)
+    return _finish(config, coordinator, attackers, trace=sim.trace)
 
 
 def run(config: TrainingConfig, collect_trace: bool = False) -> RunResult:
     """Run one training workflow according to config.mode."""
     config.validate()
-    if config.mode == "fedavg-plain":
-        return run_plain(config)
-    if config.mode.startswith("baseline-vss"):
-        return run_baseline(config)
-    return run_defended(config, collect_trace=collect_trace)
+    if config.mode.startswith("ebyftves"):
+        return run_defended(config, collect_trace=collect_trace)
+    return run_local(config)

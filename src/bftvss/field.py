@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import sympy
 
-from . import wire
-
 
 class GroupGenerationError(Exception):
     """Parameter search exhausted without finding a valid (p, q, g)."""
@@ -50,10 +48,6 @@ class GroupParams:
             raise ValueError("g out of range")
         if self.g == 1 or pow(self.g, self.q, self.p) != 1:
             raise ValueError("g does not generate an order-q subgroup")
-
-    def to_bytes(self) -> bytes:
-        """Canonical length-prefixed big-endian encoding p || q || g."""
-        return wire.big(self.p) + wire.big(self.q) + wire.big(self.g)
 
 
 def generate_group(bits_p: int, bits_q: int, seed: int) -> GroupParams:
@@ -99,35 +93,6 @@ def generate_group(bits_p: int, bits_q: int, seed: int) -> GroupParams:
             params.validate()
             return params
     raise GroupGenerationError("no generator found within budget")
-
-
-# --- Z_q field operations ------------------------------------------------
-
-def add(a: int, b: int, q: int) -> int:
-    return (a + b) % q
-
-
-def sub(a: int, b: int, q: int) -> int:
-    return (a - b) % q
-
-
-def mul(a: int, b: int, q: int) -> int:
-    return (a * b) % q
-
-
-def inv(a: int, q: int) -> int:
-    if a % q == 0:
-        raise ZeroDivisionError("no inverse of 0 in Z_q")
-    return pow(a, -1, q)
-
-
-def fpow(a: int, e: int, q: int) -> int:
-    return pow(a, e, q)
-
-
-def group_pow(base: int, exp: int, p: int) -> int:
-    """Exponentiation in Z_p* (commitment arithmetic)."""
-    return pow(base, exp, p)
 
 
 # --- Fixed-point codec ----------------------------------------------------

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
-from .consensus import Message, MsgKind
+from .consensus import Message, MsgKind, aggregate, batch_digest, request_tag, signed
 
 
 class LivelockError(Exception):
@@ -40,16 +40,14 @@ class SimConfig:
 
 @dataclass
 class AdversaryPolicy:
-    """Delay/drop control.  Before GST the adversary may drop or stretch
-    messages touching the configured targets; after GST honest-to-honest
-    delivery is bounded by delta.  Payloads are never mutated in transit:
-    receivers authenticate, so mutation would only waste the message."""
+    """Delay/drop control.  Before GST the adversary drops messages touching
+    the configured targets and stretches the rest up to 4 * delta; after GST
+    honest-to-honest delivery is bounded by delta.  Payloads are never
+    mutated in transit: receivers authenticate, so mutation would only waste
+    the message."""
 
     corrupt: frozenset = frozenset()
     drop_pre_gst_involving: frozenset = frozenset()
-    pre_gst_drop_prob: float = 0.0
-    pre_gst_max_delay: Optional[int] = None  # defaults to 4 * delta
-    duplicate_prob: float = 0.0
 
     def validate(self, config: SimConfig):
         if len(self.corrupt) > config.f:
@@ -62,10 +60,7 @@ class AdversaryPolicy:
             return rng.randint(1, config.delta)
         if src in self.drop_pre_gst_involving or dst in self.drop_pre_gst_involving:
             return None
-        if self.pre_gst_drop_prob and rng.random() < self.pre_gst_drop_prob:
-            return None
-        hi = self.pre_gst_max_delay if self.pre_gst_max_delay is not None else 4 * config.delta
-        return rng.randint(1, max(1, hi))
+        return rng.randint(1, 4 * config.delta)
 
 
 @dataclass
@@ -82,9 +77,6 @@ class Trace:
         with open(path, "w") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    def commits(self):
-        return [r for r in self.records if r["kind"] == "commit"]
 
 
 def _summarize(m: Message) -> str:
@@ -107,8 +99,6 @@ class Simulator:
         self._heap: list = []
         self._counter = 0
         self._live_timers: dict = {}  # (node_id, name) -> token
-        self.observers: list[Callable] = []  # eavesdroppers: fn(src, dst, msg, now)
-        self.on_commit_hooks: list[Callable] = []
 
     # -- scheduling -------------------------------------------------------
 
@@ -118,8 +108,6 @@ class Simulator:
 
     def _dispatch_sends(self, src: int, sends):
         for dst, msg in sends:
-            for obs in self.observers:
-                obs(src, dst, msg, self.clock)
             delay = self.adversary.schedule(src, dst, self.clock, self.config, self.rng)
             if delay is None:
                 self.trace.add(self.clock, "drop", src, dst, _summarize(msg))
@@ -129,9 +117,6 @@ class Simulator:
             if self.clock >= self.config.gst and honest:
                 assert delay <= self.config.delta, "post-GST delay bound violated"
             self._push(self.clock + delay, ("deliver", dst, src, msg))
-            if self.adversary.duplicate_prob and self.rng.random() < self.adversary.duplicate_prob:
-                self._push(self.clock + delay + self.rng.randint(1, self.config.delta),
-                           ("deliver", dst, src, msg))
             if self.trace_messages:
                 self.trace.add(self.clock, "send", src, dst, _summarize(msg))
 
@@ -231,8 +216,6 @@ class EquivocatingPrimary:
         self.inner.on_timer(name, now)
 
     def _fork(self, m: Message, dst: int):
-        from .consensus import batch_digest, request_tag
-
         if m.kind != MsgKind.PRE_PREPARE or dst % 2 == 0:
             return m
         form, digest, raw = m.payload
@@ -251,16 +234,12 @@ class EquivocatingPrimary:
             rtag = request_tag(self.inner.keyring, self.inner.rid, m.sq, fake)
             triple = (self.inner.rid, fake, rtag)
             alt_raw = {proposer: prop + (triple,) for proposer, prop in raw.items()}
-        from .consensus import aggregate
-
         alt_batch = aggregate(alt_raw, self.inner.f)
         alt_digest = batch_digest(alt_batch)
         if alt_digest == digest:
             return m
-        payload = ("raw", alt_digest, tuple(sorted(alt_raw.items())))
-        body = Message(kind=m.kind, view=m.view, sq=m.sq, sender=m.sender, payload=payload)
-        return Message(kind=m.kind, view=m.view, sq=m.sq, sender=m.sender, payload=payload,
-                       tag=self.inner.keyring.tag(self.inner.rid, body.body_bytes()))
+        return signed(self.inner.keyring, m.kind, m.view, m.sq, m.sender,
+                      ("raw", alt_digest, tuple(sorted(alt_raw.items()))))
 
     def drain(self):
         sends, timers = self.inner.drain()
@@ -282,8 +261,6 @@ class InconsistentSender:
         self.inner.on_timer(name, now)
 
     def _mutate(self, m: Message, dst: int):
-        from .consensus import request_tag
-
         if m.kind != MsgKind.REQUEST:
             return m
         req, _ = m.payload
@@ -291,10 +268,7 @@ class InconsistentSender:
         if alt == req:
             return m
         rtag = request_tag(self.inner.keyring, self.inner.rid, m.sq, alt)
-        payload = (alt, rtag)
-        body = Message(kind=m.kind, view=m.view, sq=m.sq, sender=m.sender, payload=payload)
-        return Message(kind=m.kind, view=m.view, sq=m.sq, sender=m.sender, payload=payload,
-                       tag=self.inner.keyring.tag(self.inner.rid, body.body_bytes()))
+        return signed(self.inner.keyring, m.kind, m.view, m.sq, m.sender, (alt, rtag))
 
     def drain(self):
         sends, timers = self.inner.drain()

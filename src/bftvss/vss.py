@@ -118,35 +118,6 @@ def eval_poly(coeffs: Sequence[int], x: int, q: int) -> int:
     return acc
 
 
-def share_encoded(
-    encoded: Sequence[int],
-    th: int,
-    n: int,
-    params: GroupParams,
-    rng: random.Random,
-) -> tuple[list[ShareBundle], CommitmentVector]:
-    """Share already-encoded field elements (one per coordinate).
-
-    Returns n bundles (recipients 1..n, evaluation point = recipient index)
-    and the dealer's commitment vector.  The dealer id on the outputs is 0;
-    callers re-attach their own id via replace_dealer.
-    """
-    if not (1 <= th <= n):
-        raise ValueError("threshold must satisfy 1 <= th <= n")
-    q, p, g = params.q, params.p, params.g
-    polys = []
-    commitments = []
-    for s in encoded:
-        coeffs = [s % q] + [rng.randrange(q) for _ in range(th - 1)]
-        polys.append(coeffs)
-        commitments.append(tuple(pow(g, a, p) for a in coeffs))
-    bundles = []
-    for j in range(1, n + 1):
-        values = tuple(eval_poly(coeffs, j, q) for coeffs in polys)
-        bundles.append(ShareBundle(dealer=0, recipient=j, eval_point=j, values=values))
-    return bundles, CommitmentVector(dealer=0, per_coordinate=tuple(commitments))
-
-
 def share(
     secret: Sequence[float],
     th: int,
@@ -156,20 +127,23 @@ def share(
     rng: random.Random,
     dealer: int = 0,
 ) -> tuple[list[ShareBundle], CommitmentVector]:
-    """Encode a real-valued secret vector and share it coordinate-wise."""
+    """Encode a real-valued secret vector and share it coordinate-wise.
+
+    Returns n bundles (recipients 1..n, evaluation point = recipient index)
+    and the dealer's commitment vector.
+    """
     encoded = codec.encode_vector(secret)
-    bundles, commits = share_encoded(encoded, th, n, params, rng)
-    bundles = [replace_dealer(b, dealer) for b in bundles]
-    return bundles, CommitmentVector(dealer=dealer, per_coordinate=commits.per_coordinate)
-
-
-def replace_dealer(bundle: ShareBundle, dealer: int) -> ShareBundle:
-    return ShareBundle(
-        dealer=dealer,
-        recipient=bundle.recipient,
-        eval_point=bundle.eval_point,
-        values=bundle.values,
-    )
+    if not (1 <= th <= n):
+        raise ValueError("threshold must satisfy 1 <= th <= n")
+    q, p, g = params.q, params.p, params.g
+    polys = [[s % q] + [rng.randrange(q) for _ in range(th - 1)] for s in encoded]
+    commitments = tuple(tuple(pow(g, a, p) for a in coeffs) for coeffs in polys)
+    bundles = [
+        ShareBundle(dealer=dealer, recipient=j, eval_point=j,
+                    values=tuple(eval_poly(coeffs, j, q) for coeffs in polys))
+        for j in range(1, n + 1)
+    ]
+    return bundles, CommitmentVector(dealer=dealer, per_coordinate=commitments)
 
 
 def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupParams) -> bool:

@@ -76,6 +76,27 @@ class TestValidate:
         assert main(["validate", str(p)]) == 2
 
 
+# each passed validate, then crashed run with a traceback
+UNRUNNABLE = {
+    "consensus-delta-0": {"kind": "consensus", "n": 4, "script": "none", "delta": 0},
+    "training-delta-0": {"kind": "training", "config": dict(FAST_CONFIG, delta=0)},
+    "training-dim-str": {"kind": "training", "config": dict(FAST_CONFIG, dim="16")},
+    "training-encryption": {"kind": "training",
+                            "config": dict(FAST_CONFIG, encryption="rot13")},
+    "training-fallback": {"kind": "training",
+                          "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
+                                         attackers=[3], fallback="wait")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+def test_validate_rejects_what_run_cannot_run(tmp_path, case):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"name": "bad", **UNRUNNABLE[case]}))
+    assert main(["validate", str(p)]) == 2
+    assert main(["run", str(p), "--out-dir", str(tmp_path / "o")]) == 2
+
+
 class TestRun:
     def test_writes_named_result(self, tmp_path):
         p = write_scenario(tmp_path / "s.json")
@@ -175,3 +196,15 @@ class TestReport:
 
     def test_no_matches(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing_*.json")]) == 2
+
+
+def test_compare_output_is_readable_by_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compare", "--seeds", "1", "--rounds", "2",
+                 "--out-dir", str(out)]) == 0
+    compared = capsys.readouterr().out.splitlines()
+    assert len(list(out.glob("compare_*_0.json"))) == 5
+    assert main(["report", str(out / "*.json")]) == 0
+    reported = capsys.readouterr().out.splitlines()
+    assert reported == compared
+    assert len(compared) == 6  # header plus one row per mode

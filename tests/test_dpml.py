@@ -36,6 +36,10 @@ class TestConfig:
         dict(mode="ebyftves+acumpa", attackers=(1, 2)),  # more than f
         dict(rounds=0),
         dict(tau=0.0),
+        dict(delta=0),                                   # simulator's own check
+        dict(gst=-1),
+        dict(dim="16"),                                  # not an integer
+        dict(rounds=2.0),
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):

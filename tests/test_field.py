@@ -5,7 +5,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftvss import field
 from bftvss.field import (
     EncodingRangeError,
     FixedPointCodec,
@@ -48,39 +47,6 @@ class TestGroupGeneration:
     def test_rejects_q_not_below_p(self):
         with pytest.raises(ValueError):
             generate_group(32, 32, 0)
-
-    def test_to_bytes_roundtrip_stability(self):
-        params = generate_group(64, 32, 5)
-        assert params.to_bytes() == params.to_bytes()
-
-
-class TestFieldOps:
-    Q = 23
-
-    def test_inv_hand_value(self):
-        # 5 * 14 = 70 = 3*23 + 1
-        assert field.inv(5, 23) == 14
-
-    def test_inv_of_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            field.inv(0, 23)
-        with pytest.raises(ZeroDivisionError):
-            field.inv(46, 23)
-
-    @given(st.integers(0, 22), st.integers(0, 22))
-    def test_add_sub_inverse(self, a, b):
-        assert field.sub(field.add(a, b, 23), b, 23) == a
-
-    @given(st.integers(1, 22))
-    def test_inv_is_inverse(self, a):
-        assert field.mul(a, field.inv(a, 23), 23) == 1
-
-    @given(st.integers(0, 22), st.integers(0, 10))
-    def test_fpow_matches_repeated_mul(self, a, e):
-        expected = 1
-        for _ in range(e):
-            expected = (expected * a) % 23
-        assert field.fpow(a, e, 23) == expected
 
 
 class TestFixedPointCodec:

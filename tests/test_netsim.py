@@ -97,13 +97,3 @@ class TestDeliveryModel:
             rep.broadcast_update(0, b"req-%d" % rep.rid)
         with pytest.raises(LivelockError):
             sim.run()
-
-
-class TestObservers:
-    def test_observer_sees_all_sends(self):
-        sim, replicas = build_sim()
-        seen = []
-        sim.observers.append(lambda src, dst, msg, now: seen.append((src, dst)))
-        replicas[0].broadcast_update(0, b"req")
-        sim.run(until_time=5)
-        assert (0, 1) in seen and (0, 2) in seen and (0, 3) in seen

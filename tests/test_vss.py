@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -109,7 +110,7 @@ class TestSoundness:
 
     def test_dealer_mismatch_raises(self, group, codec, rng):
         bundles, commits = vss.share([0.5], 3, 4, group, codec, rng, dealer=1)
-        other = vss.replace_dealer(bundles[0], 2)
+        other = dataclasses.replace(bundles[0], dealer=2)
         with pytest.raises(MalformedInputError):
             vss.verify(other, commits, group)
 
