@@ -10,8 +10,10 @@ from bftvss.consensus import (
     batch_digest,
     check_request_tag,
     request_tag,
+    signed,
 )
 from bftvss.crypto import KeyRing
+from bftvss.netsim import AdversaryPolicy, SimConfig, Simulator
 from bftvss.scenarios import CONSENSUS_SCRIPTS, run_consensus
 
 
@@ -117,3 +119,80 @@ class TestAgreementRuns:
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             run_consensus(n=5, script="none", seed=0)
+
+
+class DropsViewZeroCommits(Replica):
+    """Ignores every view-0 COMMIT, so each replica prepares in view 0 and
+    none commits there; the prepared digest must survive the view change."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.prepared_in_view_0: set[bytes] = set()
+        self.new_views: list[Message] = []
+        self.views_entered: list[int] = []
+
+    def on_message(self, m, now=0):
+        if m.kind == MsgKind.COMMIT and m.view == 0:
+            (digest,) = m.payload
+            self.prepared_in_view_0.add(digest)
+            return
+        if m.kind == MsgKind.NEW_VIEW:
+            self.new_views.append(m)
+        super().on_message(m, now)
+
+    def _enter_view(self, target):
+        self.views_entered.append(target)
+        super()._enter_view(target)
+
+
+class StripsReissues(DropsViewZeroCommits):
+    """A view-1 primary that re-signs its NEW_VIEW without the reissued
+    prepared certificates."""
+
+    def drain(self):
+        sends, timers = super().drain()
+        out = []
+        for dst, m in sends:
+            if m.kind == MsgKind.NEW_VIEW and m.view == 1:
+                vcs, _ = m.payload
+                m = signed(self.keyring, m.kind, m.view, m.sq, m.sender, (vcs, ()))
+            out.append((dst, m))
+        return out, timers
+
+
+def run_carryover(view_1_primary=DropsViewZeroCommits, seed=0):
+    keyring = KeyRing(range(4), random.Random(seed))
+    nodes = {i: (view_1_primary if i == 1 else DropsViewZeroCommits)(
+        i, 4, 1, keyring, delta=1) for i in range(4)}
+    sim = Simulator(SimConfig(n=4, f=1, seed=seed), nodes, AdversaryPolicy())
+    commits = {}
+    for node in nodes.values():
+        node.commit_listener = (
+            lambda rid, sq, view, digest: commits.setdefault(rid, (view, digest)))
+    for node in nodes.values():
+        node.broadcast_update(0, b"req-%d" % node.rid)
+    sim.run(until=lambda: len(commits) == 4)
+    return nodes, commits
+
+
+class TestCertificateCarryover:
+    def test_prepared_digest_commits_in_next_view(self):
+        nodes, commits = run_carryover()
+        prepared = set().union(*(n.prepared_in_view_0 for n in nodes.values()))
+        assert len(prepared) == 1
+        assert set(commits.values()) == {(1, prepared.pop())}
+        assert all(n.views_entered == [1] for n in nodes.values())
+        # the view-1 primary reissued the one prepared certificate
+        for node in nodes.values():
+            if node.rid != 1:
+                (nv,) = node.new_views
+                assert len(nv.payload[1]) == 1
+
+    def test_new_view_without_reissue_is_rejected(self):
+        nodes, commits = run_carryover(view_1_primary=StripsReissues)
+        prepared = set().union(*(n.prepared_in_view_0 for n in nodes.values()))
+        assert len(prepared) == 1
+        digest = prepared.pop()
+        for rid in (0, 2, 3):
+            assert nodes[rid].views_entered == [2]  # view 1 never entered
+            assert commits[rid] == (2, digest)
