@@ -3,8 +3,12 @@
 Verbs:
   run <scenario.json> [--seed N] [--mode M] [--out-dir D] [--trace]
   compare [--seeds N] [--rounds R] [--out-dir D]
+  grid [--seeds N] [--out-dir D]
   report <results.json ...> [--csv FILE]
   validate <scenario.json>
+
+compare, grid and report print through the same tables: one Acc/IT row per
+training mode and one row per consensus size and script.
 
 Scenario files are strict JSON: unknown keys anywhere are rejected before
 anything runs.  Results are written as sorted-key JSON so identical runs
@@ -23,12 +27,15 @@ import re
 import statistics
 import sys
 from dataclasses import fields
+from itertools import product
 
 from . import dpml, scenarios
 from .dpml import MODES, TrainingConfig
 from .netsim import SimConfig
 
 OUT_DIR_ENV = "BFTVSS_OUT_DIR"
+GRID_GST = 100
+GRID_DELTA = 2
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
@@ -167,7 +174,8 @@ def _write_json(path: str, payload: dict):
 def _payload(outcome: dict, name: str, kind: str, checks: dict) -> dict:
     """A result file: what the run produced plus the scenario bookkeeping
     that report reads."""
-    return {**outcome, "scenario": name, "kind": kind, "assertions": checks,
+    return {"schema_version": dpml.RESULT_SCHEMA_VERSION, **outcome,
+            "scenario": name, "kind": kind, "assertions": checks,
             "assertions_ok": all(c["ok"] for c in checks.values())}
 
 
@@ -199,8 +207,8 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
             n=scenario["n"], script=scenario["script"], seed=run_seed,
             gst=scenario.get("gst", 0), delta=scenario.get("delta", 1),
             request_time=scenario.get("request_time"))
-        payload = _payload({**outcome, "schema_version": dpml.RESULT_SCHEMA_VERSION},
-                           name, "consensus", _consensus_assertions(asserts, outcome))
+        payload = _payload(outcome, name, "consensus",
+                           _consensus_assertions(asserts, outcome))
         out_path = os.path.join(out_dir,
                                 f"{name}_{scenario['script']}_{run_seed}.json")
 
@@ -230,7 +238,27 @@ def compare(seeds: int = 5, rounds: int = 30, out_dir=None) -> int:
             if out_dir:
                 _write_json(os.path.join(out_dir, f"compare_{mode}_{seed}.json"),
                             payload)
-    return _table(results)
+    return _tables(results)
+
+
+def grid(seeds: int = 5, out_dir=None) -> int:
+    """Run every consensus script at n = 4 and 7 on seeds 0..seeds-1 (requests
+    at GST = GRID_GST, delay bound GRID_DELTA) and print the consensus table.
+    Exits 1 if any run is unsafe or leaves an honest replica uncommitted."""
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    results = []
+    for n, script, seed in product((4, 7), scenarios.CONSENSUS_SCRIPTS, range(seeds)):
+        outcome = scenarios.run_consensus(n, script, seed, gst=GRID_GST, delta=GRID_DELTA)
+        results.append(_payload(outcome, "grid", "consensus", {}))
+        if out_dir:
+            _write_json(os.path.join(out_dir, f"grid_{n}_{script}_{seed}.json"),
+                        results[-1])
+    status = _tables(results)
+    failures = sum(not (r["safety_ok"] and r["all_committed"]) for r in results)
+    if failures:
+        print(f"{failures} failing combinations")
+    return 1 if failures else status
 
 
 # -- report -------------------------------------------------------------------
@@ -266,14 +294,25 @@ def report(paths, csv_path=None) -> int:
             print(f"error: result {r['scenario']}_{r['mode']}_{r['seed']} has "
                   f"incompatible config {cfg} vs {compat[0]}", file=sys.stderr)
             return 2
-    return _table(training, csv_path)
+    return _tables(results, csv_path)
 
 
-def _table(training, csv_path=None) -> int:
-    """Print one Acc/IT row per mode over the given training results."""
-    if not training:
-        print("error: no training results to report", file=sys.stderr)
+def _tables(results, csv_path=None) -> int:
+    """Print the training and the consensus table of the given results."""
+    training = [r for r in results if r.get("kind") == "training"]
+    consensus = [r for r in results if r.get("kind") == "consensus"]
+    if not training and not consensus:
+        print("error: no results to report", file=sys.stderr)
         return 2
+    if training:
+        _training_table(training, csv_path)
+    if consensus:
+        _consensus_table(consensus)
+    return 0
+
+
+def _training_table(training, csv_path=None):
+    """Print one Acc/IT row per mode; --csv writes the same rows."""
     by_mode: dict[str, list] = {}
     for r in training:
         by_mode.setdefault(r["mode"], []).append(r)
@@ -296,7 +335,25 @@ def _table(training, csv_path=None) -> int:
             for m, count, acc, it in rows:
                 fh.write(f"{m},{count},{acc},{it}\n")
         print(f"wrote {csv_path}")
-    return 0
+
+
+def _consensus_table(consensus):
+    """Print one row per (n, script): runs, how many were safe and how many
+    had every honest replica commit, and the largest commit span (ticks from
+    submission to the last honest commit) and view over those runs."""
+    by_run: dict[tuple, list] = {}
+    for r in consensus:
+        by_run.setdefault((r["n"], r["script"]), []).append(r)
+    width = max(len(script) for _, script in by_run)
+    print(f"{'n':>3s}  {'script':{width}s}  runs  safe  all committed  "
+          f"max span  max view")
+    for (n, script), group in sorted(by_run.items()):
+        spans = [r["commit_span"] for r in group if r["commit_span"] is not None]
+        print(f"{n:3d}  {script:{width}s}  {len(group):4d}  "
+              f"{sum(r['safety_ok'] for r in group):4d}  "
+              f"{sum(r['all_committed'] for r in group):13d}  "
+              f"{max(spans) if spans else '-':>8}  "
+              f"{max(r['max_view'] for r in group):8d}")
 
 
 # -- entry point ----------------------------------------------------------------
@@ -323,9 +380,17 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--out-dir", default=None,
                        help="also write one result JSON per run")
 
-    p_rep = sub.add_parser("report", help="summarize result files into a table")
+    p_grid = sub.add_parser("grid", help="run every consensus script at n = 4 "
+                            "and 7 over seeds and print the consensus table")
+    p_grid.add_argument("--seeds", type=int, default=5,
+                        help="number of seeds per script and n (default 5)")
+    p_grid.add_argument("--out-dir", default=None,
+                        help="also write one result JSON per run")
+
+    p_rep = sub.add_parser("report", help="summarize result files into tables")
     p_rep.add_argument("results", nargs="+")
-    p_rep.add_argument("--csv", default=None)
+    p_rep.add_argument("--csv", default=None,
+                       help="also write the training table's rows as CSV")
 
     p_val = sub.add_parser("validate", help="schema-check a scenario file")
     p_val.add_argument("scenario")
@@ -337,6 +402,8 @@ def main(argv=None) -> int:
                                 out_dir=args.out_dir, trace=args.trace)
         if args.verb == "compare":
             return compare(args.seeds, args.rounds, out_dir=args.out_dir)
+        if args.verb == "grid":
+            return grid(args.seeds, out_dir=args.out_dir)
         if args.verb == "report":
             return report(args.results, csv_path=args.csv)
         load_scenario(args.scenario)

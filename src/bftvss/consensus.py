@@ -5,7 +5,9 @@ it has seen into an initial proposal for the primary, which merges proposals
 from more than 2f replicas into one batch (keeping requests that appear in
 more than f proposals) and drives the usual pre-prepare / prepare / commit
 phases.  A PBFT-style view change with prepared-certificate carryover handles
-faulty primaries.
+faulty primaries: a NEW_VIEW carries the 2f+1 VIEW_CHANGEs that justify it
+and reissues, under its own tag, the highest prepared certificate of each
+slot they name.
 
 Each replica is a pure state machine: one event in (message or timer fire),
 outbound messages and timer operations out.  The simulator owns time and
@@ -108,14 +110,11 @@ def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
     if kind == MsgKind.PRE_PROPOSE:
         return _pack_triples(payload)
     if kind == MsgKind.PRE_PREPARE:
-        form, digest, body = payload
-        if form == "raw":
-            parts = [b"R", wire.lp(digest), wire.u32(len(body))]
-            for proposer, prop in body:
-                parts.append(wire.u32(proposer) + _pack_triples(prop))
-            return b"".join(parts)
-        # certificate-backed reissue from a new view: carries the batch itself
-        return b"C" + wire.lp(digest) + _pack_triples(body)
+        digest, raw = payload
+        parts = [b"R", wire.lp(digest), wire.u32(len(raw))]
+        for proposer, prop in raw:
+            parts.append(wire.u32(proposer) + _pack_triples(prop))
+        return b"".join(parts)
     if kind in (MsgKind.PREPARE, MsgKind.COMMIT):
         (digest,) = payload
         return wire.lp(digest)
@@ -129,9 +128,10 @@ def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
         return b"".join(parts)
     if kind == MsgKind.NEW_VIEW:
         vcs, reissues = payload
-        return wire.pack_blobs([m.to_bytes() for m in vcs]) + wire.pack_blobs(
-            [m.to_bytes() for m in reissues]
-        )
+        parts = [wire.pack_blobs([m.to_bytes() for m in vcs]), wire.u32(len(reissues))]
+        for sq, digest, batch in reissues:
+            parts.append(wire.u64(sq) + wire.lp(digest) + _pack_triples(batch))
+        return b"".join(parts)
     raise ValueError(f"unknown kind {kind}")
 
 
@@ -141,8 +141,7 @@ class SlotViewState:
     batch: Optional[tuple[ReqTriple, ...]] = None
     prepares: dict = dc_field(default_factory=lambda: defaultdict(dict))
     commits: dict = dc_field(default_factory=lambda: defaultdict(dict))
-    prepared: bool = False
-    prepare_cert: tuple = ()
+    prepare_cert: tuple = ()  # non-empty once prepared
     commit_sent: bool = False
 
 
@@ -150,10 +149,7 @@ class SlotViewState:
 class SlotState:
     views: dict = dc_field(default_factory=dict)  # view -> SlotViewState
     committed: bool = False
-    committed_digest: Optional[bytes] = None
-    committed_view: Optional[int] = None
     committed_batch: Optional[tuple[ReqTriple, ...]] = None
-    executed: bool = False
     deferred: Optional[tuple[int, bytes]] = None  # commits reached quorum, batch unknown
     vc_round: int = 0
     timer_running: bool = False
@@ -197,7 +193,6 @@ class Replica:
         self.view_changes: dict[int, dict[int, Message]] = defaultdict(dict)
         self.vc_voted = 0  # highest view we have voted to change into
         self.next_exec = 0
-        self.delivered: set[tuple[int, int]] = set()  # (sq, origin) executed
         self.future: list[Message] = []
         self.dropped_count = 0
 
@@ -360,7 +355,7 @@ class Replica:
         slot.emitted_view = self.view
         self.initial_proposals[sq] = {}
         self._cancel_timer(("prop", sq))
-        self._broadcast(self._make(MsgKind.PRE_PREPARE, sq, ("raw", digest, raw)))
+        self._broadcast(self._make(MsgKind.PRE_PREPARE, sq, (digest, raw)))
 
     # -- three-phase agreement ---------------------------------------------
 
@@ -368,12 +363,7 @@ class Replica:
         if m.sender != self.primary(m.view):
             self.dropped_count += 1
             return
-        form, digest, body = m.payload
-        if form != "raw":
-            # certificate-backed reissues are only trusted inside a validated
-            # NEW_VIEW, never straight off the wire
-            self.dropped_count += 1
-            return
+        digest, body = m.payload
         slot = self._slot(m.sq)
         sv = slot.at(m.view)
         if sv.accepted_digest is not None:
@@ -407,10 +397,9 @@ class Replica:
         slot = self._slot(m.sq)
         sv = slot.at(m.view)
         sv.prepares[digest][m.sender] = m
-        if len(sv.prepares[digest]) >= 2 * self.f + 1 and not sv.prepared:
+        if len(sv.prepares[digest]) >= 2 * self.f + 1 and not sv.prepare_cert:
             if sv.accepted_digest is not None and sv.accepted_digest != digest:
                 return  # votes for a digest we did not accept; never mix
-            sv.prepared = True
             sv.prepare_cert = tuple(sorted(sv.prepares[digest].values(), key=lambda x: x.sender))
             if not sv.commit_sent:
                 sv.commit_sent = True
@@ -440,8 +429,6 @@ class Replica:
         if slot.committed:
             return
         slot.committed = True
-        slot.committed_digest = digest
-        slot.committed_view = view
         slot.committed_batch = batch
         slot.deferred = None
         if self.commit_listener is not None:
@@ -457,18 +444,17 @@ class Replica:
     def _drain_executions(self):
         while True:
             slot = self.slots.get(self.next_exec)
-            if slot is None or not slot.committed or slot.executed:
+            if slot is None or not slot.committed:
                 return
-            slot.executed = True
             batch = slot.committed_batch
             sq = self.next_exec
             self.next_exec += 1
             if self.app is not None:
+                seen = set()  # one request per origin and slot is executed
                 for origin, req, _rtag in batch:
-                    key = (sq, origin)
-                    if key in self.delivered:
+                    if origin in seen:
                         continue
-                    self.delivered.add(key)
+                    seen.add(origin)
                     self.app.receiving_update(sq, origin, req)
                 self.app.on_slot_committed(sq, batch)
             # per-slot stores already dropped in _commit_local; view records
@@ -503,14 +489,10 @@ class Replica:
     def _prepared_certs(self):
         certs = []
         for sq, slot in sorted(self.slots.items()):
-            if slot.committed:
-                continue
-            best = None
-            for view, sv in slot.views.items():
-                if sv.prepared and (best is None or view > best[0]):
-                    best = (view, sv)
-            if best is not None:
-                view, sv = best
+            prepared = [view for view, sv in slot.views.items() if sv.prepare_cert]
+            if prepared and not slot.committed:
+                view = max(prepared)
+                sv = slot.views[view]
                 certs.append((sq, view, sv.accepted_digest, sv.batch, sv.prepare_cert))
         return tuple(certs)
 
@@ -537,15 +519,11 @@ class Replica:
             senders.add(pm.sender)
         return len(senders) >= 2 * self.f + 1
 
-    def _check_view_change(self, m: Message) -> bool:
-        target, certs = m.payload
-        return all(self._check_cert(c) for c in certs)
-
     def _on_view_change(self, m: Message):
         target, certs = m.payload
         if target <= self.view:
             return
-        if not self._check_view_change(m):
+        if not all(self._check_cert(c) for c in certs):
             self.dropped_count += 1
             return
         self.view_changes[target][m.sender] = m
@@ -558,8 +536,7 @@ class Replica:
     def _best_certs(self, vcs) -> dict[int, tuple]:
         best: dict[int, tuple] = {}
         for vc in vcs:
-            _, certs = vc.payload
-            for cert in certs:
+            for cert in vc.payload[1]:
                 sq, view = cert[0], cert[1]
                 if sq not in best or view > best[sq][1]:
                     best[sq] = cert
@@ -568,72 +545,46 @@ class Replica:
     def _emit_new_view(self, target: int):
         votes = self.view_changes[target]
         vcs = tuple(votes[s] for s in sorted(votes))[: 2 * self.f + 1]
-        reissues = []
-        for sq, cert in sorted(self._best_certs(vcs).items()):
-            _, _, digest, batch, _ = cert
-            reissues.append(
-                self._make(MsgKind.PRE_PREPARE, sq, ("cert", digest, tuple(batch)), view=target)
-            )
-        nv = self._make(MsgKind.NEW_VIEW, 0, (vcs, tuple(reissues)), view=target)
-        self._broadcast(nv)
+        reissues = tuple((sq, cert[2], tuple(cert[3]))
+                         for sq, cert in sorted(self._best_certs(vcs).items()))
+        self._broadcast(self._make(MsgKind.NEW_VIEW, 0, (vcs, reissues), view=target))
         self._enter_view(target)
-        for r in reissues:
-            _, digest, batch = r.payload
-            self._accept_digest(r.sq, target, digest, tuple(batch))
+        for sq, digest, batch in reissues:
+            self._accept_digest(sq, target, digest, batch)
+
+    def _check_new_view(self, m: Message) -> bool:
+        """2f+1 distinct, valid VIEW_CHANGEs into the NEW_VIEW's view, each
+        reissued batch matching its digest, and every best certificate among
+        them reissued with its digest unless the slot is committed here."""
+        vcs, reissues = m.payload
+        senders = set()
+        for vc in vcs:
+            if (vc.kind != MsgKind.VIEW_CHANGE or vc.payload[0] != m.view
+                    or not self.keyring.check(vc.sender, vc.body_bytes(), vc.tag)
+                    or not all(self._check_cert(c) for c in vc.payload[1])):
+                return False
+            senders.add(vc.sender)
+        if len(senders) < 2 * self.f + 1:
+            return False
+        if any(batch_digest(tuple(batch)) != digest for _, digest, batch in reissues):
+            return False
+        reissued = {sq: digest for sq, digest, _ in reissues}
+        return all(reissued.get(sq) == cert[2]
+                   or (sq in self.slots and self.slots[sq].committed)
+                   for sq, cert in self._best_certs(vcs).items())
 
     def _on_new_view(self, m: Message):
         target = m.view
         if target <= self.view or m.sender != self.primary(target):
             return
-        vcs, reissues = m.payload
-        senders = set()
-        for vc in vcs:
-            if vc.kind != MsgKind.VIEW_CHANGE or vc.payload[0] != target:
-                break
-            if not self.keyring.check(vc.sender, vc.body_bytes(), vc.tag):
-                break
-            if not self._check_view_change(vc):
-                break
-            senders.add(vc.sender)
-        else:
-            if len(senders) >= 2 * self.f + 1:
-                required = self._best_certs(vcs)
-                reissue_map = {}
-                ok = True
-                for r in reissues:
-                    if (
-                        r.kind != MsgKind.PRE_PREPARE
-                        or r.view != target
-                        or r.sender != self.primary(target)
-                        or r.payload[0] != "cert"
-                        or not self.keyring.check(r.sender, r.body_bytes(), r.tag)
-                    ):
-                        ok = False
-                        break
-                    _, digest, batch = r.payload
-                    if batch_digest(tuple(batch)) != digest:
-                        ok = False
-                        break
-                    reissue_map[r.sq] = (digest, tuple(batch))
-                if ok:
-                    for sq, cert in required.items():
-                        if sq in reissue_map and reissue_map[sq][0] == cert[2]:
-                            continue
-                        slot = self.slots.get(sq)
-                        if slot is not None and slot.committed:
-                            continue  # already settled locally; nothing owed
-                        ok = False
-                        break
-                if ok:
-                    self._enter_view(target)
-                    for r in reissues:
-                        _, digest, batch = r.payload
-                        slot = self._slot(r.sq)
-                        if not slot.committed:
-                            self._accept_digest(r.sq, target, digest, tuple(batch))
-                    return
-        # anything off about this NEW_VIEW: push for the next view instead
-        self._start_view_change(target + 1)
+        if not self._check_new_view(m):
+            # anything off about this NEW_VIEW: push for the next view instead
+            self._start_view_change(target + 1)
+            return
+        self._enter_view(target)
+        for sq, digest, batch in m.payload[1]:
+            if not self._slot(sq).committed:
+                self._accept_digest(sq, target, digest, tuple(batch))
 
     def _enter_view(self, target: int):
         self.view = target
@@ -664,7 +615,9 @@ class Replica:
         for sq, req in sorted(self.own_requests.items()):
             rtag = request_tag(self.keyring, self.rid, sq, req)
             self._broadcast(self._make(MsgKind.REQUEST, sq, (req, rtag)))
+        # a subclass's on_message already saw these on arrival; replay them
+        # into the protocol only
         buffered, self.future = self.future, []
         for bm in buffered:
             if bm.view >= self.view:
-                self.on_message(bm)
+                Replica.on_message(self, bm)

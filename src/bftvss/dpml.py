@@ -388,7 +388,6 @@ class WorkflowParticipant:
         self.dataset = dataset
         self.coordinator = coordinator
         self.attacker = attacker
-        self.attacker_node = None
         self.replica: Optional[Replica] = None
         self.eval_point = pid + 1
         self.rng = random.Random(config.seed * 100003 + 900 + pid)
@@ -419,7 +418,7 @@ class WorkflowParticipant:
                                            self.config.learning_rate)
         if self.attacker is not None:
             # delayed dealer: withhold the submission, hoping to observe
-            # enough shares first (the wrapper node handles any craft)
+            # enough shares first (its DelayedDealerNode handles any craft)
             return
         self.submit_shares(self.update)
 
@@ -479,23 +478,18 @@ class WorkflowParticipant:
             self._agg_slot_done()
 
     def _share_slot_done(self, sq: int):
-        if self.attacker is not None:
-            self._attack_deadline(sq)
+        if self.attacker is not None and sq not in self.replica.submitted:
+            # the share slot just committed: what was observed until now is
+            # all the attacker will ever see this round, unless a crafted
+            # submission already went out before the deadline
+            self.attacker.craft_submission(self.t, self.replica.observed.get(sq, {}),
+                                           self.update)
         self._verified = {
             d for d, bundle in self._own_shares.items()
             if d in self._commits and vss.verify(bundle, self._commits[d], self.group)
         }
         self.replica.broadcast_update(
             sq + 1, encode_vote_request(self.pid, sorted(self._verified)))
-
-    def _attack_deadline(self, sq: int):
-        # the share slot just committed; whatever was observed until now is
-        # all the attacker will ever see for this round
-        node = self.attacker_node
-        if node is not None and sq in node.submitted:
-            return  # crafted submission already went out before the deadline
-        observed = node.observed.get(sq, {}) if node is not None else {}
-        self.attacker.craft_submission(self.t, observed, self.update)
 
     def _vote_slot_done(self, sq: int):
         dealer_set = sorted(
@@ -528,36 +522,25 @@ class WorkflowParticipant:
             self.done = True
 
 
-class DelayedDealerNode:
-    """Wraps the attacker's replica.  It eavesdrops share requests flowing
-    past, decrypts whatever its own key opens, and submits a crafted share
-    request if the observations reach the reconstruction threshold for every
+class DelayedDealerNode(Replica):
+    """The attacker's replica.  It eavesdrops share requests flowing past,
+    decrypts whatever its own key opens, and submits a crafted share request
+    if the observations reach the reconstruction threshold for every
     observed dealer before the slot commits.  Under real encryption only its
     own shares decrypt, so that never happens; it keeps waiting, the batch
     forms without it, and its (recorded) fallback comes too late to enter the
-    round."""
+    round.  Its app is the attacker's WorkflowParticipant."""
 
-    def __init__(self, replica: Replica, participant: WorkflowParticipant,
-                 attacker: AcumpaAttacker, scheme, secret_key):
-        self.replica = replica
-        self.participant = participant
-        self.attacker = attacker
-        self.scheme = scheme
-        self.secret_key = secret_key
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.observed: dict[int, dict[int, list[vss.ShareBundle]]] = {}
         self.submitted: set[int] = set()
 
     def on_message(self, m, now=0):
         if (m.kind == MsgKind.REQUEST and m.sq % 3 == 0
-                and m.sender != self.participant.pid):
+                and m.sender != self.app.pid):
             self._eavesdrop(m.sq, m.payload[0])
-        self.replica.on_message(m, now)
-
-    def on_timer(self, name, now=0):
-        self.replica.on_timer(name, now)
-
-    def drain(self):
-        return self.replica.drain()
+        super().on_message(m, now)
 
     def _eavesdrop(self, sq: int, req: bytes):
         try:
@@ -567,7 +550,7 @@ class DelayedDealerNode:
         store = self.observed.setdefault(sq, defaultdict(list))
         for ct in ciphertexts:
             try:
-                bundle = vss.parse_bundle(self.scheme.decrypt(self.secret_key, ct))
+                bundle = vss.parse_bundle(self.app.scheme.decrypt(self.app.secret_key, ct))
             except (DecryptionError, ValueError, vss.MalformedInputError):
                 continue
             if bundle.dealer == dealer:
@@ -575,15 +558,15 @@ class DelayedDealerNode:
         self._maybe_submit(sq, store)
 
     def _maybe_submit(self, sq: int, store):
-        part = self.participant
+        part = self.app
         if sq in self.submitted or part.t == 0 or sq != part.base_slot():
             return
-        slot = self.replica.slots.get(sq)
+        slot = self.slots.get(sq)
         if slot is not None and slot.committed:
             return  # deadline already passed
-        if self.attacker.observed_target(store) is None:
+        if part.attacker.observed_target(store) is None:
             return  # keep waiting: more shares may still show up
-        crafted, _ = self.attacker.craft_submission(part.t, store, part.update)
+        crafted, _ = part.attacker.craft_submission(part.t, store, part.update)
         self.submitted.add(sq)
         part.submit_shares(crafted)
 
@@ -601,7 +584,6 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
 
     attackers: dict[int, AcumpaAttacker] = {}
     participants: dict[int, WorkflowParticipant] = {}
-    nodes: dict[int, object] = {}
     for i in range(config.n):
         attacker = None
         if i in config.attackers:
@@ -610,19 +592,14 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
         part = WorkflowParticipant(i, config, group, codec, scheme,
                                    keypairs[i].secret, publics, datasets[i],
                                    coordinator, w0, attacker=attacker)
-        rep = Replica(i, config.n, config.f, keyring, delta=config.delta, app=part)
-        part.replica = rep
-        node: object = rep
-        if attacker is not None:
-            node = DelayedDealerNode(rep, part, attacker, scheme,
-                                     keypairs[i].secret)
-            part.attacker_node = node
+        cls = Replica if attacker is None else DelayedDealerNode
+        part.replica = cls(i, config.n, config.f, keyring, delta=config.delta, app=part)
         participants[i] = part
-        nodes[i] = node
 
     sim_config = SimConfig(n=config.n, f=config.f, gst=config.gst,
                            delta=config.delta, seed=config.seed)
     adversary = AdversaryPolicy(corrupt=frozenset(config.attackers))
+    nodes = {i: part.replica for i, part in participants.items()}
     sim = Simulator(sim_config, nodes, adversary, trace_messages=collect_trace)
     for part in participants.values():
         part.replica.commit_listener = sim.record_commit

@@ -5,6 +5,9 @@ the delivery delay (or drop) subject to partial synchrony: after the global
 stabilization time, traffic between honest participants must arrive within
 the bound delta.  Everything is a pure function of (seed, config, scripts),
 so two runs with the same inputs produce byte-identical traces.
+
+Its nodes are replicas or Byzantine behaviors: ``SilentNode``, and the
+Replica subclasses below that rewrite outgoing messages per destination.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
-from .consensus import Message, MsgKind, aggregate, batch_digest, request_tag, signed
+from .consensus import Message, MsgKind, Replica, aggregate, batch_digest, request_tag, signed
 
 
 class LivelockError(Exception):
@@ -160,8 +163,10 @@ class Simulator:
             self.clock = time
             events += 1
             if events > self.config.max_events:
+                # the clock can outgrow str(int)'s 4300-digit limit
                 raise LivelockError(
-                    f"exceeded {self.config.max_events} events at t={self.clock}")
+                    f"exceeded {self.config.max_events} events with the clock "
+                    f"at {self.clock.bit_length()} bits")
             if item[0] == "call":
                 item[1]()
                 self.collect_all()
@@ -185,11 +190,15 @@ class Simulator:
                        f"sq={sq} v={view} d={digest.hex()[:16]}")
 
 
-# -- Byzantine behavior wrappers -------------------------------------------
+# -- Byzantine behaviors -----------------------------------------------------
 
 
 class SilentNode:
-    """Crashes-at-birth behavior: receives everything, says nothing."""
+    """Crashes-at-birth behavior: receives everything, says nothing.  Takes
+    (and ignores) a replica's constructor arguments."""
+
+    def __init__(self, *_args, **_kwargs):
+        pass
 
     def on_message(self, m, now=0):
         pass
@@ -201,26 +210,15 @@ class SilentNode:
         return [], []
 
 
-class EquivocatingPrimary:
-    """Wraps a replica; whenever the inner replica emits a PRE_PREPARE, half
-    the destinations instead get a conflicting one whose batch omits the
-    last request (or, if the batch is empty, a fabricated self request)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def on_message(self, m, now=0):
-        self.inner.on_message(m, now)
-
-    def on_timer(self, name, now=0):
-        self.inner.on_timer(name, now)
+class EquivocatingPrimary(Replica):
+    """A replica whose PRE_PREPAREs reach half the destinations as a
+    conflicting one whose batch omits the last request (or, if the batch is
+    empty, a fabricated self request)."""
 
     def _fork(self, m: Message, dst: int):
         if m.kind != MsgKind.PRE_PREPARE or dst % 2 == 0:
             return m
-        form, digest, raw = m.payload
-        if form != "raw":
-            return m
+        digest, raw = m.payload
         raw = dict(raw)
         batch_now = [t for prop in raw.values() for t in prop]
         if batch_now:
@@ -231,45 +229,33 @@ class EquivocatingPrimary:
             }
         else:
             fake = b"equivocation-filler"
-            rtag = request_tag(self.inner.keyring, self.inner.rid, m.sq, fake)
-            triple = (self.inner.rid, fake, rtag)
+            rtag = request_tag(self.keyring, self.rid, m.sq, fake)
+            triple = (self.rid, fake, rtag)
             alt_raw = {proposer: prop + (triple,) for proposer, prop in raw.items()}
-        alt_batch = aggregate(alt_raw, self.inner.f)
+        alt_batch = aggregate(alt_raw, self.f)
         alt_digest = batch_digest(alt_batch)
         if alt_digest == digest:
             return m
-        return signed(self.inner.keyring, m.kind, m.view, m.sq, m.sender,
-                      ("raw", alt_digest, tuple(sorted(alt_raw.items()))))
+        return signed(self.keyring, m.kind, m.view, m.sq, m.sender,
+                      (alt_digest, tuple(sorted(alt_raw.items()))))
 
     def drain(self):
-        sends, timers = self.inner.drain()
+        sends, timers = super().drain()
         return [(dst, self._fork(msg, dst)) for dst, msg in sends], timers
 
 
-class InconsistentSender:
-    """Wraps a replica; REQUEST broadcasts carry different payloads to
-    different destinations (the classic inconsistent dealer)."""
-
-    def __init__(self, inner, variants: Callable[[int, bytes], bytes]):
-        self.inner = inner
-        self.variants = variants
-
-    def on_message(self, m, now=0):
-        self.inner.on_message(m, now)
-
-    def on_timer(self, name, now=0):
-        self.inner.on_timer(name, now)
+class InconsistentSender(Replica):
+    """A replica whose REQUEST broadcasts reach odd-numbered destinations
+    with b"/alt" appended to the request (the classic inconsistent dealer)."""
 
     def _mutate(self, m: Message, dst: int):
-        if m.kind != MsgKind.REQUEST:
+        if m.kind != MsgKind.REQUEST or dst % 2 == 0:
             return m
         req, _ = m.payload
-        alt = self.variants(dst, req)
-        if alt == req:
-            return m
-        rtag = request_tag(self.inner.keyring, self.inner.rid, m.sq, alt)
-        return signed(self.inner.keyring, m.kind, m.view, m.sq, m.sender, (alt, rtag))
+        alt = req + b"/alt"
+        rtag = request_tag(self.keyring, self.rid, m.sq, alt)
+        return signed(self.keyring, m.kind, m.view, m.sq, m.sender, (alt, rtag))
 
     def drain(self):
-        sends, timers = self.inner.drain()
+        sends, timers = super().drain()
         return [(dst, self._mutate(msg, dst)) for dst, msg in sends], timers

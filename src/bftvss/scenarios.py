@@ -27,9 +27,13 @@ CONSENSUS_SCRIPTS = (
     "inconsistent-dealer",
 )
 
-
-def _alt_variants(dst: int, req: bytes) -> bytes:
-    return req + b"/alt" if dst % 2 else req
+# script -> (the Byzantine replica's id modulo n, or None; its class)
+_BEHAVIOURS = {
+    "none": (None, Replica),
+    "silent-primary": (0, SilentNode),
+    "equivocating-primary": (0, EquivocatingPrimary),
+    "inconsistent-dealer": (-1, InconsistentSender),
+}
 
 
 def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
@@ -43,23 +47,12 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
     if script not in CONSENSUS_SCRIPTS:
         raise ValueError(f"unknown script {script!r}")
     f = (n - 1) // 3
-    if n != 3 * f + 1:
-        raise ValueError("requires n = 3f + 1")
+    position, behaviour = _BEHAVIOURS[script]
+    byzantine = None if position is None else position % n
 
     keyring = KeyRing(range(n), random.Random(seed * 97 + 3))
-    replicas = {i: Replica(i, n, f, keyring, delta=delta) for i in range(n)}
-    nodes: dict[int, object] = dict(replicas)
-
-    byzantine = None
-    if script == "silent-primary":
-        byzantine = 0
-        nodes[0] = SilentNode()
-    elif script == "equivocating-primary":
-        byzantine = 0
-        nodes[0] = EquivocatingPrimary(replicas[0])
-    elif script == "inconsistent-dealer":
-        byzantine = n - 1
-        nodes[byzantine] = InconsistentSender(replicas[byzantine], _alt_variants)
+    nodes = {i: (behaviour if i == byzantine else Replica)(i, n, f, keyring, delta=delta)
+             for i in range(n)}
 
     corrupt = frozenset() if byzantine is None else frozenset({byzantine})
     config = SimConfig(n=n, f=f, gst=gst, delta=delta, seed=seed)
@@ -67,22 +60,19 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
 
     commits: dict[int, dict] = {}
 
-    def listener_for(rid):
-        def listen(_rid, sq, view, digest):
-            if sq == 0 and rid not in commits:
-                commits[rid] = {"view": view, "digest": digest.hex(),
-                                "time": sim.clock}
-        return listen
+    def listen(rid, sq, view, digest):
+        if sq == 0 and rid not in commits:
+            commits[rid] = {"view": view, "digest": digest.hex(), "time": sim.clock}
 
-    for i, rep in replicas.items():
-        rep.commit_listener = listener_for(i)
+    for node in nodes.values():
+        node.commit_listener = listen  # a SilentNode never calls it
 
     honest = [i for i in range(n) if i != byzantine]
     submit_at = gst if request_time is None else request_time
 
     def submit():
         for i in honest:
-            replicas[i].broadcast_update(0, b"round-%d-req" % i)
+            nodes[i].broadcast_update(0, b"round-%d-req" % i)
 
     if submit_at <= 0:
         submit()

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from bftvss.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FAST_CONFIG = {"mode": "ebyftves", "rounds": 3, "samples": 100,
                "test_samples": 200, "dim": 8}
@@ -208,3 +211,22 @@ def test_compare_output_is_readable_by_report(tmp_path, capsys):
     reported = capsys.readouterr().out.splitlines()
     assert reported == compared
     assert len(compared) == 6  # header plus one row per mode
+
+
+def test_grid_output_is_readable_by_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["grid", "--seeds", "1", "--out-dir", str(out)]) == 0
+    gridded = capsys.readouterr().out.splitlines()
+    assert len(list(out.glob("grid_*_0.json"))) == 8
+    assert main(["report", str(out / "*.json")]) == 0
+    assert capsys.readouterr().out.splitlines() == gridded
+    assert len(gridded) == 9  # header plus one row per n and script
+
+
+def test_report_reads_consensus_scenario_result(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(ROOT / "scenarios" / "liveness_silent_primary.json"),
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out / "*.json")]) == 0
+    assert "silent-primary" in capsys.readouterr().out

@@ -97,3 +97,10 @@ class TestDeliveryModel:
             rep.broadcast_update(0, b"req-%d" % rep.rid)
         with pytest.raises(LivelockError):
             sim.run()
+
+    def test_livelock_guard_with_huge_clock(self):
+        # a clock past str(int)'s 4300-digit limit still raises LivelockError
+        sim, _ = build_sim(max_events=0)
+        sim.schedule_call(10**5000, lambda: None)
+        with pytest.raises(LivelockError):
+            sim.run()
