@@ -33,7 +33,6 @@ from . import dpml, scenarios
 from .dpml import MODES, TrainingConfig
 from .netsim import SimConfig
 
-OUT_DIR_ENV = "BFTVSS_OUT_DIR"
 GRID_GST = 100
 GRID_DELTA = 2
 
@@ -43,19 +42,54 @@ _TRAINING_KEYS = {"name", "kind", "config", "assertions"}
 _CONSENSUS_KEYS = {"name", "kind", "n", "script", "gst", "delta",
                    "request_time", "assertions"}
 _CONFIG_KEYS = {f.name for f in fields(TrainingConfig)}
-_TRAINING_ASSERTS = {"completes", "max_it", "min_final_accuracy",
-                     "adaptive_never", "adaptive_every_round"}
-_CONSENSUS_ASSERTS = {"safety", "all_committed", "commit_within", "max_view"}
+
+# assertion key -> (value type, actual value, whether it holds), for a
+# training RunResult r and a consensus outcome o
+_TRAINING_ASSERTS = {
+    "completes": (bool, lambda r: True, lambda want, r: True is want),
+    "max_it": (int, lambda r: None if math.isinf(r.it) else int(r.it),
+               lambda want, r: r.it <= want),
+    "min_final_accuracy": ((int, float), lambda r: r.final_accuracy,
+                           lambda want, r: r.final_accuracy >= want),
+    "adaptive_never": (bool, lambda r: sorted(r.adaptive_rounds),
+                       lambda want, r: (len(r.adaptive_rounds) == 0) is want),
+    "adaptive_every_round": (
+        bool, lambda r: sorted(r.adaptive_rounds),
+        lambda want, r: (len(r.adaptive_rounds) == len(r.metrics)) is want),
+}
+_CONSENSUS_ASSERTS = {
+    "safety": (bool, lambda o: o["safety_ok"],
+               lambda want, o: o["safety_ok"] is want),
+    "all_committed": (bool, lambda o: o["all_committed"],
+                      lambda want, o: o["all_committed"] is want),
+    "commit_within": (int, lambda o: o["commit_span"],
+                      lambda want, o: o["commit_span"] is not None
+                      and o["commit_span"] <= want),
+    "max_view": (int, lambda o: o["max_view"],
+                 lambda want, o: o["max_view"] <= want),
+}
 
 
 class ScenarioError(Exception):
     pass
 
 
-def _reject_unknown(given: dict, allowed: set, where: str):
-    unknown = sorted(set(given) - allowed)
+def _reject_unknown(given: dict, allowed, where: str):
+    unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {unknown}")
+
+
+def _check_assertions(asserts, table: dict, where: str):
+    if not isinstance(asserts, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    _reject_unknown(asserts, table, where)
+    for key, want in asserts.items():
+        kind = table[key][0]
+        # a bool is an int to isinstance, but never a count or a bound here
+        if not isinstance(want, kind) or (kind is not bool and isinstance(want, bool)):
+            raise ScenarioError(f"{where}: {key} must be of type "
+                                f"{getattr(kind, '__name__', 'number')}, got {want!r}")
 
 
 def load_scenario(path: str) -> dict:
@@ -78,8 +112,8 @@ def load_scenario(path: str) -> dict:
         if not isinstance(config, dict):
             raise ScenarioError(f"{path}: 'config' must be an object")
         _reject_unknown(config, _CONFIG_KEYS, f"{path}: config")
-        _reject_unknown(data.get("assertions", {}), _TRAINING_ASSERTS,
-                        f"{path}: assertions")
+        _check_assertions(data.get("assertions", {}), _TRAINING_ASSERTS,
+                          f"{path}: assertions")
         try:
             _build_config(config)
         except (TypeError, ValueError) as exc:
@@ -102,8 +136,8 @@ def load_scenario(path: str) -> dict:
                       delta=timing.get("delta", 1))
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
-        _reject_unknown(data.get("assertions", {}), _CONSENSUS_ASSERTS,
-                        f"{path}: assertions")
+        _check_assertions(data.get("assertions", {}), _CONSENSUS_ASSERTS,
+                          f"{path}: assertions")
     else:
         raise ScenarioError(f"{path}: 'kind' must be 'training' or 'consensus'")
     return data
@@ -126,44 +160,9 @@ def _check(expected, actual, ok: bool) -> dict:
     return {"expected": expected, "actual": actual, "ok": bool(ok)}
 
 
-def _training_assertions(asserts: dict, result: dpml.RunResult) -> dict:
-    out = {}
-    it = result.it
-    rounds_run = len(result.metrics)
-    for key, want in asserts.items():
-        if key == "completes":
-            out[key] = _check(want, True, True is want)
-        elif key == "max_it":
-            out[key] = _check(want, None if math.isinf(it) else int(it),
-                              not math.isinf(it) and it <= want)
-        elif key == "min_final_accuracy":
-            out[key] = _check(want, result.final_accuracy,
-                              result.final_accuracy >= want)
-        elif key == "adaptive_never":
-            out[key] = _check(want, sorted(result.adaptive_rounds),
-                              (len(result.adaptive_rounds) == 0) is want)
-        elif key == "adaptive_every_round":
-            out[key] = _check(want, sorted(result.adaptive_rounds),
-                              (len(result.adaptive_rounds) == rounds_run) is want)
-    return out
-
-
-def _consensus_assertions(asserts: dict, outcome: dict) -> dict:
-    out = {}
-    for key, want in asserts.items():
-        if key == "safety":
-            out[key] = _check(want, outcome["safety_ok"],
-                              outcome["safety_ok"] is want)
-        elif key == "all_committed":
-            out[key] = _check(want, outcome["all_committed"],
-                              outcome["all_committed"] is want)
-        elif key == "commit_within":
-            span = outcome["commit_span"]
-            out[key] = _check(want, span, span is not None and span <= want)
-        elif key == "max_view":
-            out[key] = _check(want, outcome["max_view"],
-                              outcome["max_view"] <= want)
-    return out
+def _assertions(table: dict, asserts: dict, source) -> dict:
+    return {key: _check(want, table[key][1](source), table[key][2](want, source))
+            for key, want in asserts.items()}
 
 
 def _write_json(path: str, payload: dict):
@@ -182,7 +181,7 @@ def _payload(outcome: dict, name: str, kind: str, checks: dict) -> dict:
 def run_scenario(path: str, seed=None, mode=None, out_dir=None,
                  trace: bool = False) -> int:
     scenario = load_scenario(path)
-    out_dir = out_dir or os.environ.get(OUT_DIR_ENV, ".")
+    out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     name = scenario["name"]
     asserts = scenario.get("assertions", {})
@@ -194,7 +193,7 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
             raise ScenarioError(f"{path}: config: {exc}") from exc
         result = dpml.run(config, collect_trace=trace)
         payload = _payload(result.to_dict(), name, "training",
-                           _training_assertions(asserts, result))
+                           _assertions(_TRAINING_ASSERTS, asserts, result))
         out_path = os.path.join(out_dir, f"{name}_{config.mode}_{config.seed}.json")
         if trace and result.trace is not None:
             result.trace.to_jsonl(os.path.join(
@@ -208,7 +207,7 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
             gst=scenario.get("gst", 0), delta=scenario.get("delta", 1),
             request_time=scenario.get("request_time"))
         payload = _payload(outcome, name, "consensus",
-                           _consensus_assertions(asserts, outcome))
+                           _assertions(_CONSENSUS_ASSERTS, asserts, outcome))
         out_path = os.path.join(out_dir,
                                 f"{name}_{scenario['script']}_{run_seed}.json")
 

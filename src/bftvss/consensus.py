@@ -12,6 +12,10 @@ slot they name.
 Each replica is a pure state machine: one event in (message or timer fire),
 outbound messages and timer operations out.  The simulator owns time and
 transport; replicas never block or sleep.
+
+An application is a Replica subclass: it submits with broadcast_update and
+overrides the two hooks that committed slots drive, in slot order:
+receiving_update once per origin of the batch, then on_slot_committed.
 """
 
 from __future__ import annotations
@@ -174,7 +178,6 @@ class Replica:
         f: int,
         keyring: KeyRing,
         delta: int = 1,
-        app=None,
     ):
         if n != 3 * f + 1:
             raise ValueError("requires n = 3f + 1")
@@ -183,7 +186,6 @@ class Replica:
         self.f = f
         self.keyring = keyring
         self.delta = max(1, delta)
-        self.app = app
 
         self.view = 0
         self.slots: dict[int, SlotState] = {}
@@ -242,6 +244,14 @@ class Replica:
         rtag = request_tag(self.keyring, self.rid, sq, req)
         self._broadcast(self._make(MsgKind.REQUEST, sq, (req, rtag)))
         self._start_progress_timer(sq)
+
+    # -- application hooks: a subclass that runs an application overrides these
+
+    def receiving_update(self, sq: int, origin: int, req: bytes):
+        """Execute origin's request (its first in the batch) of committed slot sq."""
+
+    def on_slot_committed(self, sq: int, batch):
+        """Called after every request of committed slot sq was executed."""
 
     # -- event entry points --------------------------------------------------
 
@@ -449,14 +459,13 @@ class Replica:
             batch = slot.committed_batch
             sq = self.next_exec
             self.next_exec += 1
-            if self.app is not None:
-                seen = set()  # one request per origin and slot is executed
-                for origin, req, _rtag in batch:
-                    if origin in seen:
-                        continue
-                    seen.add(origin)
-                    self.app.receiving_update(sq, origin, req)
-                self.app.on_slot_committed(sq, batch)
+            seen = set()  # one request per origin and slot is executed
+            for origin, req, _rtag in batch:
+                if origin in seen:
+                    continue
+                seen.add(origin)
+                self.receiving_update(sq, origin, req)
+            self.on_slot_committed(sq, batch)
             # per-slot stores already dropped in _commit_local; view records
             # are kept only for prepared certificates, which are now moot
             slot.views = {}

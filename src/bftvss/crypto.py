@@ -82,19 +82,15 @@ class HybridScheme:
         return wire.big(c1) + wire.lp(body) + mac
 
     def decrypt(self, secret: int, ciphertext: bytes) -> bytes:
-        p = self.params.p
         try:
-            n1 = int.from_bytes(ciphertext[:4], "big")
-            c1 = int.from_bytes(ciphertext[4 : 4 + n1], "big")
-            off = 4 + n1
-            n2 = int.from_bytes(ciphertext[off : off + 4], "big")
-            body = ciphertext[off + 4 : off + 4 + n2]
-            mac = ciphertext[off + 4 + n2 :]
-        except Exception as exc:  # malformed framing
+            r = wire.Reader(ciphertext)
+            c1, body, mac = r.big(), r.lp(), r.take(TAG_LEN)
+            r.expect_end()
+        except ValueError as exc:
             raise DecryptionError("malformed ciphertext") from exc
-        shared = pow(c1, secret, p)
+        shared = pow(c1, secret, self.params.p)
         key = hashlib.sha256(wire.big(shared)).digest()
-        if len(mac) != TAG_LEN or hashlib.sha256(key + body).digest() != mac:
+        if hashlib.sha256(key + body).digest() != mac:
             raise DecryptionError("integrity check failed")
         return bytes(a ^ b for a, b in zip(body, _stream(key, len(body))))
 

@@ -13,10 +13,13 @@ Two drivers run the rounds:
     "+acumpa" a malicious dealer delays its submission, reconstructs the
     honest average from eavesdropped shares, and submits a crafted vector.
 * the consensus workflow (run_defended) runs ebyftves, the defended mode,
-  over the network simulator.  Each round occupies three consensus slots:
-  encrypted shares plus commitments, then bundled verification votes, then
-  aggregated sum shares.  The commit deadline of the share slot closes the
-  observation window the baseline attacker depends on.
+  over the network simulator.  Each participant is a consensus replica
+  (WorkflowParticipant) and a malicious one is a subclass of it
+  (DelayedDealerNode for "+acumpa").  Each round occupies three consensus
+  slots: encrypted shares plus commitments, then bundled verification
+  votes, then aggregated sum shares; every request's dealer, voter or
+  sender is its authenticated origin.  The commit deadline of the share
+  slot closes the observation window the baseline attacker depends on.
 
 Division by the dealer count happens after reconstruction, in the real
 domain; the field only ever sees sums.
@@ -320,24 +323,21 @@ def _finish(config: TrainingConfig, coordinator: _Coordinator,
 # -- engine: defended consensus-gated workflow --------------------------------
 
 
-def encode_share_request(dealer: int, ciphertexts, commitments) -> bytes:
-    return (b"S" + wire.u32(dealer) + wire.pack_blobs(ciphertexts)
-            + wire.lp(commitments.to_bytes()))
+def encode_share_request(ciphertexts, commitments) -> bytes:
+    return b"S" + wire.pack_blobs(ciphertexts) + wire.lp(commitments.to_bytes())
 
 
 def decode_share_request(req: bytes):
     r = wire.Reader(req)
     if r.take(1) != b"S":
         raise ValueError("not a share request")
-    dealer = r.u32()
-    ciphertexts = r.blobs()
-    commitments = vss.parse_commitments(r.lp())
+    ciphertexts, commitments = r.blobs(), vss.parse_commitments(r.lp())
     r.expect_end()
-    return dealer, ciphertexts, commitments
+    return ciphertexts, commitments
 
 
-def encode_vote_request(voter: int, verified) -> bytes:
-    out = [b"V", wire.u32(voter), wire.u32(len(verified))]
+def encode_vote_request(verified) -> bytes:
+    out = [b"V", wire.u32(len(verified))]
     out.extend(wire.u32(d) for d in sorted(verified))
     return b"".join(out)
 
@@ -346,39 +346,35 @@ def decode_vote_request(req: bytes):
     r = wire.Reader(req)
     if r.take(1) != b"V":
         raise ValueError("not a vote request")
-    voter = r.u32()
-    count = r.u32()
-    verified = [r.u32() for _ in range(count)]
+    verified = [r.u32() for _ in range(r.u32())]
     r.expect_end()
-    return voter, verified
+    return verified
 
 
-def encode_agg_request(sender: int, bundle: vss.ShareBundle) -> bytes:
-    return b"A" + wire.u32(sender) + wire.lp(bundle.to_bytes())
+def encode_agg_request(bundle: vss.ShareBundle) -> bytes:
+    return b"A" + bundle.to_bytes()
 
 
 def decode_agg_request(req: bytes):
-    r = wire.Reader(req)
-    if r.take(1) != b"A":
+    if req[:1] != b"A":
         raise ValueError("not an aggregated-share request")
-    sender = r.u32()
-    bundle = vss.parse_bundle(r.lp())
-    r.expect_end()
-    return sender, bundle
+    return vss.parse_bundle(req[1:])
 
 
-class WorkflowParticipant:
-    """Application state of one defended-mode participant.
+class WorkflowParticipant(Replica):
+    """One defended-mode participant: a consensus replica whose application
+    hooks run the training round.
 
     Round t (1-indexed) occupies slots 3(t-1)..3(t-1)+2: encrypted shares
     with commitments, then one bundled verification-vote request per
     participant, then aggregated sum shares.  All round state is fed by
-    receiving_update, so it is scoped to committed batches by construction.
+    receiving_update, so it is scoped to committed batches by construction,
+    and every dealer, voter and sender is the request's authenticated origin.
     """
 
-    def __init__(self, pid, config, group, codec, scheme, secret_key,
-                 publics, dataset, coordinator, w0, attacker=None):
-        self.pid = pid
+    def __init__(self, rid, config, keyring, group, codec, scheme, secret_key,
+                 publics, dataset, coordinator, w0):
+        super().__init__(rid, config.n, config.f, keyring, delta=config.delta)
         self.config = config
         self.group = group
         self.codec = codec
@@ -387,52 +383,38 @@ class WorkflowParticipant:
         self.publics = publics
         self.dataset = dataset
         self.coordinator = coordinator
-        self.attacker = attacker
-        self.replica: Optional[Replica] = None
-        self.eval_point = pid + 1
-        self.rng = random.Random(config.seed * 100003 + 900 + pid)
+        self.eval_point = rid + 1
+        self.rng = random.Random(config.seed * 100003 + 900 + rid)
         self.w = np.array(w0, dtype=float)
         self.t = 0
-        self.update: Optional[np.ndarray] = None
         self.done = False
         self.failed: Optional[str] = None
-        self._commits: dict[int, vss.CommitmentVector] = {}
-        self._own_shares: dict[int, vss.ShareBundle] = {}
-        self._verified: set[int] = set()
-        self._votes: dict[int, set[int]] = defaultdict(set)
-        self._agg: dict[int, vss.ShareBundle] = {}
-        self._dealer_set: list[int] = []
 
     def base_slot(self) -> int:
         return 3 * (self.t - 1)
 
     def start_round(self, t: int):
         self.t = t
-        self._commits = {}
-        self._own_shares = {}
-        self._verified = set()
-        self._votes = defaultdict(set)
-        self._agg = {}
-        self._dealer_set = []
+        self._commits: dict[int, vss.CommitmentVector] = {}
+        self._own_shares: dict[int, vss.ShareBundle] = {}
+        self._verified: set[int] = set()
+        self._votes: dict[int, set[int]] = defaultdict(set)
+        self._agg: dict[int, vss.ShareBundle] = {}
+        self._dealer_set: list[int] = []
         self.update = training.local_train(self.w, self.dataset,
                                            self.config.learning_rate)
-        if self.attacker is not None:
-            # delayed dealer: withhold the submission, hoping to observe
-            # enough shares first (its DelayedDealerNode handles any craft)
-            return
         self.submit_shares(self.update)
 
     def submit_shares(self, vector):
-        sq = self.base_slot()
         bundles, commits = vss.share(vector, self.config.th, self.config.n,
                                      self.group, self.codec, self.rng,
-                                     dealer=self.pid)
+                                     dealer=self.rid)
         ciphertexts = [
             self.scheme.encrypt(self.publics[j], bundles[j].to_bytes(), self.rng)
             for j in range(self.config.n)
         ]
-        self.replica.broadcast_update(
-            sq, encode_share_request(self.pid, ciphertexts, commits))
+        self.broadcast_update(self.base_slot(),
+                              encode_share_request(ciphertexts, commits))
 
     # -- consensus application hooks ------------------------------------
 
@@ -442,27 +424,23 @@ class WorkflowParticipant:
             return
         try:
             if sq == base:
-                dealer, ciphertexts, commits = decode_share_request(req)
-                if dealer != origin or commits.dealer != dealer:
+                ciphertexts, commits = decode_share_request(req)
+                if commits.dealer != origin or len(ciphertexts) != self.config.n:
                     return
-                if len(ciphertexts) != self.config.n:
-                    return
-                self._commits[dealer] = commits
-                plain = self.scheme.decrypt(self.secret_key, ciphertexts[self.pid])
+                self._commits[origin] = commits
+                plain = self.scheme.decrypt(self.secret_key, ciphertexts[self.rid])
                 bundle = vss.parse_bundle(plain)
-                if bundle.dealer == dealer and bundle.recipient == self.eval_point:
-                    self._own_shares[dealer] = bundle
+                # the dealer inside the ciphertext stops a Byzantine dealer from
+                # resubmitting an honest dealer's ciphertexts as its own
+                if bundle.dealer == origin and bundle.eval_point == self.eval_point:
+                    self._own_shares[origin] = bundle
             elif sq == base + 1:
-                voter, verified = decode_vote_request(req)
-                if voter != origin:
-                    return
-                for d in verified:
-                    self._votes[d].add(voter)
+                for d in decode_vote_request(req):
+                    self._votes[d].add(origin)
             else:
-                sender, bundle = decode_agg_request(req)
-                if sender != origin or bundle.eval_point != sender + 1:
-                    return
-                self._agg[sender] = bundle
+                bundle = decode_agg_request(req)
+                if bundle.eval_point == origin + 1:
+                    self._agg[origin] = bundle
         except (ValueError, DecryptionError, vss.MalformedInputError):
             return  # malformed or undecryptable input from a faulty peer
 
@@ -478,18 +456,11 @@ class WorkflowParticipant:
             self._agg_slot_done()
 
     def _share_slot_done(self, sq: int):
-        if self.attacker is not None and sq not in self.replica.submitted:
-            # the share slot just committed: what was observed until now is
-            # all the attacker will ever see this round, unless a crafted
-            # submission already went out before the deadline
-            self.attacker.craft_submission(self.t, self.replica.observed.get(sq, {}),
-                                           self.update)
         self._verified = {
             d for d, bundle in self._own_shares.items()
             if d in self._commits and vss.verify(bundle, self._commits[d], self.group)
         }
-        self.replica.broadcast_update(
-            sq + 1, encode_vote_request(self.pid, sorted(self._verified)))
+        self.broadcast_update(sq + 1, encode_vote_request(sorted(self._verified)))
 
     def _vote_slot_done(self, sq: int):
         dealer_set = sorted(
@@ -503,8 +474,7 @@ class WorkflowParticipant:
         if all(d in self._verified for d in dealer_set):
             summed = vss.sum_shares([self._own_shares[d] for d in dealer_set],
                                     self.group)
-            self.replica.broadcast_update(
-                sq + 1, encode_agg_request(self.pid, summed))
+            self.broadcast_update(sq + 1, encode_agg_request(summed))
 
     def _agg_slot_done(self):
         if len(self._agg) < self.config.th:
@@ -514,7 +484,7 @@ class WorkflowParticipant:
         total = vss.reconstruct(self._agg.values(), self.config.th,
                                 self.group, self.codec)
         self.w = np.asarray(total) / len(self._dealer_set)
-        go = self.coordinator.round_complete(self.pid, self.t, self.w,
+        go = self.coordinator.round_complete(self.rid, self.t, self.w,
                                              len(self._dealer_set))
         if go:
             self.start_round(self.t + 1)
@@ -522,35 +492,40 @@ class WorkflowParticipant:
             self.done = True
 
 
-class DelayedDealerNode(Replica):
-    """The attacker's replica.  It eavesdrops share requests flowing past,
-    decrypts whatever its own key opens, and submits a crafted share request
-    if the observations reach the reconstruction threshold for every
-    observed dealer before the slot commits.  Under real encryption only its
-    own shares decrypt, so that never happens; it keeps waiting, the batch
-    forms without it, and its (recorded) fallback comes too late to enter the
-    round.  Its app is the attacker's WorkflowParticipant."""
+class DelayedDealerNode(WorkflowParticipant):
+    """The ACuMPA attacker as a participant.  It withholds its shares,
+    eavesdrops share requests flowing past, decrypts whatever its own key
+    opens, and submits a crafted share request if the observations reach the
+    reconstruction threshold for every observed dealer before the slot
+    commits.  Under real encryption only its own shares decrypt, so that
+    never happens; it keeps waiting, the batch forms without it, and its
+    (recorded) fallback comes too late to enter the round."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, rid, config, keyring, group, codec, *args):
+        super().__init__(rid, config, keyring, group, codec, *args)
+        self.attacker = _make_attacker(config, rid, group, codec)
         self.observed: dict[int, dict[int, list[vss.ShareBundle]]] = {}
         self.submitted: set[int] = set()
 
+    def submit_shares(self, vector):
+        """Withhold the honest update, hoping to observe enough shares first;
+        a crafted vector goes out through super().submit_shares instead."""
+
     def on_message(self, m, now=0):
         if (m.kind == MsgKind.REQUEST and m.sq % 3 == 0
-                and m.sender != self.app.pid):
-            self._eavesdrop(m.sq, m.payload[0])
+                and m.sender != self.rid):
+            self._eavesdrop(m.sq, m.sender, m.payload[0])
         super().on_message(m, now)
 
-    def _eavesdrop(self, sq: int, req: bytes):
+    def _eavesdrop(self, sq: int, dealer: int, req: bytes):
         try:
-            dealer, ciphertexts, _ = decode_share_request(req)
+            ciphertexts, _ = decode_share_request(req)
         except (ValueError, vss.MalformedInputError):
             return
         store = self.observed.setdefault(sq, defaultdict(list))
         for ct in ciphertexts:
             try:
-                bundle = vss.parse_bundle(self.app.scheme.decrypt(self.app.secret_key, ct))
+                bundle = vss.parse_bundle(self.scheme.decrypt(self.secret_key, ct))
             except (DecryptionError, ValueError, vss.MalformedInputError):
                 continue
             if bundle.dealer == dealer:
@@ -558,17 +533,25 @@ class DelayedDealerNode(Replica):
         self._maybe_submit(sq, store)
 
     def _maybe_submit(self, sq: int, store):
-        part = self.app
-        if sq in self.submitted or part.t == 0 or sq != part.base_slot():
+        if sq in self.submitted or sq != self.base_slot():
             return
         slot = self.slots.get(sq)
         if slot is not None and slot.committed:
             return  # deadline already passed
-        if part.attacker.observed_target(store) is None:
+        if self.attacker.observed_target(store) is None:
             return  # keep waiting: more shares may still show up
-        crafted, _ = part.attacker.craft_submission(part.t, store, part.update)
+        crafted, _ = self.attacker.craft_submission(self.t, store, self.update)
         self.submitted.add(sq)
-        part.submit_shares(crafted)
+        super().submit_shares(crafted)
+
+    def _share_slot_done(self, sq: int):
+        if sq not in self.submitted:
+            # the share slot just committed: what was observed until now is
+            # all the attacker will ever see this round, unless a crafted
+            # submission already went out before the deadline
+            self.attacker.craft_submission(self.t, self.observed.get(sq, {}),
+                                           self.update)
+        super()._share_slot_done(sq)
 
 
 def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResult:
@@ -582,37 +565,30 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
     keyring = KeyRing(range(config.n), random.Random(config.seed * 100003 + 13))
     coordinator = _Coordinator(config, datasets, test)
 
-    attackers: dict[int, AcumpaAttacker] = {}
-    participants: dict[int, WorkflowParticipant] = {}
-    for i in range(config.n):
-        attacker = None
-        if i in config.attackers:
-            attacker = _make_attacker(config, i, group, codec)
-            attackers[i] = attacker
-        part = WorkflowParticipant(i, config, group, codec, scheme,
-                                   keypairs[i].secret, publics, datasets[i],
-                                   coordinator, w0, attacker=attacker)
-        cls = Replica if attacker is None else DelayedDealerNode
-        part.replica = cls(i, config.n, config.f, keyring, delta=config.delta, app=part)
-        participants[i] = part
+    nodes = {
+        i: (DelayedDealerNode if i in config.attackers else WorkflowParticipant)(
+            i, config, keyring, group, codec, scheme, keypairs[i].secret,
+            publics, datasets[i], coordinator, w0)
+        for i in range(config.n)
+    }
+    attackers = {i: nodes[i].attacker for i in config.attackers}
 
     sim_config = SimConfig(n=config.n, f=config.f, gst=config.gst,
                            delta=config.delta, seed=config.seed)
     adversary = AdversaryPolicy(corrupt=frozenset(config.attackers))
-    nodes = {i: part.replica for i, part in participants.items()}
     sim = Simulator(sim_config, nodes, adversary, trace_messages=collect_trace)
-    for part in participants.values():
-        part.replica.commit_listener = sim.record_commit
-        part.start_round(1)
+    for node in nodes.values():
+        node.commit_listener = sim.record_commit
+        node.start_round(1)
     sim.run()
 
-    for part in participants.values():
-        if part.failed:
-            raise WorkflowError(part.failed)
-    honest = next(i for i in range(config.n) if i not in attackers)
-    if not participants[honest].done:
+    for node in nodes.values():
+        if node.failed:
+            raise WorkflowError(node.failed)
+    honest = next(node for i, node in nodes.items() if i not in attackers)
+    if not honest.done:
         raise WorkflowError(
-            f"training stalled in round {participants[honest].t} "
+            f"training stalled in round {honest.t} "
             f"(simulation drained at t={sim.clock})")
 
     return _finish(config, coordinator, attackers, trace=sim.trace)

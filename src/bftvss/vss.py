@@ -2,7 +2,7 @@
 
 Each coordinate of a gradient vector is shared through its own random
 polynomial of degree th-1; the dealer publishes g^{a_k} commitments for every
-coefficient so recipients can check their share without learning the secret.
+coefficient so shareholders can check their share without learning the secret.
 Shares are additively homomorphic, which the aggregation workflow exploits:
 summed shares reconstruct to the sum of the dealt secrets.
 """
@@ -32,30 +32,19 @@ class MalformedInputError(Exception):
 
 @dataclass(frozen=True)
 class ShareBundle:
-    """One recipient's shares from one dealer: a field element per gradient
-    coordinate, all evaluated at the recipient's index."""
+    """One shareholder's shares from one dealer: a field element per gradient
+    coordinate, all evaluated at the shareholder's point (index + 1)."""
 
     dealer: int
-    recipient: int
     eval_point: int
     values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.eval_point != self.recipient and self.dealer != AGGREGATE_DEALER:
-            raise MalformedInputError("eval_point must equal recipient index")
 
     @property
     def dimension(self) -> int:
         return len(self.values)
 
     def to_bytes(self) -> bytes:
-        return (
-            wire.u32(self.dealer)
-            + wire.u32(self.recipient)
-            + wire.u32(self.dimension)
-            + wire.u32(self.eval_point)
-            + wire.pack_bigs(self.values)
-        )
+        return wire.u32(self.dealer) + wire.u32(self.eval_point) + wire.pack_bigs(self.values)
 
 
 @dataclass(frozen=True)
@@ -76,8 +65,7 @@ class CommitmentVector:
 
     def to_bytes(self) -> bytes:
         out = [wire.u32(self.dealer), wire.u32(self.dimension), wire.u32(self.threshold)]
-        for coord in self.per_coordinate:
-            out.append(wire.pack_bigs(coord))
+        out.extend(wire.big(c) for coord in self.per_coordinate for c in coord)
         return b"".join(out)
 
 
@@ -85,14 +73,11 @@ def parse_bundle(data: bytes) -> ShareBundle:
     """Inverse of ShareBundle.to_bytes; raises MalformedInputError."""
     try:
         r = wire.Reader(data)
-        dealer, recipient, dim, eval_point = r.u32(), r.u32(), r.u32(), r.u32()
-        values = r.bigs()
+        dealer, eval_point, values = r.u32(), r.u32(), r.bigs()
         r.expect_end()
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
-    if len(values) != dim:
-        raise MalformedInputError("value count disagrees with declared dimension")
-    return ShareBundle(dealer=dealer, recipient=recipient, eval_point=eval_point, values=values)
+    return ShareBundle(dealer=dealer, eval_point=eval_point, values=values)
 
 
 def parse_commitments(data: bytes) -> CommitmentVector:
@@ -100,12 +85,12 @@ def parse_commitments(data: bytes) -> CommitmentVector:
     try:
         r = wire.Reader(data)
         dealer, dim, th = r.u32(), r.u32(), r.u32()
-        per_coordinate = tuple(r.bigs() for _ in range(dim))
+        if dim and not th:  # empty coordinates read nothing, so dim is unbounded
+            raise ValueError("coordinates without commitments")
+        per_coordinate = tuple(tuple(r.big() for _ in range(th)) for _ in range(dim))
         r.expect_end()
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
-    if any(len(coord) != th for coord in per_coordinate):
-        raise MalformedInputError("commitment count disagrees with declared threshold")
     return CommitmentVector(dealer=dealer, per_coordinate=per_coordinate)
 
 
@@ -129,7 +114,7 @@ def share(
 ) -> tuple[list[ShareBundle], CommitmentVector]:
     """Encode a real-valued secret vector and share it coordinate-wise.
 
-    Returns n bundles (recipients 1..n, evaluation point = recipient index)
+    Returns n bundles (evaluation points 1..n, one per shareholder)
     and the dealer's commitment vector.
     """
     encoded = codec.encode_vector(secret)
@@ -139,7 +124,7 @@ def share(
     polys = [[s % q] + [rng.randrange(q) for _ in range(th - 1)] for s in encoded]
     commitments = tuple(tuple(pow(g, a, p) for a in coeffs) for coeffs in polys)
     bundles = [
-        ShareBundle(dealer=dealer, recipient=j, eval_point=j,
+        ShareBundle(dealer=dealer, eval_point=j,
                     values=tuple(eval_poly(coeffs, j, q) for coeffs in polys))
         for j in range(1, n + 1)
     ]
@@ -228,7 +213,7 @@ def reconstruct(
 
 
 def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBundle:
-    """Coordinate-wise field sum of one recipient's bundles from distinct
+    """Coordinate-wise field sum of one shareholder's bundles from distinct
     dealers.  Reconstructing th such sums yields the sum of the secrets."""
     if not bundles:
         raise MalformedInputError("no bundles to sum")
@@ -247,9 +232,5 @@ def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBund
             raise MalformedInputError("dimension mismatch in sum")
         for i, v in enumerate(b.values):
             acc[i] = (acc[i] + v) % q
-    return ShareBundle(
-        dealer=AGGREGATE_DEALER,
-        recipient=first.recipient,
-        eval_point=first.eval_point,
-        values=tuple(acc),
-    )
+    return ShareBundle(dealer=AGGREGATE_DEALER, eval_point=first.eval_point,
+                       values=tuple(acc))

@@ -89,6 +89,14 @@ UNRUNNABLE = {
     "training-fallback": {"kind": "training",
                           "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
                                          attackers=[3], fallback="wait")},
+    "training-max_it-str": {"kind": "training", "config": FAST_CONFIG,
+                            "assertions": {"max_it": "6"}},
+    "training-min_final_accuracy-str": {"kind": "training", "config": FAST_CONFIG,
+                                        "assertions": {"min_final_accuracy": "0.9"}},
+    "consensus-commit_within-str": {"kind": "consensus", "n": 4, "script": "none",
+                                    "assertions": {"commit_within": "40"}},
+    "consensus-max_view-str": {"kind": "consensus", "n": 4, "script": "none",
+                               "assertions": {"max_view": "3"}},
 }
 
 

@@ -65,6 +65,16 @@ class TestHybridScheme:
         with pytest.raises(DecryptionError):
             scheme.decrypt(kp.secret, ct[: len(ct) // 2])
 
+    def test_malformed_framing_fails(self, group, rng):
+        scheme = HybridScheme(group)
+        kp = scheme.keygen(rng)
+        ct = scheme.encrypt(kp.public, b"secret payload", rng)
+        off = 4 + int.from_bytes(ct[:4], "big")  # the body's length prefix
+        overrun = ct[:off] + len(ct).to_bytes(4, "big") + ct[off + 4:]
+        for bad in (ct + b"\x00", overrun):
+            with pytest.raises(DecryptionError):
+                scheme.decrypt(kp.secret, bad)
+
     @given(st.binary(max_size=256), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_property(self, group, plaintext, seed):

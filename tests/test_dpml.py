@@ -61,24 +61,29 @@ class TestRequestCodecs:
     def test_share_request_roundtrip(self, group, codec, rng):
         bundles, commits = vss.share([1.0, -1.0], 3, 4, group, codec, rng, dealer=2)
         cts = [b.to_bytes() for b in bundles]
-        req = encode_share_request(2, cts, commits)
-        dealer, out_cts, out_commits = decode_share_request(req)
-        assert dealer == 2 and out_cts == cts and out_commits == commits
+        req = encode_share_request(cts, commits)
+        out_cts, out_commits = decode_share_request(req)
+        assert out_cts == cts and out_commits == commits
 
     def test_vote_request_roundtrip(self):
-        req = encode_vote_request(1, [3, 0, 2])
-        assert decode_vote_request(req) == (1, [0, 2, 3])
+        req = encode_vote_request([3, 0, 2])
+        assert decode_vote_request(req) == [0, 2, 3]
 
     def test_agg_request_roundtrip(self, group, codec, rng):
         bundles, _ = vss.share([0.5], 3, 4, group, codec, rng, dealer=1)
         summed = vss.sum_shares([bundles[0]], group)
-        req = encode_agg_request(0, summed)
-        assert decode_agg_request(req) == (0, summed)
+        req = encode_agg_request(summed)
+        assert decode_agg_request(req) == summed
+
+    def test_agg_request_trailing_byte_rejected(self, group, codec, rng):
+        bundles, _ = vss.share([0.5], 3, 4, group, codec, rng, dealer=1)
+        with pytest.raises(vss.MalformedInputError):
+            decode_agg_request(encode_agg_request(bundles[0]) + b"\x00")
 
     def test_wrong_marker_rejected(self):
         with pytest.raises(ValueError):
-            decode_vote_request(encode_agg_request(0, vss.ShareBundle(
-                dealer=vss.AGGREGATE_DEALER, recipient=1, eval_point=1, values=(1,))))
+            decode_vote_request(encode_agg_request(vss.ShareBundle(
+                dealer=vss.AGGREGATE_DEALER, eval_point=1, values=(1,))))
 
 
 class TestPlainEngine:

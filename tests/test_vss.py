@@ -29,16 +29,16 @@ class TestHandOracle:
     def test_reconstruct_linear(self, tiny_group):
         # shares of f(x) = 5 + 3x at x = 1, 2 interpolate back to f(0) = 5
         bundles = [
-            ShareBundle(dealer=0, recipient=1, eval_point=1, values=(8,)),
-            ShareBundle(dealer=0, recipient=2, eval_point=2, values=(11,)),
+            ShareBundle(dealer=0, eval_point=1, values=(8,)),
+            ShareBundle(dealer=0, eval_point=2, values=(11,)),
         ]
         assert vss.reconstruct_encoded(bundles, 2, tiny_group) == (5,)
 
     def test_extra_shares_use_lowest_points(self, tiny_group):
         bundles = [
-            ShareBundle(dealer=0, recipient=3, eval_point=3, values=(14,)),
-            ShareBundle(dealer=0, recipient=1, eval_point=1, values=(8,)),
-            ShareBundle(dealer=0, recipient=2, eval_point=2, values=(11,)),
+            ShareBundle(dealer=0, eval_point=3, values=(14,)),
+            ShareBundle(dealer=0, eval_point=1, values=(8,)),
+            ShareBundle(dealer=0, eval_point=2, values=(11,)),
         ]
         assert vss.reconstruct_encoded(bundles, 2, tiny_group) == (5,)
 
@@ -46,9 +46,9 @@ class TestHandOracle:
         # commitments for f(x) = 5 + 3x: (g^5, g^3) = (32, 8) mod 47
         assert pow(2, 5, 47) == 32 and pow(2, 3, 47) == 8
         commits = CommitmentVector(dealer=0, per_coordinate=((32, 8),))
-        good = ShareBundle(dealer=0, recipient=2, eval_point=2, values=(11,))
+        good = ShareBundle(dealer=0, eval_point=2, values=(11,))
         assert vss.verify(good, commits, tiny_group)
-        bad = ShareBundle(dealer=0, recipient=2, eval_point=2, values=(12,))
+        bad = ShareBundle(dealer=0, eval_point=2, values=(12,))
         assert not vss.verify(bad, commits, tiny_group)
 
 
@@ -98,13 +98,13 @@ class TestSoundness:
         bundles, commits = vss.share([0.5, -0.5], 3, 4, group, codec, rng)
         b = bundles[1]
         tampered = ShareBundle(
-            dealer=b.dealer, recipient=b.recipient, eval_point=b.eval_point,
+            dealer=b.dealer, eval_point=b.eval_point,
             values=(b.values[0], (b.values[1] + 1) % group.q))
         assert not vss.verify(tampered, commits, group)
 
     def test_swapped_recipients_fail_verify(self, group, codec, rng):
         bundles, commits = vss.share([0.5], 3, 4, group, codec, rng)
-        swapped = ShareBundle(dealer=0, recipient=1, eval_point=1,
+        swapped = ShareBundle(dealer=0, eval_point=1,
                               values=bundles[1].values)
         assert not vss.verify(swapped, commits, group)
 
@@ -175,6 +175,8 @@ class TestSerialization:
         with pytest.raises(MalformedInputError):
             vss.parse_commitments(commits.to_bytes()[:-2])
 
-    def test_eval_point_invariant(self):
+    def test_coordinates_without_commitments_rejected(self):
+        # dealer 0, dimension 3, threshold 0
+        data = (0).to_bytes(4, "big") + (3).to_bytes(4, "big") + (0).to_bytes(4, "big")
         with pytest.raises(MalformedInputError):
-            ShareBundle(dealer=0, recipient=1, eval_point=2, values=(1,))
+            vss.parse_commitments(data)
