@@ -265,7 +265,9 @@ class Replica:
         if m.kind == MsgKind.NEW_VIEW:
             self._on_new_view(m)
             return
-        if m.view < self.view:
+        # stale COMMITs still count: a commit quorum in any view proves the
+        # slot committed
+        if m.view < self.view and m.kind != MsgKind.COMMIT:
             self.dropped_count += 1
             return
         if m.view > self.view:
@@ -423,8 +425,10 @@ class Replica:
         sv = slot.at(m.view)
         sv.commits[digest][m.sender] = m
         count = len(sv.commits[digest])
-        if count >= self.f + 1 and not sv.commit_sent:
-            # amplification: join the commit wave even before prepared
+        # amplification: join the commit wave even before prepared, but only
+        # in the current view; an old-view COMMIT sent after a VIEW_CHANGE
+        # has no prepared certificate behind it
+        if count >= self.f + 1 and not sv.commit_sent and m.view == self.view:
             sv.commit_sent = True
             self._broadcast(self._make(MsgKind.COMMIT, m.sq, (digest,), view=m.view))
         if count >= 2 * self.f + 1:

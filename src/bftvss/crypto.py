@@ -69,13 +69,12 @@ class HybridScheme:
 
     def keygen(self, rng: random.Random) -> KeyPair:
         sk = rng.randrange(1, self.params.q)
-        return KeyPair(public=pow(self.params.g, sk, self.params.p), secret=sk)
+        return KeyPair(public=self.params.exp(sk), secret=sk)
 
     def encrypt(self, public: int, plaintext: bytes, rng: random.Random) -> bytes:
-        p, q, g = self.params.p, self.params.q, self.params.g
-        y = rng.randrange(1, q)
-        c1 = pow(g, y, p)
-        shared = pow(public, y, p)
+        y = rng.randrange(1, self.params.q)
+        c1 = self.params.exp(y)
+        shared = pow(public, y, self.params.p)
         key = hashlib.sha256(wire.big(shared)).digest()
         body = bytes(a ^ b for a, b in zip(plaintext, _stream(key, len(plaintext))))
         mac = hashlib.sha256(key + body).digest()

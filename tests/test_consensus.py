@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+from bftvss import scenarios
 from bftvss.consensus import (
     Message,
     MsgKind,
@@ -119,6 +121,30 @@ class TestAgreementRuns:
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             run_consensus(n=5, script="none", seed=0)
+
+
+class TestPreGstRequests:
+    """Requests submitted at 0, long before GST (100): replicas that enter
+    a new view must still commit on the previous view's COMMIT quorum."""
+
+    @pytest.fixture(autouse=True)
+    def event_budget(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "SimConfig",
+                            functools.partial(SimConfig, max_events=60_000))
+
+    def test_stale_commits_complete_the_quorum(self):
+        out = run_consensus(7, "none", 1000000, gst=100, delta=2, request_time=0)
+        assert out["safety_ok"] and out["all_committed"]
+        assert out["commit_span"] <= 10 * 2 * (out["f"] + 1)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_sweep_safe_and_live(self, n):
+        for script in CONSENSUS_SCRIPTS:
+            for seed in range(1000000, 1000010):
+                out = run_consensus(n, script, seed, gst=100, delta=2,
+                                    request_time=0)
+                assert out["safety_ok"], (script, seed)
+                assert out["all_committed"], (script, seed)
 
 
 class DropsViewZeroCommits(Replica):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,6 +157,50 @@ class TestDefendedEngine:
             result = run(TrainingConfig(mode=mode, **cfg))
             assert result.stopped_early
             assert len(result.metrics) == 1
+
+
+class ShortCommitments(dpml.WorkflowParticipant):
+    """Participant 0 submits commitments one coordinate short."""
+
+    def broadcast_update(self, sq, req):
+        if self.rid == 0 and sq % 3 == 0:
+            cts, commits = decode_share_request(req)
+            req = encode_share_request(cts, vss.CommitmentVector(
+                commits.dealer, commits.per_coordinate[:-1]))
+        super().broadcast_update(sq, req)
+
+
+class ShortAggShare(dpml.WorkflowParticipant):
+    """Participant 0 submits an aggregated share one coordinate short."""
+
+    def broadcast_update(self, sq, req):
+        if self.rid == 0 and sq % 3 == 2:
+            bundle = decode_agg_request(req)
+            req = encode_agg_request(dataclasses.replace(bundle, values=bundle.values[:-1]))
+        super().broadcast_update(sq, req)
+
+
+class TestMalformedPeerInput:
+    """A wrongly sized submission is dropped on receipt: the run ends with
+    honest participants agreeing on weights (the coordinator raises
+    WorkflowError on any divergence), never with an uncaught exception."""
+
+    def run_with(self, monkeypatch, participant):
+        monkeypatch.setattr(dpml, "WorkflowParticipant", participant)
+        return run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+
+    def test_short_commitments_exclude_the_dealer(self, monkeypatch):
+        result = self.run_with(monkeypatch, ShortCommitments)
+        assert len(result.metrics) == FAST["rounds"]
+        assert all(m.dealer_count == 3 for m in result.metrics)
+
+    def test_short_aggregated_share_is_dropped(self, monkeypatch):
+        honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+        result = self.run_with(monkeypatch, ShortAggShare)
+        assert all(m.dealer_count == 4 for m in result.metrics)
+        # the other three aggregated shares reconstruct the same sum
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(honest.weights_history, result.weights_history, strict=True))
 
 
 class TestSumAverageOracle:

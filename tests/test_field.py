@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -47,6 +48,50 @@ class TestGroupGeneration:
     def test_rejects_q_not_below_p(self):
         with pytest.raises(ValueError):
             generate_group(32, 32, 0)
+
+
+@pytest.fixture(scope="module")
+def mid_group() -> GroupParams:
+    return generate_group(512, 128, 5)
+
+
+def exponents(params: GroupParams):
+    """Below q, from q up past 2^bits_q, and negative."""
+    top = 1 << (params.q.bit_length() + 64)
+    return st.one_of(st.integers(0, params.q - 1), st.integers(params.q, top),
+                     st.integers(-top, -1))
+
+
+class TestFixedBaseExp:
+    @pytest.mark.parametrize("name", ["tiny_group", "group", "mid_group"])
+    def test_edges(self, request, name):
+        params = request.getfixturevalue(name)
+        q = params.q
+        for e in (0, 1, q - 1, q, q + 1, 2 * q, 1 << q.bit_length(),
+                  (1 << (q.bit_length() + 70)) + 3, -1):
+            assert params.exp(e) == pow(params.g, e, params.p), e
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_pow(self, tiny_group, group, mid_group, data):
+        for params in (tiny_group, group, mid_group):
+            e = data.draw(exponents(params))
+            assert params.exp(e) == pow(params.g, e, params.p)
+
+    def test_table_stays_out_of_value_semantics(self, group):
+        group.exp(5)
+        clone = GroupParams(p=group.p, q=group.q, g=group.g)
+        assert clone == group and hash(clone) == hash(group)
+        assert repr(clone) == repr(group)
+        assert dataclasses.asdict(group) == {"p": group.p, "q": group.q, "g": group.g}
+
+    def test_order_check_does_not_use_the_table(self):
+        # g = 5 has order 46, not 23, mod 47: reducing e mod q would hide
+        # that, so validate() must keep computing g^q with pow
+        bad = GroupParams(p=47, q=23, g=5)
+        assert bad.exp(bad.q) == 1 != pow(5, 23, 47)
+        with pytest.raises(ValueError):
+            bad.validate()
 
 
 class TestFixedPointCodec:
