@@ -112,10 +112,10 @@ class AcumpaAttacker:
     Each round it tries the adaptive path: reconstruct every honest dealer's
     secret from observed shares, average them, and craft against that
     average.  When fewer than th shares per dealer are observable before the
-    submission deadline (the defended workflow guarantees this), it falls
-    back to the configured non-adaptive vector: the previous crafted output
-    if one exists, otherwise a seeded random direction scaled to its own
-    honest update's norm.
+    submission deadline (share encryption in the defended workflow
+    guarantees this), it falls back to the configured non-adaptive vector:
+    the previous crafted output if one exists, otherwise a seeded random
+    direction scaled to its own honest update's norm.
     """
 
     def __init__(self, pid: int, params: AsdpParams, th: int,

@@ -3,9 +3,12 @@
 Message authentication uses per-sender secret tags managed by a registry the
 simulator owns: inside a simulation nobody can forge another sender's tag,
 which models authenticated point-to-point channels.  Share transport uses a
-pluggable public-key scheme; the default is a test-grade hybrid construction
-over the same discrete-log group as the commitments.  None of this is meant
-to resist side channels or real-world adversaries.
+pluggable scheme; the default encrypts under static Diffie-Hellman pair keys
+over the same discrete-log group as the commitments, with a fresh nonce per
+message (the design of NaCl's crypto_box).  A ciphertext opens only for the
+two participants it was made between, so it also authenticates its sender to
+its recipient.  None of this is meant to resist side channels or real-world
+adversaries, and forward secrecy is not modelled: the pair keys are static.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from . import wire
 from .field import GroupParams
 
 TAG_LEN = 32
+NONCE_LEN = 16
 
 
 class KeyRing:
@@ -56,39 +60,55 @@ def _stream(key: bytes, length: int) -> bytes:
 
 
 class HybridScheme:
-    """ElGamal-style KEM plus hash keystream plus integrity tag.
+    """Static Diffie-Hellman pair keys plus hash keystream plus integrity tag.
 
-    Good enough to make eavesdropped ciphertexts opaque and tampered
-    ciphertexts detectable inside the simulator.
+    The pair (i, j) shares K = sha256(pk_j^sk_i) = sha256(pk_i^sk_j).  It
+    costs one pow on first use and is then memoised on this instance, so a
+    run pays n pows per participant, all in its first round.  Each message
+    draws a nonce, keys the keystream and the tag with sha256(K || nonce),
+    and is framed nonce || lp(body) || mac.
+
+    Because K_ij = K_ji, j can reflect i's ciphertext for j back to i as
+    its own; the recipient drops it by checking the dealer id inside the
+    plaintext against the request's origin.  Good enough to make
+    eavesdropped ciphertexts opaque and tampered ciphertexts detectable
+    inside the simulator.
     """
 
     name = "hybrid"
 
     def __init__(self, params: GroupParams):
         self.params = params
+        self._pair_keys: dict[tuple[int, int], bytes] = {}
 
     def keygen(self, rng: random.Random) -> KeyPair:
         sk = rng.randrange(1, self.params.q)
         return KeyPair(public=self.params.exp(sk), secret=sk)
 
-    def encrypt(self, public: int, plaintext: bytes, rng: random.Random) -> bytes:
-        y = rng.randrange(1, self.params.q)
-        c1 = self.params.exp(y)
-        shared = pow(public, y, self.params.p)
-        key = hashlib.sha256(wire.big(shared)).digest()
+    def _message_key(self, secret: int, public: int, nonce: bytes) -> bytes:
+        pair = self._pair_keys.get((secret, public))
+        if pair is None:
+            shared = pow(public, secret, self.params.p)
+            pair = self._pair_keys[(secret, public)] = hashlib.sha256(
+                wire.big(shared)).digest()
+        return hashlib.sha256(pair + nonce).digest()
+
+    def encrypt(self, secret: int, public: int, plaintext: bytes,
+                rng: random.Random) -> bytes:
+        nonce = rng.randbytes(NONCE_LEN)
+        key = self._message_key(secret, public, nonce)
         body = bytes(a ^ b for a, b in zip(plaintext, _stream(key, len(plaintext))))
         mac = hashlib.sha256(key + body).digest()
-        return wire.big(c1) + wire.lp(body) + mac
+        return nonce + wire.lp(body) + mac
 
-    def decrypt(self, secret: int, ciphertext: bytes) -> bytes:
+    def decrypt(self, secret: int, public: int, ciphertext: bytes) -> bytes:
         try:
             r = wire.Reader(ciphertext)
-            c1, body, mac = r.big(), r.lp(), r.take(TAG_LEN)
+            nonce, body, mac = r.take(NONCE_LEN), r.lp(), r.take(TAG_LEN)
             r.expect_end()
         except ValueError as exc:
             raise DecryptionError("malformed ciphertext") from exc
-        shared = pow(c1, secret, self.params.p)
-        key = hashlib.sha256(wire.big(shared)).digest()
+        key = self._message_key(secret, public, nonce)
         if hashlib.sha256(key + body).digest() != mac:
             raise DecryptionError("integrity check failed")
         return bytes(a ^ b for a, b in zip(body, _stream(key, len(body))))
@@ -105,10 +125,11 @@ class IdentityScheme:
     def keygen(self, rng: random.Random) -> KeyPair:
         return KeyPair(public=0, secret=0)
 
-    def encrypt(self, public: int, plaintext: bytes, rng: random.Random) -> bytes:
+    def encrypt(self, secret: int, public: int, plaintext: bytes,
+                rng: random.Random) -> bytes:
         return plaintext
 
-    def decrypt(self, secret: int, ciphertext: bytes) -> bytes:
+    def decrypt(self, secret: int, public: int, ciphertext: bytes) -> bytes:
         return ciphertext
 
 

@@ -18,8 +18,13 @@ Two drivers run the rounds:
   (DelayedDealerNode for "+acumpa").  Each round occupies three consensus
   slots: encrypted shares plus commitments, then bundled verification
   votes, then aggregated sum shares; every request's dealer, voter or
-  sender is its authenticated origin.  The commit deadline of the share
-  slot closes the observation window the baseline attacker depends on.
+  sender is its authenticated origin.  What defends against the delaying
+  dealer is share encryption: it opens only the shares dealt to itself,
+  never th of one honest dealer's, so it cannot reconstruct the honest
+  updates, and a dealer that has submitted nothing when the share slot
+  commits is left out of the round.  The commit deadline alone does not
+  defend: with encryption "identity" the attacker sees every share before
+  the slot commits, and its crafted update enters every round.
 
 Division by the dealer count happens after reconstruction, in the real
 domain; the field only ever sees sums.
@@ -410,7 +415,8 @@ class WorkflowParticipant(Replica):
                                      self.group, self.codec, self.rng,
                                      dealer=self.rid)
         ciphertexts = [
-            self.scheme.encrypt(self.publics[j], bundles[j].to_bytes(), self.rng)
+            self.scheme.encrypt(self.secret_key, self.publics[j],
+                                bundles[j].to_bytes(), self.rng)
             for j in range(self.config.n)
         ]
         self.broadcast_update(self.base_slot(),
@@ -431,10 +437,12 @@ class WorkflowParticipant(Replica):
                         or commits.threshold != self.config.th):
                     return
                 self._commits[origin] = commits
-                plain = self.scheme.decrypt(self.secret_key, ciphertexts[self.rid])
+                plain = self.scheme.decrypt(self.secret_key, self.publics[origin],
+                                            ciphertexts[self.rid])
                 bundle = vss.parse_bundle(plain)
                 # the dealer inside the ciphertext stops a Byzantine dealer from
-                # resubmitting an honest dealer's ciphertexts as its own
+                # reflecting an honest dealer's ciphertext back as its own: the
+                # pair key of (dealer, recipient) is the same in both directions
                 if (bundle.dealer == origin and bundle.eval_point == self.eval_point
                         and bundle.dimension == dim):
                     self._own_shares[origin] = bundle
@@ -443,7 +451,8 @@ class WorkflowParticipant(Replica):
                     self._votes[d].add(origin)
             else:
                 bundle = decode_agg_request(req)
-                if bundle.eval_point == origin + 1 and bundle.dimension == dim:
+                if (bundle.dealer == vss.AGGREGATE_DEALER
+                        and bundle.eval_point == origin + 1 and bundle.dimension == dim):
                     self._agg[origin] = bundle
         except (ValueError, DecryptionError, vss.MalformedInputError):
             return  # malformed or undecryptable input from a faulty peer
@@ -529,7 +538,8 @@ class DelayedDealerNode(WorkflowParticipant):
         store = self.observed.setdefault(sq, defaultdict(list))
         for ct in ciphertexts:
             try:
-                bundle = vss.parse_bundle(self.scheme.decrypt(self.secret_key, ct))
+                bundle = vss.parse_bundle(
+                    self.scheme.decrypt(self.secret_key, self.publics[dealer], ct))
             except (DecryptionError, ValueError, vss.MalformedInputError):
                 continue
             if bundle.dealer == dealer:

@@ -214,12 +214,11 @@ def reconstruct(
 
 def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBundle:
     """Coordinate-wise field sum of one shareholder's bundles from distinct
-    dealers.  Reconstructing th such sums yields the sum of the secrets."""
+    dealers, labelled AGGREGATE_DEALER even when there is one bundle.
+    Reconstructing th such sums yields the sum of the secrets."""
     if not bundles:
         raise MalformedInputError("no bundles to sum")
     first = bundles[0]
-    if len(bundles) == 1:
-        return first
     dealers = [b.dealer for b in bundles]
     if len(set(dealers)) != len(dealers):
         raise MalformedInputError("duplicate dealers in sum")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bftvss.crypto import (
+    NONCE_LEN,
     DecryptionError,
     HybridScheme,
     IdentityScheme,
@@ -36,60 +37,87 @@ class TestKeyRing:
 
 
 class TestHybridScheme:
-    def test_roundtrip(self, group, rng):
+    @pytest.fixture()
+    def parties(self, group, rng):
+        """A scheme and the key pairs of a sender and a recipient."""
         scheme = HybridScheme(group)
-        kp = scheme.keygen(rng)
-        ct = scheme.encrypt(kp.public, b"secret payload", rng)
-        assert scheme.decrypt(kp.secret, ct) == b"secret payload"
+        return scheme, scheme.keygen(rng), scheme.keygen(rng)
 
-    def test_wrong_key_fails(self, group, rng):
-        scheme = HybridScheme(group)
-        kp1 = scheme.keygen(rng)
-        kp2 = scheme.keygen(rng)
-        ct = scheme.encrypt(kp1.public, b"secret payload", rng)
+    def test_roundtrip(self, parties, rng):
+        scheme, a, b = parties
+        ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
+        assert scheme.decrypt(b.secret, a.public, ct) == b"secret payload"
+
+    def test_wrong_key_fails(self, parties, rng):
+        scheme, a, b = parties
+        c = scheme.keygen(rng)  # c's secret in place of the recipient's
+        ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
         with pytest.raises(DecryptionError):
-            scheme.decrypt(kp2.secret, ct)
+            scheme.decrypt(c.secret, a.public, ct)
 
-    def test_tampered_ciphertext_fails(self, group, rng):
-        scheme = HybridScheme(group)
-        kp = scheme.keygen(rng)
-        ct = bytearray(scheme.encrypt(kp.public, b"secret payload", rng))
-        ct[-1] ^= 0x01
+    def test_wrong_sender_public_fails(self, parties, rng):
+        scheme, a, b = parties
+        c = scheme.keygen(rng)  # c's public key in place of the sender's
+        ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
         with pytest.raises(DecryptionError):
-            scheme.decrypt(kp.secret, bytes(ct))
+            scheme.decrypt(b.secret, c.public, ct)
 
-    def test_truncated_ciphertext_fails(self, group, rng):
-        scheme = HybridScheme(group)
-        kp = scheme.keygen(rng)
-        ct = scheme.encrypt(kp.public, b"secret payload", rng)
-        with pytest.raises(DecryptionError):
-            scheme.decrypt(kp.secret, ct[: len(ct) // 2])
+    def test_pair_key_is_symmetric(self, parties, rng):
+        # what makes reflection possible: b's ciphertext for a opens as if a
+        # had sent it to b (the dealer check in dpml drops such a share)
+        scheme, a, b = parties
+        ct = scheme.encrypt(b.secret, a.public, b"secret payload", rng)
+        fresh = HybridScheme(scheme.params)  # no memoised pair key
+        assert fresh.decrypt(b.secret, a.public, ct) == b"secret payload"
 
-    def test_malformed_framing_fails(self, group, rng):
-        scheme = HybridScheme(group)
-        kp = scheme.keygen(rng)
-        ct = scheme.encrypt(kp.public, b"secret payload", rng)
-        off = 4 + int.from_bytes(ct[:4], "big")  # the body's length prefix
+    def test_encryptions_differ(self, parties, rng):
+        scheme, a, b = parties
+        one = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
+        two = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
+        assert one != two
+        assert one[NONCE_LEN:] != two[NONCE_LEN:]
+
+    def test_tampered_ciphertext_fails(self, parties, rng):
+        scheme, a, b = parties
+        ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
+        for pos in (0, len(ct) - 1):  # the nonce, then the tag
+            bad = bytearray(ct)
+            bad[pos] ^= 0x01
+            with pytest.raises(DecryptionError):
+                scheme.decrypt(b.secret, a.public, bytes(bad))
+
+    def test_truncated_ciphertext_fails(self, parties, rng):
+        scheme, a, b = parties
+        ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
+        for cut in (NONCE_LEN - 1, len(ct) // 2, len(ct) - 1):
+            with pytest.raises(DecryptionError):
+                scheme.decrypt(b.secret, a.public, ct[:cut])
+
+    def test_malformed_framing_fails(self, parties, rng):
+        scheme, a, b = parties
+        ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
+        off = NONCE_LEN  # the body's length prefix follows the nonce
         overrun = ct[:off] + len(ct).to_bytes(4, "big") + ct[off + 4:]
         for bad in (ct + b"\x00", overrun):
             with pytest.raises(DecryptionError):
-                scheme.decrypt(kp.secret, bad)
+                scheme.decrypt(b.secret, a.public, bad)
 
     @given(st.binary(max_size=256), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_property(self, group, plaintext, seed):
         scheme = HybridScheme(group)
         r = random.Random(seed)
-        kp = scheme.keygen(r)
-        assert scheme.decrypt(kp.secret, scheme.encrypt(kp.public, plaintext, r)) \
-            == plaintext
+        a, b = scheme.keygen(r), scheme.keygen(r)
+        ct = scheme.encrypt(a.secret, b.public, plaintext, r)
+        assert scheme.decrypt(b.secret, a.public, ct) == plaintext
 
 
 class TestIdentityScheme:
     def test_passthrough(self, rng):
         scheme = IdentityScheme()
         kp = scheme.keygen(rng)
-        assert scheme.decrypt(kp.secret, scheme.encrypt(kp.public, b"x", rng)) == b"x"
+        ct = scheme.encrypt(kp.secret, kp.public, b"x", rng)
+        assert scheme.decrypt(kp.secret, kp.public, ct) == b"x"
 
 
 def test_make_scheme(group):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bftvss import dpml, vss
+from bftvss import crypto, dpml, vss
+from bftvss.consensus import MsgKind
 from bftvss.dpml import (
     MODES,
     TrainingConfig,
@@ -180,6 +181,16 @@ class ShortAggShare(dpml.WorkflowParticipant):
         super().broadcast_update(sq, req)
 
 
+class RelabelledAggShare(dpml.WorkflowParticipant):
+    """Participant 0 labels its aggregated share with a dealer id of its own."""
+
+    def broadcast_update(self, sq, req):
+        if self.rid == 0 and sq % 3 == 2:
+            bundle = decode_agg_request(req)
+            req = encode_agg_request(dataclasses.replace(bundle, dealer=12345))
+        super().broadcast_update(sq, req)
+
+
 class TestMalformedPeerInput:
     """A wrongly sized submission is dropped on receipt: the run ends with
     honest participants agreeing on weights (the coordinator raises
@@ -201,6 +212,111 @@ class TestMalformedPeerInput:
         # the other three aggregated shares reconstruct the same sum
         assert all(np.array_equal(a, b) for a, b in
                    zip(honest.weights_history, result.weights_history, strict=True))
+
+
+    def test_relabelled_aggregated_share_is_dropped(self, monkeypatch):
+        honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+        result = self.run_with(monkeypatch, RelabelledAggShare)
+        assert all(m.dealer_count == 4 for m in result.metrics)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(honest.weights_history, result.weights_history, strict=True))
+
+
+class Reflector(dpml.WorkflowParticipant):
+    """Participant 0 waits for dealer 1's share request, then submits its own
+    with dealer 1's ciphertext for 0 in the place meant for 1.  The pair key
+    of (0, 1) is the same both ways, so participant 1 decrypts it.  Every
+    participant records whose shares it holds when the share slot commits."""
+
+    held: dict = {}
+    reflected: list = []
+
+    def submit_shares(self, vector):
+        if self.rid != 0:
+            return super().submit_shares(vector)
+        self._pending = vector
+
+    def on_message(self, m, now=0):
+        if (self.rid == 0 and m.kind == MsgKind.REQUEST and m.sq % 3 == 0
+                and m.sender == 1 and self._pending is not None):
+            self._theirs = decode_share_request(m.payload[0])[0][0]
+            vector, self._pending = self._pending, None
+            super().submit_shares(vector)
+        super().on_message(m, now)
+
+    def broadcast_update(self, sq, req):
+        if self.rid == 0 and sq % 3 == 0:
+            cts, commits = decode_share_request(req)
+            cts[1] = self._theirs
+            self.reflected.append(vss.parse_bundle(self.scheme.decrypt(
+                self.secret_key, self.publics[1], self._theirs)))
+            req = encode_share_request(cts, commits)
+        super().broadcast_update(sq, req)
+
+    def _share_slot_done(self, sq):
+        self.held[self.rid, self.t] = set(self._own_shares)
+        super()._share_slot_done(sq)
+
+
+class TestReflectedCiphertext:
+    def test_reflected_share_is_dropped(self, monkeypatch):
+        honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+        monkeypatch.setattr(Reflector, "held", {})
+        monkeypatch.setattr(Reflector, "reflected", [])
+        monkeypatch.setattr(dpml, "WorkflowParticipant", Reflector)
+        result = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+        rounds = range(1, FAST["rounds"] + 1)
+        # the reflected ciphertext opens under K_01: it is dealer 1's share
+        # for participant 0, which the dealer check (and the evaluation
+        # point) tell apart from a share dealt by 0
+        assert [(b.dealer, b.eval_point) for b in Reflector.reflected] \
+            == [(1, 1)] * FAST["rounds"]
+        assert all(0 not in Reflector.held[1, t] for t in rounds)
+        assert all(0 in Reflector.held[j, t] for j in (2, 3) for t in rounds)
+        # dealer 0 still has th votes; the three other aggregated shares
+        # reconstruct the fault-free sum
+        assert all(m.dealer_count == 4 for m in result.metrics)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(honest.weights_history, result.weights_history, strict=True))
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_pair_keys_cost_n_squared_exponentiations(monkeypatch, rounds):
+    """The KEM computes each of the n^2 pair keys once per run: the count of
+    crypto's variable-base pow does not grow with the number of rounds."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+    result = run(TrainingConfig(mode="ebyftves", seed=0, **dict(FAST, rounds=rounds)))
+    assert len(result.metrics) == rounds
+    assert len(calls) == 4 ** 2
+
+
+class TestWhatDefends:
+    """Share encryption, not the commit deadline, stops the delaying dealer
+    (default config, seed 0, 30 rounds)."""
+
+    def run_attacked(self, encryption):
+        return run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,), seed=0,
+                                  encryption=encryption))
+
+    def test_without_encryption_the_attack_fires_every_round(self):
+        result = self.run_attacked("identity")
+        assert result.adaptive_rounds == list(range(1, 31))
+        assert math.isinf(result.it)
+        assert result.final_accuracy < 0.9
+
+    def test_with_encryption_it_never_fires(self):
+        result = self.run_attacked("hybrid")
+        assert len(result.metrics) == 30
+        assert result.adaptive_rounds == []
+        # the attacker never submits in time, so every round leaves it out
+        assert all(m.dealer_count == 3 for m in result.metrics)
+        assert result.final_accuracy > 0.9 and result.it <= 5
 
 
 class TestSumAverageOracle:
