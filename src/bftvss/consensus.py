@@ -151,7 +151,12 @@ class SlotViewState:
 
 @dataclass
 class SlotState:
+    """Everything a replica keeps about a live slot; deleted once executed."""
+
     views: dict = dc_field(default_factory=dict)  # view -> SlotViewState
+    pending: dict = dc_field(default_factory=dict)  # origin -> latest request
+    proposals: dict = dc_field(default_factory=dict)  # proposer -> initial proposal
+    own_request: Optional[bytes] = None  # what we submitted here
     committed: bool = False
     committed_batch: Optional[tuple[ReqTriple, ...]] = None
     deferred: Optional[tuple[int, bytes]] = None  # commits reached quorum, batch unknown
@@ -188,13 +193,10 @@ class Replica:
         self.delta = max(1, delta)
 
         self.view = 0
-        self.slots: dict[int, SlotState] = {}
-        self.pending: dict[int, dict[int, ReqTriple]] = defaultdict(dict)
-        self.initial_proposals: dict[int, dict[int, tuple[ReqTriple, ...]]] = defaultdict(dict)
-        self.own_requests: dict[int, bytes] = {}
+        self.slots: dict[int, SlotState] = {}  # live slots, all at or above next_exec
         self.view_changes: dict[int, dict[int, Message]] = defaultdict(dict)
         self.vc_voted = 0  # highest view we have voted to change into
-        self.next_exec = 0
+        self.next_exec = 0  # execution watermark: every slot below it is done
         self.future: list[Message] = []
         self.dropped_count = 0
 
@@ -231,6 +233,10 @@ class Replica:
             self.slots[sq] = SlotState()
         return self.slots[sq]
 
+    def _decided(self, sq: int) -> bool:
+        slot = self.slots.get(sq)
+        return sq < self.next_exec or (slot is not None and slot.committed)
+
     def primary(self, view: Optional[int] = None) -> int:
         return (self.view if view is None else view) % self.n
 
@@ -238,9 +244,9 @@ class Replica:
 
     def broadcast_update(self, sq: int, req: bytes):
         """Submit a request into a slot; fan out to every participant."""
-        if sq < 0:
-            raise ValueError("sequence number must be non-negative")
-        self.own_requests[sq] = req
+        if sq < self.next_exec:
+            raise ValueError("sequence number must be non-negative and not executed")
+        self._slot(sq).own_request = req
         rtag = request_tag(self.keyring, self.rid, sq, req)
         self._broadcast(self._make(MsgKind.REQUEST, sq, (req, rtag)))
         self._start_progress_timer(sq)
@@ -265,6 +271,8 @@ class Replica:
         if m.kind == MsgKind.NEW_VIEW:
             self._on_new_view(m)
             return
+        if m.sq < self.next_exec:
+            return  # the slot is executed and gone; nothing here is a fault
         # stale COMMITs still count: a commit quorum in any view proves the
         # slot committed
         if m.view < self.view and m.kind != MsgKind.COMMIT:
@@ -283,17 +291,14 @@ class Replica:
         handler(m)
 
     def on_timer(self, name, now: int = 0):
-        kind = name[0]
-        if kind == "batch":
-            self._form_proposal(name[1])
-        elif kind == "prop":
-            self._emit_pre_prepare(name[1])
-        elif kind == "slot":
-            self._on_progress_timeout(name[1])
-        elif kind == "vc":
-            target = name[1]
-            if self.view < target:
-                self._start_view_change(target + 1)
+        kind, arg = name  # arg is the target view of a "vc" timer, else a slot
+        if kind == "vc":
+            if self.view < arg:
+                self._start_view_change(arg + 1)
+        elif arg >= self.next_exec:
+            handler = {"batch": self._form_proposal, "prop": self._emit_pre_prepare,
+                       "slot": self._on_progress_timeout}[kind]
+            handler(arg)
 
     # -- request batching ------------------------------------------------
 
@@ -307,12 +312,12 @@ class Replica:
         if not check_request_tag(self.keyring, sq, triple):
             self.dropped_count += 1
             return
-        self.pending[sq][m.sender] = triple  # latest request per sender wins
+        slot.pending[m.sender] = triple  # latest request per sender wins
         self._start_progress_timer(sq)
         if slot.proposal_view == self.view:
             return  # already pre-proposed this slot in this view
-        if len(self.pending[sq]) >= 2 * self.f + 1:
-            if len(self.pending[sq]) >= self.n:
+        if len(slot.pending) >= 2 * self.f + 1:
+            if len(slot.pending) >= self.n:
                 self._form_proposal(sq)
             else:
                 # brief grace period so near-simultaneous requests all make it
@@ -322,10 +327,10 @@ class Replica:
         slot = self._slot(sq)
         if slot.committed or slot.proposal_view == self.view:
             return
-        if len(self.pending[sq]) < 2 * self.f + 1:
+        if len(slot.pending) < 2 * self.f + 1:
             return
-        proposal = tuple(sorted(self.pending[sq].values(), key=lambda t: (t[0], t[1])))
-        self.pending[sq] = {}
+        proposal = tuple(sorted(slot.pending.values(), key=lambda t: (t[0], t[1])))
+        slot.pending = {}
         slot.proposal_view = self.view
         slot.last_proposal = proposal
         self._cancel_timer(("batch", sq))
@@ -343,11 +348,11 @@ class Replica:
         if not all(check_request_tag(self.keyring, sq, t) for t in proposal):
             self.dropped_count += 1
             return
-        self.initial_proposals[sq][m.sender] = proposal
+        slot.proposals[m.sender] = proposal
         if self.primary() != self.rid:
             return
-        if len(self.initial_proposals[sq]) > 2 * self.f:
-            if len(self.initial_proposals[sq]) >= self.n:
+        if len(slot.proposals) > 2 * self.f:
+            if len(slot.proposals) >= self.n:
                 self._emit_pre_prepare(sq)
             else:
                 self._set_timer(("prop", sq), 2 * self.delta)
@@ -358,14 +363,13 @@ class Replica:
             return
         if slot.at(self.view).accepted_digest is not None:
             return  # a certificate-backed digest already occupies this slot
-        props = self.initial_proposals[sq]
-        if len(props) <= 2 * self.f:
+        if len(slot.proposals) <= 2 * self.f:
             return
-        raw = tuple(sorted(props.items()))
+        raw = tuple(sorted(slot.proposals.items()))
         batch = aggregate(dict(raw), self.f)
         digest = batch_digest(batch)
         slot.emitted_view = self.view
-        self.initial_proposals[sq] = {}
+        slot.proposals = {}
         self._cancel_timer(("prop", sq))
         self._broadcast(self._make(MsgKind.PRE_PREPARE, sq, (digest, raw)))
 
@@ -444,15 +448,11 @@ class Replica:
             return
         slot.committed = True
         slot.committed_batch = batch
-        slot.deferred = None
         if self.commit_listener is not None:
             self.commit_listener(self.rid, sq, view, digest)
         if slot.timer_running:
             self._cancel_timer(("slot", sq))
             slot.timer_running = False
-        self.pending.pop(sq, None)
-        self.initial_proposals.pop(sq, None)
-        self.own_requests.pop(sq, None)
         self._drain_executions()
 
     def _drain_executions(self):
@@ -470,9 +470,7 @@ class Replica:
                 seen.add(origin)
                 self.receiving_update(sq, origin, req)
             self.on_slot_committed(sq, batch)
-            # per-slot stores already dropped in _commit_local; view records
-            # are kept only for prepared certificates, which are now moot
-            slot.views = {}
+            del self.slots[sq]
 
     # -- timers and view change ----------------------------------------------
 
@@ -563,7 +561,8 @@ class Replica:
         self._broadcast(self._make(MsgKind.NEW_VIEW, 0, (vcs, reissues), view=target))
         self._enter_view(target)
         for sq, digest, batch in reissues:
-            self._accept_digest(sq, target, digest, batch)
+            if not self._decided(sq):
+                self._accept_digest(sq, target, digest, batch)
 
     def _check_new_view(self, m: Message) -> bool:
         """2f+1 distinct, valid VIEW_CHANGEs into the NEW_VIEW's view, each
@@ -582,8 +581,7 @@ class Replica:
         if any(batch_digest(tuple(batch)) != digest for _, digest, batch in reissues):
             return False
         reissued = {sq: digest for sq, digest, _ in reissues}
-        return all(reissued.get(sq) == cert[2]
-                   or (sq in self.slots and self.slots[sq].committed)
+        return all(reissued.get(sq) == cert[2] or self._decided(sq)
                    for sq, cert in self._best_certs(vcs).items())
 
     def _on_new_view(self, m: Message):
@@ -596,17 +594,19 @@ class Replica:
             return
         self._enter_view(target)
         for sq, digest, batch in m.payload[1]:
-            if not self._slot(sq).committed:
+            if not self._decided(sq):
                 self._accept_digest(sq, target, digest, tuple(batch))
 
     def _enter_view(self, target: int):
         self.view = target
         self.vc_voted = max(self.vc_voted, target)
         self._cancel_timer(("vc", target))
+        for old in [t for t in self.view_changes if t <= target]:
+            del self.view_changes[old]
         for sq, slot in self.slots.items():
             if slot.committed:
                 continue
-            self.initial_proposals.pop(sq, None)
+            slot.proposals = {}
             self._cancel_timer(("batch", sq))
             self._cancel_timer(("prop", sq))
             if slot.timer_running:
@@ -619,15 +619,16 @@ class Replica:
             if slot.committed or slot.last_proposal is None:
                 continue
             combined = {t[0]: t for t in slot.last_proposal}
-            combined.update(self.pending.get(sq, {}))
+            combined.update(slot.pending)
             proposal = tuple(sorted(combined.values(), key=lambda t: (t[0], t[1])))
             slot.last_proposal = proposal
             slot.proposal_view = self.view
             self._send(self.primary(), self._make(MsgKind.PRE_PROPOSE, sq, proposal))
         # our own uncommitted requests go out again under the new view
-        for sq, req in sorted(self.own_requests.items()):
-            rtag = request_tag(self.keyring, self.rid, sq, req)
-            self._broadcast(self._make(MsgKind.REQUEST, sq, (req, rtag)))
+        for sq, slot in sorted(self.slots.items()):
+            if slot.own_request is not None and not slot.committed:
+                rtag = request_tag(self.keyring, self.rid, sq, slot.own_request)
+                self._broadcast(self._make(MsgKind.REQUEST, sq, (slot.own_request, rtag)))
         # a subclass's on_message already saw these on arrival; replay them
         # into the protocol only
         buffered, self.future = self.future, []

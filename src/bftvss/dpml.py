@@ -549,8 +549,7 @@ class DelayedDealerNode(WorkflowParticipant):
     def _maybe_submit(self, sq: int, store):
         if sq in self.submitted or sq != self.base_slot():
             return
-        slot = self.slots.get(sq)
-        if slot is not None and slot.committed:
+        if self._decided(sq):
             return  # deadline already passed
         if self.attacker.observed_target(store) is None:
             return  # keep waiting: more shares may still show up

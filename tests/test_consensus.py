@@ -147,6 +147,48 @@ class TestPreGstRequests:
                 assert out["all_committed"], (script, seed)
 
 
+def run_two_slots(seed=0):
+    """Four plain replicas each submit into slots 0 and 1; run to quiescence."""
+    keyring = KeyRing(range(4), random.Random(seed))
+    nodes = {i: Replica(i, 4, 1, keyring) for i in range(4)}
+    sim = Simulator(SimConfig(n=4, f=1, seed=seed), nodes, AdversaryPolicy())
+    for node in nodes.values():
+        for sq in (0, 1):
+            node.broadcast_update(sq, b"req-%d-%d" % (sq, node.rid))
+    sim.run()
+    return nodes
+
+
+class TestExecutionWatermark:
+    """A slot's state lives until the slot executes; below next_exec nothing
+    happens."""
+
+    def test_executed_slots_leave_the_replica(self):
+        for node in run_two_slots().values():
+            assert node.next_exec == 2
+            assert node.slots == {}
+            assert not hasattr(node, "pending")
+            assert not hasattr(node, "initial_proposals")
+            assert not hasattr(node, "own_requests")
+
+    def test_late_prepares_for_an_executed_slot_are_ignored(self):
+        node = run_two_slots()[0]
+        node.drain()
+        dropped = node.dropped_count
+        # a full quorum of validly tagged PREPAREs for executed slot 0
+        for sender in range(3):
+            node.on_message(signed(node.keyring, MsgKind.PREPARE, node.view, 0,
+                                   sender, (b"\x11" * 32,)))
+        assert node.slots == {}
+        assert node.drain() == ([], [])
+        assert node.dropped_count == dropped  # below the watermark is no fault
+
+    def test_submitting_below_the_watermark_rejected(self):
+        node = run_two_slots()[0]
+        with pytest.raises(ValueError):
+            node.broadcast_update(1, b"late")
+
+
 class DropsViewZeroCommits(Replica):
     """Ignores every view-0 COMMIT, so each replica prepares in view 0 and
     none commits there; the prepared digest must survive the view change."""

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from bftvss.dpml import (
     encode_vote_request,
     run,
 )
+from bftvss.netsim import SimConfig
 
 FAST = dict(rounds=4, samples=100, test_samples=200, dim=8)
 
@@ -294,6 +296,17 @@ def test_pair_keys_cost_n_squared_exponentiations(monkeypatch, rounds):
     result = run(TrainingConfig(mode="ebyftves", seed=0, **dict(FAST, rounds=rounds)))
     assert len(result.metrics) == rounds
     assert len(calls) == 4 ** 2
+
+
+class TestPreGstTraining:
+    """Defended training with every slot's requests submitted before GST."""
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_finishes_within_budget(self, monkeypatch, seed):
+        monkeypatch.setattr(dpml, "SimConfig",
+                            functools.partial(SimConfig, max_events=60_000))
+        result = run(TrainingConfig(mode="ebyftves", seed=seed, gst=100, delta=2))
+        assert len(result.metrics) == 30
 
 
 class TestWhatDefends:
