@@ -40,7 +40,8 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
                   request_time: int | None = None) -> dict:
     """Run one scripted agreement on slot 0 and summarize the outcome.
 
-    Honest replicas submit their requests at request_time (default: GST).
+    Honest replicas, and an inconsistent dealer, submit their requests at
+    request_time (default: GST).
     Returns commit digests/times, a safety verdict over the honest replicas,
     and how long the slowest honest commit took after submission.
     """
@@ -68,10 +69,13 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
         node.commit_listener = listen  # a SilentNode never calls it
 
     honest = [i for i in range(n) if i != byzantine]
+    # an inconsistent dealer's fault lives in its own requests
+    submitters = [i for i in range(n)
+                  if i != byzantine or behaviour is InconsistentSender]
     submit_at = gst if request_time is None else request_time
 
     def submit():
-        for i in honest:
+        for i in submitters:
             nodes[i].broadcast_update(0, b"round-%d-req" % i)
 
     if submit_at <= 0:

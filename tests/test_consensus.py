@@ -123,6 +123,31 @@ class TestAgreementRuns:
             run_consensus(n=5, script="none", seed=0)
 
 
+class TestFaultsFire:
+    """Each Byzantine script really injects its fault into the run."""
+
+    @pytest.mark.parametrize("script, method, kind", [
+        ("equivocating-primary", "_fork", MsgKind.PRE_PREPARE),
+        ("inconsistent-dealer", "_mutate", MsgKind.REQUEST),
+    ])
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_fault_is_injected(self, monkeypatch, n, script, method, kind):
+        behaviour = scenarios._BEHAVIOURS[script][1]
+        original = getattr(behaviour, method)
+        rewritten = []
+
+        def counting(self, m, dst):
+            out = original(self, m, dst)
+            if out is not m:
+                rewritten.append(out.kind)
+            return out
+
+        monkeypatch.setattr(behaviour, method, counting)
+        out = run_consensus(n, script, seed=0)
+        assert out["safety_ok"] and out["all_committed"]
+        assert rewritten and set(rewritten) == {kind}
+
+
 class TestPreGstRequests:
     """Requests submitted at 0, long before GST (100): replicas that enter
     a new view must still commit on the previous view's COMMIT quorum."""
