@@ -44,7 +44,7 @@ from . import training, vss, wire
 from .attack import FALLBACKS, AcumpaAttacker, AsdpParams
 from .consensus import MsgKind, Replica
 from .crypto import SCHEMES, DecryptionError, KeyRing, make_scheme
-from .field import FixedPointCodec, GroupParams, generate_group
+from .field import FixedPointCodec, GroupParams, check_group_sizes, generate_group
 from .netsim import AdversaryPolicy, SimConfig, Simulator, Trace
 
 MODES = (
@@ -115,8 +115,12 @@ class TrainingConfig:
             raise ValueError("attack mode needs a non-empty attacker set")
         if not attacked and self.attackers:
             raise ValueError(f"mode {self.mode!r} does not take attackers")
-        if self.rounds < 1:
-            raise ValueError("rounds must be positive")
+        if min(self.rounds, self.dim, self.samples, self.test_samples) < 1:
+            raise ValueError("rounds, dim, samples and test_samples must be positive")
+        if self.seed < 0 or self.fraction_bits < 0:
+            raise ValueError("seed and fraction_bits must be non-negative")
+        check_group_sizes(self.bits_p, self.bits_q)
+        AsdpParams(theta_cos=self.theta_cos, delta=self.asdp_delta)
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
         if self.encryption not in SCHEMES:

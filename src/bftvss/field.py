@@ -86,6 +86,14 @@ class GroupParams:
         return acc
 
 
+def check_group_sizes(bits_p: int, bits_q: int) -> None:
+    """Raise ValueError unless generate_group accepts these sizes."""
+    if bits_q >= bits_p:
+        raise ValueError("bits_q must be smaller than bits_p")
+    if bits_q < 4:
+        raise ValueError("bits_q too small")
+
+
 def generate_group(bits_p: int, bits_q: int, seed: int) -> GroupParams:
     """Deterministically generate group parameters from a seed.
 
@@ -94,10 +102,7 @@ def generate_group(bits_p: int, bits_q: int, seed: int) -> GroupParams:
     Small test-scale sizes (down to 4-bit q) are permitted so properties can
     be checked exhaustively.
     """
-    if bits_q >= bits_p:
-        raise ValueError("bits_q must be smaller than bits_p")
-    if bits_q < 4:
-        raise ValueError("bits_q too small")
+    check_group_sizes(bits_p, bits_q)
     rng = random.Random(seed)
 
     q = None

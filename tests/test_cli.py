@@ -79,7 +79,8 @@ class TestValidate:
         assert main(["validate", str(p)]) == 2
 
 
-# each passed validate, then crashed run with a traceback
+# each passed validate, then crashed run with a traceback, failed its
+# workflow (dim 0) or ran to a NaN accuracy (test_samples 0)
 UNRUNNABLE = {
     "consensus-delta-0": {"kind": "consensus", "n": 4, "script": "none", "delta": 0},
     "training-delta-0": {"kind": "training", "config": dict(FAST_CONFIG, delta=0)},
@@ -93,6 +94,22 @@ UNRUNNABLE = {
                             "assertions": {"max_it": "6"}},
     "training-min_final_accuracy-str": {"kind": "training", "config": FAST_CONFIG,
                                         "assertions": {"min_final_accuracy": "0.9"}},
+    "training-theta_cos-2": {"kind": "training",
+                             "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
+                                            attackers=[3], theta_cos=2.0)},
+    "training-asdp_delta-0": {"kind": "training",
+                              "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
+                                             attackers=[3], asdp_delta=0)},
+    "training-bits_q-3": {"kind": "training", "config": dict(FAST_CONFIG, bits_q=3)},
+    "training-bits_q-bits_p": {"kind": "training",
+                               "config": dict(FAST_CONFIG, bits_p=96, bits_q=96)},
+    "training-seed-negative": {"kind": "training", "config": dict(FAST_CONFIG, seed=-1)},
+    "training-fraction_bits-negative": {"kind": "training",
+                                        "config": dict(FAST_CONFIG, fraction_bits=-1)},
+    "training-samples-0": {"kind": "training", "config": dict(FAST_CONFIG, samples=0)},
+    "training-test_samples-0": {"kind": "training",
+                                "config": dict(FAST_CONFIG, test_samples=0)},
+    "training-dim-0": {"kind": "training", "config": dict(FAST_CONFIG, dim=0)},
     "consensus-commit_within-str": {"kind": "consensus", "n": 4, "script": "none",
                                     "assertions": {"commit_within": "40"}},
     "consensus-max_view-str": {"kind": "consensus", "n": 4, "script": "none",
