@@ -88,13 +88,19 @@ class Message:
     tag: bytes = b""
 
     def body_bytes(self) -> bytes:
-        return (
-            wire.u8(int(self.kind))
-            + wire.u64(self.view)
-            + wire.u64(self.sq)
-            + wire.u32(self.sender)
-            + wire.lp(encode_payload(self.kind, self.payload))
-        )
+        # memoised outside the fields, so eq, hash and repr ignore it; the
+        # payload holds only bytes, ints and Messages, so it cannot go stale
+        body = self.__dict__.get("_body")
+        if body is None:
+            body = (
+                wire.u8(int(self.kind))
+                + wire.u64(self.view)
+                + wire.u64(self.sq)
+                + wire.u32(self.sender)
+                + wire.lp(encode_payload(self.kind, self.payload))
+            )
+            object.__setattr__(self, "_body", body)
+        return body
 
     def to_bytes(self) -> bytes:
         return self.body_bytes() + self.tag
@@ -103,8 +109,10 @@ class Message:
 def signed(keyring: KeyRing, kind: MsgKind, view: int, sq: int, sender: int,
            payload: tuple) -> Message:
     """A message tagged with its sender's key over its body bytes."""
-    body = Message(kind, view, sq, sender, payload)
-    return Message(kind, view, sq, sender, payload, keyring.tag(sender, body.body_bytes()))
+    body = Message(kind, view, sq, sender, payload).body_bytes()
+    m = Message(kind, view, sq, sender, payload, keyring.tag(sender, body))
+    object.__setattr__(m, "_body", body)  # the tag is not part of the body
+    return m
 
 
 def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
@@ -155,6 +163,7 @@ class SlotState:
 
     views: dict = dc_field(default_factory=dict)  # view -> SlotViewState
     pending: dict = dc_field(default_factory=dict)  # origin -> latest request
+    verified: dict = dc_field(default_factory=dict)  # origin -> last triple whose tag checked
     proposals: dict = dc_field(default_factory=dict)  # proposer -> initial proposal
     own_request: Optional[bytes] = None  # what we submitted here
     committed: bool = False
@@ -237,6 +246,16 @@ class Replica:
         slot = self.slots.get(sq)
         return sq < self.next_exec or (slot is not None and slot.committed)
 
+    def _requests_ok(self, slot: SlotState, sq: int, triples) -> bool:
+        """Check each request tag that differs from the one this replica last
+        verified for its origin in this slot."""
+        for t in triples:
+            if slot.verified.get(t[0]) != t:
+                if not check_request_tag(self.keyring, sq, t):
+                    return False
+                slot.verified[t[0]] = t
+        return True
+
     def primary(self, view: Optional[int] = None) -> int:
         return (self.view if view is None else view) % self.n
 
@@ -309,7 +328,7 @@ class Replica:
             return
         req, rtag = m.payload
         triple = (m.sender, req, rtag)
-        if not check_request_tag(self.keyring, sq, triple):
+        if not self._requests_ok(slot, sq, (triple,)):
             self.dropped_count += 1
             return
         slot.pending[m.sender] = triple  # latest request per sender wins
@@ -345,7 +364,7 @@ class Replica:
         if slot.committed or slot.emitted_view == self.view:
             return
         proposal = tuple(m.payload)
-        if not all(check_request_tag(self.keyring, sq, t) for t in proposal):
+        if not self._requests_ok(slot, sq, proposal):
             self.dropped_count += 1
             return
         slot.proposals[m.sender] = proposal
@@ -385,10 +404,9 @@ class Replica:
         if sv.accepted_digest is not None:
             return  # single acceptance per (view, sq)
         raw = dict(body)
-        for prop in raw.values():
-            if not all(check_request_tag(self.keyring, m.sq, t) for t in prop):
-                self.dropped_count += 1
-                return
+        if not self._requests_ok(slot, m.sq, dict.fromkeys(t for p in raw.values() for t in p)):
+            self.dropped_count += 1
+            return
         if len(raw) <= 2 * self.f:
             self.dropped_count += 1
             return

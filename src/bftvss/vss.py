@@ -44,7 +44,7 @@ class ShareBundle:
         return len(self.values)
 
     def to_bytes(self) -> bytes:
-        return wire.u32(self.dealer) + wire.u32(self.eval_point) + wire.pack_bigs(self.values)
+        return wire.u32(self.dealer) + wire.u32(self.eval_point) + wire.pack_fixed(self.values)
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,17 @@ class CommitmentVector:
         return len(self.per_coordinate[0]) if self.per_coordinate else 0
 
     def to_bytes(self) -> bytes:
-        out = [wire.u32(self.dealer), wire.u32(self.dimension), wire.u32(self.threshold)]
-        out.extend(wire.big(c) for coord in self.per_coordinate for c in coord)
-        return b"".join(out)
+        """dealer, th, then every commitment, coordinate by coordinate; the
+        dimension is the count over th."""
+        flat = [c for coord in self.per_coordinate for c in coord]
+        return wire.u32(self.dealer) + wire.u32(self.threshold) + wire.pack_fixed(flat)
 
 
 def parse_bundle(data: bytes) -> ShareBundle:
     """Inverse of ShareBundle.to_bytes; raises MalformedInputError."""
     try:
         r = wire.Reader(data)
-        dealer, eval_point, values = r.u32(), r.u32(), r.bigs()
+        dealer, eval_point, values = r.u32(), r.u32(), r.fixed()
         r.expect_end()
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
@@ -84,11 +85,11 @@ def parse_commitments(data: bytes) -> CommitmentVector:
     """Inverse of CommitmentVector.to_bytes; raises MalformedInputError."""
     try:
         r = wire.Reader(data)
-        dealer, dim, th = r.u32(), r.u32(), r.u32()
-        if dim and not th:  # empty coordinates read nothing, so dim is unbounded
-            raise ValueError("coordinates without commitments")
-        per_coordinate = tuple(tuple(r.big() for _ in range(th)) for _ in range(dim))
+        dealer, th, values = r.u32(), r.u32(), r.fixed()
         r.expect_end()
+        if values and (not th or len(values) % th):
+            raise ValueError("commitments do not split into coordinates of th")
+        per_coordinate = tuple(values[i : i + th] for i in range(0, len(values), th or 1))
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
     return CommitmentVector(dealer=dealer, per_coordinate=per_coordinate)

@@ -33,11 +33,11 @@ def big(x: int) -> bytes:
     return lp(x.to_bytes(n, "big"))
 
 
-def pack_bigs(xs) -> bytes:
-    """u32 count followed by each integer via big()."""
-    out = [u32(len(xs))]
-    out.extend(big(x) for x in xs)
-    return b"".join(out)
+def pack_fixed(xs) -> bytes:
+    """u32 count, u32 width, then each non-negative integer big-endian at that
+    width: the byte length of the largest, and at least 1."""
+    width = max(1, (max(xs, default=0).bit_length() + 7) // 8)
+    return u32(len(xs)) + u32(width) + b"".join(x.to_bytes(width, "big") for x in xs)
 
 
 def pack_blobs(bs) -> bytes:
@@ -73,12 +73,14 @@ class Reader:
     def lp(self) -> bytes:
         return self.take(self.u32())
 
-    def big(self) -> int:
-        return int.from_bytes(self.lp(), "big")
-
-    def bigs(self) -> tuple:
-        count = self.u32()
-        return tuple(self.big() for _ in range(count))
+    def fixed(self) -> tuple:
+        """Inverse of pack_fixed: one take for all the values, then slices."""
+        count, width = self.u32(), self.u32()
+        if not width:
+            raise ValueError("zero width")
+        data = self.take(count * width)  # bounds-checked before any slicing
+        return tuple([int.from_bytes(data[i : i + width], "big")
+                      for i in range(0, len(data), width)])
 
     def blobs(self) -> list:
         count = self.u32()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -83,6 +84,81 @@ class TestReplicaUnit:
     def test_requires_n_3f_plus_1(self, keyring):
         with pytest.raises(ValueError):
             Replica(0, 5, 1, keyring)
+
+
+class TestRequestTagsStillChecked:
+    """A replica skips only the tag check of a triple it already verified in
+    the slot: a triple that differs, even under a genuine tag, is checked,
+    and one bad tag drops the whole message."""
+
+    def primed(self, keyring, rid):
+        rep = Replica(rid, 4, 1, keyring)
+        genuine = [triple(keyring, o, 0, b"req%d" % o) for o in range(4)]
+        for o, req, rtag in genuine:
+            rep.on_message(signed(keyring, MsgKind.REQUEST, 0, 0, o, (req, rtag)))
+        forged = (2, b"evil", genuine[2][2])  # origin 2's tag on other bytes
+        return rep, tuple(genuine), forged
+
+    def test_pre_propose_with_a_forged_request_is_dropped(self, keyring):
+        rep, genuine, forged = self.primed(keyring, 0)
+        bad = genuine[:2] + (forged,)
+        rep.on_message(signed(keyring, MsgKind.PRE_PROPOSE, 0, 0, 1, bad))
+        assert rep.dropped_count == 1 and 1 not in rep.slots[0].proposals
+        rep.on_message(signed(keyring, MsgKind.PRE_PROPOSE, 0, 0, 1, genuine))
+        assert rep.dropped_count == 1 and rep.slots[0].proposals[1] == genuine
+
+    def test_pre_prepare_with_a_forged_request_is_dropped(self, keyring):
+        rep, genuine, forged = self.primed(keyring, 1)
+        for last in (forged, genuine[2]):  # the forgery, then the control
+            raw = ((0, genuine), (2, genuine), (3, genuine[:2] + (last,)))
+            digest = batch_digest(aggregate(dict(raw), 1))
+            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (digest, raw)))
+        assert rep.dropped_count == 1
+        assert rep.slots[0].at(0).accepted_digest == digest
+
+
+class TestEncodedOnce:
+    """A message's body bytes are memoised on the object, and a copy with
+    another payload is a new object: it is encoded afresh and its old tag
+    fails."""
+
+    def test_payload_swapped_after_tagging_is_dropped(self, keyring):
+        m = signed(keyring, MsgKind.PREPARE, 0, 0, 1, (b"x" * 32,))
+        m.body_bytes()
+        forged = dataclasses.replace(m, payload=(b"y" * 32,))
+        rep = Replica(0, 4, 1, keyring)
+        rep.on_message(m)
+        assert rep.dropped_count == 0
+        rep.on_message(forged)
+        assert rep.dropped_count == 1
+
+    def test_certificate_with_swapped_prepare_fails(self, keyring):
+        batch = (triple(keyring, 0, 0, b"a"),)
+        digest = batch_digest(batch)
+        prepares = [signed(keyring, MsgKind.PREPARE, 0, 0, s, (digest,)) for s in (1, 2, 3)]
+        rep = Replica(0, 4, 1, keyring)
+        good = (0, 0, digest, batch, tuple(prepares))
+        assert rep._check_cert(good)
+        # replica 3 prepared another digest; its payload is swapped for this one
+        other = signed(keyring, MsgKind.PREPARE, 0, 0, 3, (b"z" * 32,))
+        other.body_bytes()
+        prepares[2] = dataclasses.replace(other, payload=(digest,))
+        bad = (0, 0, digest, batch, tuple(prepares))
+        assert not rep._check_cert(bad)
+        rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 2, (1, (bad,))))
+        assert rep.dropped_count == 1 and 1 not in rep.view_changes
+        rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 2, (1, (good,))))
+        assert rep.dropped_count == 1 and 2 in rep.view_changes[1]
+
+    def test_equality_ignores_encoding(self, keyring):
+        a = signed(keyring, MsgKind.COMMIT, 0, 3, 1, (b"d" * 32,))
+        b = Message(a.kind, a.view, a.sq, a.sender, a.payload, a.tag)
+        c = Message(a.kind, a.view, a.sq, a.sender, a.payload, a.tag)
+        for _ in range(2):
+            assert a == b == c
+            assert hash(a) == hash(b) == hash(c)
+            assert repr(a) == repr(b) == repr(c)
+            b.body_bytes()  # second pass: a and b encoded, c not
 
 
 class TestAgreementRuns:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bftvss import crypto, dpml, vss
+from bftvss import consensus, crypto, dpml, vss
 from bftvss.consensus import MsgKind
 from bftvss.dpml import (
     MODES,
@@ -296,6 +297,33 @@ def test_pair_keys_cost_n_squared_exponentiations(monkeypatch, rounds):
     result = run(TrainingConfig(mode="ebyftves", seed=0, **dict(FAST, rounds=rounds)))
     assert len(result.metrics) == rounds
     assert len(calls) == 4 ** 2
+
+
+def test_each_request_tag_checked_once_per_replica(monkeypatch):
+    """A replica checks a request's tag once per slot, whether the request
+    reaches it in a REQUEST, a PRE_PROPOSE or a PRE_PREPARE: at most n^2
+    checks per slot in a fault-free run."""
+    receiver = []
+    calls = collections.Counter()
+    on_message, check = consensus.Replica.on_message, consensus.check_request_tag
+
+    def tracking_on_message(self, m, now=0):
+        receiver.append(self.rid)
+        try:
+            return on_message(self, m, now)
+        finally:
+            receiver.pop()
+
+    def counting_check(keyring, sq, triple):
+        calls[receiver[-1], sq, triple[0]] += 1
+        return check(keyring, sq, triple)
+
+    monkeypatch.setattr(consensus.Replica, "on_message", tracking_on_message)
+    monkeypatch.setattr(consensus, "check_request_tag", counting_check)
+    result = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+    assert len(result.metrics) == FAST["rounds"]
+    assert len(calls) == 4 * 4 * 3 * FAST["rounds"]  # replica, origin, 3 slots a round
+    assert max(calls.values()) == 1
 
 
 class TestPreGstTraining:

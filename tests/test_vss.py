@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftvss import vss
+from bftvss import vss, wire
 from bftvss.vss import (
     AGGREGATE_DEALER,
     CommitmentVector,
@@ -176,7 +177,50 @@ class TestSerialization:
             vss.parse_commitments(commits.to_bytes()[:-2])
 
     def test_coordinates_without_commitments_rejected(self):
-        # dealer 0, dimension 3, threshold 0
-        data = (0).to_bytes(4, "big") + (3).to_bytes(4, "big") + (0).to_bytes(4, "big")
+        # dealer 0, then th, then 3 commitments of width 1; well formed at th 3
+        def commitments(th):
+            return wire.u32(0) + wire.u32(th) + wire.pack_fixed([5, 6, 7])
+
+        assert vss.parse_commitments(commitments(3)).per_coordinate == ((5, 6, 7),)
+        assert vss.parse_commitments(commitments(1)).per_coordinate == ((5,), (6,), (7,))
         with pytest.raises(MalformedInputError):
-            vss.parse_commitments(data)
+            vss.parse_commitments(commitments(0))  # elements but no threshold
+        with pytest.raises(MalformedInputError):
+            vss.parse_commitments(commitments(2))  # 3 is not a multiple of 2
+
+    def test_empty_commitments_roundtrip(self):
+        empty = CommitmentVector(dealer=4, per_coordinate=())
+        assert vss.parse_commitments(empty.to_bytes()) == empty
+
+    def test_zero_width_rejected_before_allocating(self):
+        # count 2^32 - 1 at width 0: raises on the header alone
+        header = wire.u32(0) + wire.u32(1) + wire.u32(2**32 - 1) + wire.u32(0)
+        tracemalloc.start()
+        try:
+            for parse in (vss.parse_bundle, vss.parse_commitments):
+                with pytest.raises(MalformedInputError):
+                    parse(header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_values_past_the_end_rejected(self):
+        # count 2 at width 3 needs 6 bytes; 5 are there
+        short = wire.u32(0) + wire.u32(1) + wire.u32(2) + wire.u32(3) + bytes(5)
+        assert vss.parse_bundle(short + b"\x00").values == (0, 0)
+        with pytest.raises(MalformedInputError):
+            vss.parse_bundle(short)
+        with pytest.raises(MalformedInputError):
+            vss.parse_commitments(short)
+        # a count whose values could not fit in any real input
+        huge = wire.u32(0) + wire.u32(1) + wire.u32(2**32 - 1) + wire.u32(2**32 - 1)
+        with pytest.raises(MalformedInputError):
+            vss.parse_bundle(huge)
+
+    def test_trailing_byte_rejected(self, group, codec, rng):
+        bundles, commits = vss.share([1.0, -2.0], 3, 4, group, codec, rng)
+        with pytest.raises(MalformedInputError):
+            vss.parse_bundle(bundles[0].to_bytes() + b"\x00")
+        with pytest.raises(MalformedInputError):
+            vss.parse_commitments(commits.to_bytes() + b"\x00")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bftvss import wire
@@ -15,14 +15,31 @@ class TestPrimitives:
     @given(st.integers(0, 2**256))
     def test_big_roundtrip(self, x):
         r = wire.Reader(wire.big(x))
-        assert r.big() == x
+        assert int.from_bytes(r.lp(), "big") == x
         r.expect_end()
 
-    @given(st.lists(st.integers(0, 2**128), max_size=8))
-    def test_bigs_roundtrip(self, xs):
-        r = wire.Reader(wire.pack_bigs(xs))
-        assert list(r.bigs()) == xs
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**128),
+        st.integers(1, 16).flatmap(lambda k: st.sampled_from([2**(8 * k) - 1, 2**(8 * k)])),
+    ), max_size=8))
+    @example([])
+    @example([0])
+    @example([0, 2**64 - 1])
+    @example([2**64, 1])
+    def test_fixed_roundtrip(self, xs):
+        data = wire.pack_fixed(xs)
+        width = int.from_bytes(data[4:8], "big")
+        assert len(data) == 8 + len(xs) * width
+        assert width == 1 or max(xs) >= 256 ** (width - 1)  # the narrowest that fits
+        r = wire.Reader(data)
+        assert list(r.fixed()) == xs
         r.expect_end()
+
+    def test_fixed_width_boundary(self):
+        # 2^(8k) - 1 fits in k bytes; 2^(8k) needs k + 1
+        assert wire.pack_fixed([255]) == wire.u32(1) + wire.u32(1) + b"\xff"
+        assert wire.pack_fixed([256]) == wire.u32(1) + wire.u32(2) + b"\x01\x00"
+        assert wire.pack_fixed([0, 256]) == wire.u32(2) + wire.u32(2) + b"\x00\x00\x01\x00"
 
     @given(st.lists(st.binary(max_size=32), max_size=8))
     def test_blobs_roundtrip(self, bs):
