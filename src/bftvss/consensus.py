@@ -5,9 +5,11 @@ it has seen into an initial proposal for the primary, which merges proposals
 from more than 2f replicas into one batch (keeping requests that appear in
 more than f proposals) and drives the usual pre-prepare / prepare / commit
 phases.  A PBFT-style view change with prepared-certificate carryover handles
-faulty primaries: a NEW_VIEW carries the 2f+1 VIEW_CHANGEs that justify it
-and reissues, under its own tag, the highest prepared certificate of each
-slot they name.
+faulty primaries.  Messages carry nothing a receiver can derive: a
+PRE_PREPARE holds only the proposals its batch aggregates, a prepared
+certificate only its batch and PREPAREs, and a NEW_VIEW only the 2f+1
+VIEW_CHANGEs that justify it, from which every replica entering the view
+takes the highest prepared certificate of each slot they name.
 
 Each replica is a pure state machine: one event in (message or timer fire),
 outbound messages and timer operations out.  The simulator owns time and
@@ -122,8 +124,8 @@ def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
     if kind == MsgKind.PRE_PROPOSE:
         return _pack_triples(payload)
     if kind == MsgKind.PRE_PREPARE:
-        digest, raw = payload
-        parts = [b"R", wire.lp(digest), wire.u32(len(raw))]
+        (raw,) = payload
+        parts = [wire.u32(len(raw))]
         for proposer, prop in raw:
             parts.append(wire.u32(proposer) + _pack_triples(prop))
         return b"".join(parts)
@@ -133,17 +135,13 @@ def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
     if kind == MsgKind.VIEW_CHANGE:
         target, certs = payload
         parts = [wire.u64(target), wire.u32(len(certs))]
-        for sq, view, digest, batch, prepares in certs:
-            parts.append(wire.u64(sq) + wire.u64(view) + wire.lp(digest))
-            parts.append(_pack_triples(batch))
+        for sq, view, batch, prepares in certs:
+            parts.append(wire.u64(sq) + wire.u64(view) + _pack_triples(batch))
             parts.append(wire.pack_blobs([m.to_bytes() for m in prepares]))
         return b"".join(parts)
     if kind == MsgKind.NEW_VIEW:
-        vcs, reissues = payload
-        parts = [wire.pack_blobs([m.to_bytes() for m in vcs]), wire.u32(len(reissues))]
-        for sq, digest, batch in reissues:
-            parts.append(wire.u64(sq) + wire.lp(digest) + _pack_triples(batch))
-        return b"".join(parts)
+        (vcs,) = payload
+        return wire.pack_blobs([m.to_bytes() for m in vcs])
     raise ValueError(f"unknown kind {kind}")
 
 
@@ -162,7 +160,7 @@ class SlotState:
     """Everything a replica keeps about a live slot; deleted once executed."""
 
     views: dict = dc_field(default_factory=dict)  # view -> SlotViewState
-    pending: dict = dc_field(default_factory=dict)  # origin -> latest request
+    pending: dict = dc_field(default_factory=dict)  # origin -> latest request, kept across views
     verified: dict = dc_field(default_factory=dict)  # origin -> last triple whose tag checked
     proposals: dict = dc_field(default_factory=dict)  # proposer -> initial proposal
     own_request: Optional[bytes] = None  # what we submitted here
@@ -173,7 +171,6 @@ class SlotState:
     timer_running: bool = False
     proposal_view: Optional[int] = None  # view in which we sent our pre-propose
     emitted_view: Optional[int] = None  # view in which we (as primary) pre-prepared
-    last_proposal: Optional[tuple] = None  # most recent proposal we formed
 
     def at(self, view: int) -> SlotViewState:
         if view not in self.views:
@@ -246,6 +243,9 @@ class Replica:
         slot = self.slots.get(sq)
         return sq < self.next_exec or (slot is not None and slot.committed)
 
+    def _authentic(self, m: Message) -> bool:
+        return self.keyring.check(m.sender, m.body_bytes(), m.tag)
+
     def _requests_ok(self, slot: SlotState, sq: int, triples) -> bool:
         """Check each request tag that differs from the one this replica last
         verified for its origin in this slot."""
@@ -266,9 +266,12 @@ class Replica:
         if sq < self.next_exec:
             raise ValueError("sequence number must be non-negative and not executed")
         self._slot(sq).own_request = req
+        self._send_request(sq, req)
+        self._start_progress_timer(sq)
+
+    def _send_request(self, sq: int, req: bytes):
         rtag = request_tag(self.keyring, self.rid, sq, req)
         self._broadcast(self._make(MsgKind.REQUEST, sq, (req, rtag)))
-        self._start_progress_timer(sq)
 
     # -- application hooks: a subclass that runs an application overrides these
 
@@ -281,7 +284,7 @@ class Replica:
     # -- event entry points --------------------------------------------------
 
     def on_message(self, m: Message, now: int = 0):
-        if not self.keyring.check(m.sender, m.body_bytes(), m.tag):
+        if not self._authentic(m):
             self.dropped_count += 1
             return
         if m.kind == MsgKind.VIEW_CHANGE:
@@ -344,16 +347,17 @@ class Replica:
 
     def _form_proposal(self, sq: int):
         slot = self._slot(sq)
-        if slot.committed or slot.proposal_view == self.view:
+        if (slot.committed or slot.proposal_view == self.view
+                or len(slot.pending) < 2 * self.f + 1):
             return
-        if len(slot.pending) < 2 * self.f + 1:
-            return
-        proposal = tuple(sorted(slot.pending.values(), key=lambda t: (t[0], t[1])))
-        slot.pending = {}
-        slot.proposal_view = self.view
-        slot.last_proposal = proposal
         self._cancel_timer(("batch", sq))
         self._restart_progress_timer(sq)
+        self._propose(sq, slot)
+
+    def _propose(self, sq: int, slot: SlotState):
+        """Pre-propose the latest request of each origin to this view's primary."""
+        proposal = tuple(sorted(slot.pending.values(), key=lambda t: (t[0], t[1])))
+        slot.proposal_view = self.view
         self._send(self.primary(), self._make(MsgKind.PRE_PROPOSE, sq, proposal))
 
     # -- primary aggregation ------------------------------------------------
@@ -385,12 +389,10 @@ class Replica:
         if len(slot.proposals) <= 2 * self.f:
             return
         raw = tuple(sorted(slot.proposals.items()))
-        batch = aggregate(dict(raw), self.f)
-        digest = batch_digest(batch)
         slot.emitted_view = self.view
         slot.proposals = {}
         self._cancel_timer(("prop", sq))
-        self._broadcast(self._make(MsgKind.PRE_PREPARE, sq, (digest, raw)))
+        self._broadcast(self._make(MsgKind.PRE_PREPARE, sq, (raw,)))
 
     # -- three-phase agreement ---------------------------------------------
 
@@ -398,25 +400,19 @@ class Replica:
         if m.sender != self.primary(m.view):
             self.dropped_count += 1
             return
-        digest, body = m.payload
         slot = self._slot(m.sq)
-        sv = slot.at(m.view)
-        if sv.accepted_digest is not None:
+        if slot.at(m.view).accepted_digest is not None:
             return  # single acceptance per (view, sq)
-        raw = dict(body)
-        if not self._requests_ok(slot, m.sq, dict.fromkeys(t for p in raw.values() for t in p)):
+        raw = dict(m.payload[0])
+        if (not self._requests_ok(slot, m.sq, dict.fromkeys(t for p in raw.values() for t in p))
+                or len(raw) <= 2 * self.f):
             self.dropped_count += 1
             return
-        if len(raw) <= 2 * self.f:
-            self.dropped_count += 1
-            return
-        recomputed = aggregate(raw, self.f)
-        if batch_digest(recomputed) != digest:
-            self.dropped_count += 1
-            return
-        self._accept_digest(m.sq, m.view, digest, recomputed)
+        self._accept(m.sq, m.view, aggregate(raw, self.f))
 
-    def _accept_digest(self, sq: int, view: int, digest: bytes, batch):
+    def _accept(self, sq: int, view: int, batch):
+        """Accept batch as the one proposal of (view, sq) and prepare it."""
+        digest = batch_digest(batch)
         slot = self._slot(sq)
         sv = slot.at(view)
         sv.accepted_digest = digest
@@ -522,7 +518,7 @@ class Replica:
             if prepared and not slot.committed:
                 view = max(prepared)
                 sv = slot.views[view]
-                certs.append((sq, view, sv.accepted_digest, sv.batch, sv.prepare_cert))
+                certs.append((sq, view, sv.batch, sv.prepare_cert))
         return tuple(certs)
 
     def _start_view_change(self, target: int):
@@ -534,16 +530,13 @@ class Replica:
         self._set_timer(("vc", target), 6 * self.delta * (1 << max(0, target - self.view)))
 
     def _check_cert(self, cert) -> bool:
-        sq, view, digest, batch, prepares = cert
-        if batch_digest(tuple(batch)) != digest:
-            return False
+        """2f+1 distinct senders' authentic PREPAREs of the batch's digest."""
+        sq, view, batch, prepares = cert
+        payload = (batch_digest(tuple(batch)),)
         senders = set()
         for pm in prepares:
-            if pm.kind != MsgKind.PREPARE or pm.view != view or pm.sq != sq:
-                return False
-            if pm.payload != (digest,):
-                return False
-            if not self.keyring.check(pm.sender, pm.body_bytes(), pm.tag):
+            if (pm.kind != MsgKind.PREPARE or pm.view != view or pm.sq != sq
+                    or pm.payload != payload or not self._authentic(pm)):
                 return False
             senders.add(pm.sender)
         return len(senders) >= 2 * self.f + 1
@@ -562,45 +555,24 @@ class Replica:
         if self.primary(target) == self.rid and len(votes) >= 2 * self.f + 1 and self.view < target:
             self._emit_new_view(target)
 
-    def _best_certs(self, vcs) -> dict[int, tuple]:
-        best: dict[int, tuple] = {}
-        for vc in vcs:
-            for cert in vc.payload[1]:
-                sq, view = cert[0], cert[1]
-                if sq not in best or view > best[sq][1]:
-                    best[sq] = cert
-        return best
-
     def _emit_new_view(self, target: int):
         votes = self.view_changes[target]
         vcs = tuple(votes[s] for s in sorted(votes))[: 2 * self.f + 1]
-        reissues = tuple((sq, cert[2], tuple(cert[3]))
-                         for sq, cert in sorted(self._best_certs(vcs).items()))
-        self._broadcast(self._make(MsgKind.NEW_VIEW, 0, (vcs, reissues), view=target))
-        self._enter_view(target)
-        for sq, digest, batch in reissues:
-            if not self._decided(sq):
-                self._accept_digest(sq, target, digest, batch)
+        self._broadcast(self._make(MsgKind.NEW_VIEW, 0, (vcs,), view=target))
+        self._install_view(target, vcs)
 
     def _check_new_view(self, m: Message) -> bool:
-        """2f+1 distinct, valid VIEW_CHANGEs into the NEW_VIEW's view, each
-        reissued batch matching its digest, and every best certificate among
-        them reissued with its digest unless the slot is committed here."""
-        vcs, reissues = m.payload
+        """2f+1 distinct senders' authentic VIEW_CHANGEs into the NEW_VIEW's
+        view, each carrying only valid certificates."""
+        (vcs,) = m.payload
         senders = set()
         for vc in vcs:
             if (vc.kind != MsgKind.VIEW_CHANGE or vc.payload[0] != m.view
-                    or not self.keyring.check(vc.sender, vc.body_bytes(), vc.tag)
+                    or not self._authentic(vc)
                     or not all(self._check_cert(c) for c in vc.payload[1])):
                 return False
             senders.add(vc.sender)
-        if len(senders) < 2 * self.f + 1:
-            return False
-        if any(batch_digest(tuple(batch)) != digest for _, digest, batch in reissues):
-            return False
-        reissued = {sq: digest for sq, digest, _ in reissues}
-        return all(reissued.get(sq) == cert[2] or self._decided(sq)
-                   for sq, cert in self._best_certs(vcs).items())
+        return len(senders) >= 2 * self.f + 1
 
     def _on_new_view(self, m: Message):
         target = m.view
@@ -610,10 +582,21 @@ class Replica:
             # anything off about this NEW_VIEW: push for the next view instead
             self._start_view_change(target + 1)
             return
+        self._install_view(target, m.payload[0])
+
+    def _install_view(self, target: int, vcs):
+        """Enter the view the VIEW_CHANGEs justify; then, for each slot they
+        name that is not decided here, accept the batch of the highest
+        prepared certificate among them."""
+        best: dict[int, tuple] = {}  # sq -> (view, batch)
+        for vc in vcs:
+            for sq, view, batch, _ in vc.payload[1]:
+                if sq not in best or view > best[sq][0]:
+                    best[sq] = (view, tuple(batch))
         self._enter_view(target)
-        for sq, digest, batch in m.payload[1]:
+        for sq, (_, batch) in sorted(best.items()):
             if not self._decided(sq):
-                self._accept_digest(sq, target, digest, tuple(batch))
+                self._accept(sq, target, batch)
 
     def _enter_view(self, target: int):
         self.view = target
@@ -634,19 +617,12 @@ class Replica:
         # re-propose what we already batched, so the new primary does not
         # have to wait out a full round of request rebroadcasts
         for sq, slot in sorted(self.slots.items()):
-            if slot.committed or slot.last_proposal is None:
-                continue
-            combined = {t[0]: t for t in slot.last_proposal}
-            combined.update(slot.pending)
-            proposal = tuple(sorted(combined.values(), key=lambda t: (t[0], t[1])))
-            slot.last_proposal = proposal
-            slot.proposal_view = self.view
-            self._send(self.primary(), self._make(MsgKind.PRE_PROPOSE, sq, proposal))
+            if not slot.committed and slot.proposal_view is not None:
+                self._propose(sq, slot)
         # our own uncommitted requests go out again under the new view
         for sq, slot in sorted(self.slots.items()):
             if slot.own_request is not None and not slot.committed:
-                rtag = request_tag(self.keyring, self.rid, sq, slot.own_request)
-                self._broadcast(self._make(MsgKind.REQUEST, sq, (slot.own_request, rtag)))
+                self._send_request(sq, slot.own_request)
         # a subclass's on_message already saw these on arrival; replay them
         # into the protocol only
         buffered, self.future = self.future, []

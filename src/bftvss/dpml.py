@@ -44,7 +44,8 @@ from . import training, vss, wire
 from .attack import FALLBACKS, AcumpaAttacker, AsdpParams
 from .consensus import MsgKind, Replica
 from .crypto import SCHEMES, DecryptionError, KeyRing, make_scheme
-from .field import FixedPointCodec, GroupParams, check_group_sizes, generate_group
+from .field import (EncodingRangeError, FixedPointCodec, GroupParams, check_group_sizes,
+                    generate_group)
 from .netsim import AdversaryPolicy, SimConfig, Simulator, Trace
 
 MODES = (
@@ -319,9 +320,6 @@ def _finish(config: TrainingConfig, coordinator: _Coordinator,
         replace(m, adaptive_engaged=m.t in adaptive, fallback_engaged=m.t in fallback)
         for m in coordinator.metrics
     ]
-    if trace is not None:
-        trace.flags["adaptive_rounds"] = adaptive
-        trace.flags["fallback_rounds"] = fallback
     stopped = bool(metrics) and metrics[-1].train_error <= config.error_threshold
     return RunResult(config=config, metrics=metrics,
                      weights_history=coordinator.weights_history,
@@ -614,6 +612,11 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
 def run(config: TrainingConfig, collect_trace: bool = False) -> RunResult:
     """Run one training workflow according to config.mode."""
     config.validate()
-    if config.mode.startswith("ebyftves"):
-        return run_defended(config, collect_trace=collect_trace)
-    return run_local(config)
+    try:
+        if config.mode.startswith("ebyftves"):
+            return run_defended(config, collect_trace=collect_trace)
+        return run_local(config)
+    except EncodingRangeError as exc:
+        # whether a value fits depends on the data, so validate cannot say
+        raise WorkflowError(f"fraction_bits {config.fraction_bits} is too large "
+                            f"for bits_q {config.bits_q}: {exc}") from exc

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
-from .consensus import Message, MsgKind, Replica, aggregate, batch_digest, request_tag, signed
+from .consensus import Message, MsgKind, Replica, aggregate, request_tag, signed
 
 
 class LivelockError(Exception):
@@ -69,7 +69,6 @@ class AdversaryPolicy:
 @dataclass
 class Trace:
     records: list = dc_field(default_factory=list)
-    flags: dict = dc_field(default_factory=dict)
 
     def add(self, time: int, kind: str, src, dst, summary: str):
         self.records.append(
@@ -218,8 +217,7 @@ class EquivocatingPrimary(Replica):
     def _fork(self, m: Message, dst: int):
         if m.kind != MsgKind.PRE_PREPARE or dst % 2 == 0:
             return m
-        digest, raw = m.payload
-        raw = dict(raw)
+        raw = dict(m.payload[0])
         batch_now = [t for prop in raw.values() for t in prop]
         if batch_now:
             victim = sorted(set(batch_now))[-1]
@@ -232,12 +230,10 @@ class EquivocatingPrimary(Replica):
             rtag = request_tag(self.keyring, self.rid, m.sq, fake)
             triple = (self.rid, fake, rtag)
             alt_raw = {proposer: prop + (triple,) for proposer, prop in raw.items()}
-        alt_batch = aggregate(alt_raw, self.f)
-        alt_digest = batch_digest(alt_batch)
-        if alt_digest == digest:
+        if aggregate(alt_raw, self.f) == aggregate(raw, self.f):
             return m
         return signed(self.keyring, m.kind, m.view, m.sq, m.sender,
-                      (alt_digest, tuple(sorted(alt_raw.items()))))
+                      (tuple(sorted(alt_raw.items())),))
 
     def drain(self):
         sends, timers = super().drain()

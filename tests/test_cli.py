@@ -170,6 +170,13 @@ class TestRun:
         first_line = trace.read_text().splitlines()[0]
         json.loads(first_line)
 
+    def test_fraction_bits_too_large_is_a_workflow_error(self, tmp_path, capsys):
+        # validates, since whether a value fits depends on the data
+        p = write_scenario(tmp_path / "s.json",
+                           config=dict(FAST_CONFIG, fraction_bits=60))
+        assert main(["run", str(p), "--out-dir", str(tmp_path / "o")]) == 1
+        assert "fraction_bits" in capsys.readouterr().err
+
     def test_consensus_run(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({

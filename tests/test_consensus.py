@@ -111,10 +111,9 @@ class TestRequestTagsStillChecked:
         rep, genuine, forged = self.primed(keyring, 1)
         for last in (forged, genuine[2]):  # the forgery, then the control
             raw = ((0, genuine), (2, genuine), (3, genuine[:2] + (last,)))
-            digest = batch_digest(aggregate(dict(raw), 1))
-            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (digest, raw)))
+            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (raw,)))
         assert rep.dropped_count == 1
-        assert rep.slots[0].at(0).accepted_digest == digest
+        assert rep.slots[0].at(0).accepted_digest == batch_digest(genuine)
 
 
 class TestEncodedOnce:
@@ -137,13 +136,13 @@ class TestEncodedOnce:
         digest = batch_digest(batch)
         prepares = [signed(keyring, MsgKind.PREPARE, 0, 0, s, (digest,)) for s in (1, 2, 3)]
         rep = Replica(0, 4, 1, keyring)
-        good = (0, 0, digest, batch, tuple(prepares))
+        good = (0, 0, batch, tuple(prepares))
         assert rep._check_cert(good)
         # replica 3 prepared another digest; its payload is swapped for this one
         other = signed(keyring, MsgKind.PREPARE, 0, 0, 3, (b"z" * 32,))
         other.body_bytes()
         prepares[2] = dataclasses.replace(other, payload=(digest,))
-        bad = (0, 0, digest, batch, tuple(prepares))
+        bad = (0, 0, batch, tuple(prepares))
         assert not rep._check_cert(bad)
         rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 2, (1, (bad,))))
         assert rep.dropped_count == 1 and 1 not in rep.view_changes
@@ -159,6 +158,58 @@ class TestEncodedOnce:
             assert hash(a) == hash(b) == hash(c)
             assert repr(a) == repr(b) == repr(c)
             b.body_bytes()  # second pass: a and b encoded, c not
+
+
+class TestRejectionRules:
+    """Each check a receiver applies to what it cannot derive: every test
+    sends one message that breaks exactly one rule, next to a control that
+    keeps it."""
+
+    def proposals(self, keyring, proposers):
+        batch = tuple(triple(keyring, o, 0, b"req%d" % o) for o in range(4))
+        return tuple((p, batch) for p in proposers), batch
+
+    def test_pre_prepare_needs_more_than_2f_proposals(self, keyring):
+        for proposers, accepted in (((0, 2), False), ((0, 2, 3), True)):
+            rep = Replica(1, 4, 1, keyring)
+            raw, batch = self.proposals(keyring, proposers)
+            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (raw,)))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert rep._slot(0).at(0).accepted_digest == (
+                batch_digest(batch) if accepted else None)
+
+    def test_pre_prepare_only_from_the_primary(self, keyring):
+        for sender, accepted in ((2, False), (0, True)):
+            rep = Replica(1, 4, 1, keyring)
+            raw, batch = self.proposals(keyring, (0, 2, 3))
+            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, sender, (raw,)))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert rep._slot(0).at(0).accepted_digest == (
+                batch_digest(batch) if accepted else None)
+
+    def test_certificate_counts_distinct_senders(self, keyring):
+        batch = (triple(keyring, 0, 0, b"a"),)
+        prepares = [signed(keyring, MsgKind.PREPARE, 0, 0, s, (batch_digest(batch),))
+                    for s in (1, 2, 3)]
+        rep = Replica(0, 4, 1, keyring)
+        assert rep._check_cert((0, 0, batch, tuple(prepares)))
+        assert not rep._check_cert((0, 0, batch, (prepares[0], prepares[1], prepares[1])))
+
+    def new_view(self, keyring, senders, targets=(1, 1, 1)):
+        vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s, (t, ()))
+                    for s, t in zip(senders, targets))
+        rep = Replica(2, 4, 1, keyring)
+        rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, (vcs,)))
+        return rep
+
+    def test_new_view_counts_distinct_senders(self, keyring):
+        assert self.new_view(keyring, (0, 1, 3)).view == 1
+        rep = self.new_view(keyring, (0, 1, 1))
+        assert rep.view == 0 and rep.vc_voted == 2  # pushes for the next view
+
+    def test_new_view_takes_view_changes_into_its_own_view_only(self, keyring):
+        rep = self.new_view(keyring, (0, 1, 3), targets=(1, 1, 2))
+        assert rep.view == 0 and rep.vc_voted == 2
 
 
 class TestAgreementRuns:
@@ -314,17 +365,20 @@ class DropsViewZeroCommits(Replica):
         super()._enter_view(target)
 
 
-class StripsReissues(DropsViewZeroCommits):
-    """A view-1 primary that re-signs its NEW_VIEW without the reissued
-    prepared certificates."""
+class StripsCertificates(DropsViewZeroCommits):
+    """A view-1 primary that cuts the prepared certificates out of the
+    VIEW_CHANGEs in its NEW_VIEW and re-signs the NEW_VIEW; it cannot
+    re-sign the VIEW_CHANGEs."""
 
     def drain(self):
         sends, timers = super().drain()
         out = []
         for dst, m in sends:
             if m.kind == MsgKind.NEW_VIEW and m.view == 1:
-                vcs, _ = m.payload
-                m = signed(self.keyring, m.kind, m.view, m.sq, m.sender, (vcs, ()))
+                (vcs,) = m.payload
+                cut = tuple(dataclasses.replace(vc, payload=(vc.payload[0], ()))
+                            for vc in vcs)
+                m = signed(self.keyring, m.kind, m.view, m.sq, m.sender, (cut,))
             out.append((dst, m))
         return out, timers
 
@@ -349,16 +403,19 @@ class TestCertificateCarryover:
         nodes, commits = run_carryover()
         prepared = set().union(*(n.prepared_in_view_0 for n in nodes.values()))
         assert len(prepared) == 1
-        assert set(commits.values()) == {(1, prepared.pop())}
+        digest = prepared.pop()
+        assert set(commits.values()) == {(1, digest)}
         assert all(n.views_entered == [1] for n in nodes.values())
-        # the view-1 primary reissued the one prepared certificate
+        # the NEW_VIEW's VIEW_CHANGEs carry the one prepared certificate
         for node in nodes.values():
             if node.rid != 1:
                 (nv,) = node.new_views
-                assert len(nv.payload[1]) == 1
+                (vcs,) = nv.payload
+                certs = [c for vc in vcs for c in vc.payload[1]]
+                assert certs and {batch_digest(c[2]) for c in certs} == {digest}
 
-    def test_new_view_without_reissue_is_rejected(self):
-        nodes, commits = run_carryover(view_1_primary=StripsReissues)
+    def test_new_view_with_cut_certificates_is_rejected(self):
+        nodes, commits = run_carryover(view_1_primary=StripsCertificates)
         prepared = set().union(*(n.prepared_in_view_0 for n in nodes.values()))
         assert len(prepared) == 1
         digest = prepared.pop()
