@@ -11,6 +11,10 @@ certificate only its batch and PREPAREs, and a NEW_VIEW only the 2f+1
 VIEW_CHANGEs that justify it, from which every replica entering the view
 takes the highest prepared certificate of each slot they name.
 
+Each replica runs one progress timer, only while requests wait at its
+execution watermark.  A 2f+1 COMMIT quorum in any view commits its digest,
+whatever view the batch arrives in.
+
 Each replica is a pure state machine: one event in (message or timer fire),
 outbound messages and timer operations out.  The simulator owns time and
 transport; replicas never block or sleep.
@@ -166,9 +170,7 @@ class SlotState:
     own_request: Optional[bytes] = None  # what we submitted here
     committed: bool = False
     committed_batch: Optional[tuple[ReqTriple, ...]] = None
-    deferred: Optional[tuple[int, bytes]] = None  # commits reached quorum, batch unknown
-    vc_round: int = 0
-    timer_running: bool = False
+    deferred: Optional[bytes] = None  # digest whose commit quorum came before its batch
     proposal_view: Optional[int] = None  # view in which we sent our pre-propose
     emitted_view: Optional[int] = None  # view in which we (as primary) pre-prepared
 
@@ -203,6 +205,8 @@ class Replica:
         self.view_changes: dict[int, dict[int, Message]] = defaultdict(dict)
         self.vc_voted = 0  # highest view we have voted to change into
         self.next_exec = 0  # execution watermark: every slot below it is done
+        self.vc_round = 0  # progress timeouts since next_exec last moved
+        self.timer_running = False  # the one progress timer
         self.future: list[Message] = []
         self.dropped_count = 0
 
@@ -267,7 +271,7 @@ class Replica:
             raise ValueError("sequence number must be non-negative and not executed")
         self._slot(sq).own_request = req
         self._send_request(sq, req)
-        self._start_progress_timer(sq)
+        self._start_progress_timer()
 
     def _send_request(self, sq: int, req: bytes):
         rtag = request_tag(self.keyring, self.rid, sq, req)
@@ -313,13 +317,16 @@ class Replica:
         handler(m)
 
     def on_timer(self, name, now: int = 0):
-        kind, arg = name  # arg is the target view of a "vc" timer, else a slot
-        if kind == "vc":
-            if self.view < arg:
+        kind, arg = name  # arg: the target view of "vc", the slot of "batch" and "prop"
+        if kind == "progress":
+            self.timer_running = False
+            self.vc_round += 1
+            self._start_view_change(self.view + 1)
+        elif kind == "vc":
+            if self.view < arg and self._waiting():
                 self._start_view_change(arg + 1)
         elif arg >= self.next_exec:
-            handler = {"batch": self._form_proposal, "prop": self._emit_pre_prepare,
-                       "slot": self._on_progress_timeout}[kind]
+            handler = {"batch": self._form_proposal, "prop": self._emit_pre_prepare}[kind]
             handler(arg)
 
     # -- request batching ------------------------------------------------
@@ -335,7 +342,7 @@ class Replica:
             self.dropped_count += 1
             return
         slot.pending[m.sender] = triple  # latest request per sender wins
-        self._start_progress_timer(sq)
+        self._start_progress_timer()
         if slot.proposal_view == self.view:
             return  # already pre-proposed this slot in this view
         if len(slot.pending) >= 2 * self.f + 1:
@@ -351,7 +358,8 @@ class Replica:
                 or len(slot.pending) < 2 * self.f + 1):
             return
         self._cancel_timer(("batch", sq))
-        self._restart_progress_timer(sq)
+        if sq == self.next_exec:
+            self._restart_progress_timer()
         self._propose(sq, slot)
 
     def _propose(self, sq: int, slot: SlotState):
@@ -417,9 +425,10 @@ class Replica:
         sv = slot.at(view)
         sv.accepted_digest = digest
         sv.batch = batch
-        self._restart_progress_timer(sq)
+        if sq == self.next_exec:
+            self._restart_progress_timer()
         self._broadcast(self._make(MsgKind.PREPARE, sq, (digest,), view=view))
-        if slot.deferred is not None and slot.deferred == (view, digest):
+        if slot.deferred == digest:
             self._commit_local(sq, view, digest, batch)
 
     def _on_prepare(self, m: Message):
@@ -453,8 +462,8 @@ class Replica:
             if sv.batch is not None and sv.accepted_digest == digest:
                 self._commit_local(m.sq, m.view, digest, sv.batch)
             else:
-                # quorum reached before we saw the batch; execute on arrival
-                slot.deferred = (m.view, digest)
+                # quorum reached before we saw the batch; commit it on arrival, in any view
+                slot.deferred = digest
 
     def _commit_local(self, sq: int, view: int, digest: bytes, batch):
         slot = self._slot(sq)
@@ -464,16 +473,11 @@ class Replica:
         slot.committed_batch = batch
         if self.commit_listener is not None:
             self.commit_listener(self.rid, sq, view, digest)
-        if slot.timer_running:
-            self._cancel_timer(("slot", sq))
-            slot.timer_running = False
         self._drain_executions()
 
     def _drain_executions(self):
-        while True:
-            slot = self.slots.get(self.next_exec)
-            if slot is None or not slot.committed:
-                return
+        start = self.next_exec
+        while (slot := self.slots.get(self.next_exec)) is not None and slot.committed:
             batch = slot.committed_batch
             sq = self.next_exec
             self.next_exec += 1
@@ -485,31 +489,29 @@ class Replica:
                 self.receiving_update(sq, origin, req)
             self.on_slot_committed(sq, batch)
             del self.slots[sq]
+        if self.next_exec != start:
+            self.vc_round = 0
+            self._restart_progress_timer()
 
     # -- timers and view change ----------------------------------------------
 
-    def _start_progress_timer(self, sq: int):
-        slot = self._slot(sq)
-        if slot.committed or slot.timer_running:
-            return
-        slot.timer_running = True
-        self._set_timer(("slot", sq), 6 * self.delta * (1 << slot.vc_round))
+    def _waiting(self) -> bool:
+        """Requests wait at the execution watermark."""
+        slot = self.slots.get(self.next_exec)
+        return slot is not None and (bool(slot.pending) or slot.own_request is not None)
 
-    def _restart_progress_timer(self, sq: int):
-        """Visible progress on the slot: push the timeout out."""
-        slot = self._slot(sq)
-        if slot.timer_running:
-            self._cancel_timer(("slot", sq))
-            slot.timer_running = False
-        self._start_progress_timer(sq)
-
-    def _on_progress_timeout(self, sq: int):
-        slot = self._slot(sq)
-        slot.timer_running = False
-        if slot.committed:
+    def _start_progress_timer(self):
+        if self.timer_running or not self._waiting():
             return
-        slot.vc_round += 1
-        self._start_view_change(self.view + 1)
+        self.timer_running = True
+        self._set_timer(("progress", None), 6 * self.delta * (1 << self.vc_round))
+
+    def _restart_progress_timer(self):
+        """Progress at the watermark: push the timeout out, or stop it if nothing waits."""
+        if self.timer_running:
+            self._cancel_timer(("progress", None))
+            self.timer_running = False
+        self._start_progress_timer()
 
     def _prepared_certs(self):
         certs = []
@@ -610,10 +612,7 @@ class Replica:
             slot.proposals = {}
             self._cancel_timer(("batch", sq))
             self._cancel_timer(("prop", sq))
-            if slot.timer_running:
-                self._cancel_timer(("slot", sq))
-                slot.timer_running = False
-            self._start_progress_timer(sq)
+        self._restart_progress_timer()
         # re-propose what we already batched, so the new primary does not
         # have to wait out a full round of request rebroadcasts
         for sq, slot in sorted(self.slots.items()):

@@ -150,16 +150,13 @@ class Simulator:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, until_time: Optional[int] = None, until: Optional[Callable] = None) -> Trace:
+    def run(self, until: Optional[Callable] = None) -> Trace:
         self.collect_all()
         events = 0
         while self._heap:
             if until is not None and until():
                 break
-            time, _, item = heapq.heappop(self._heap)
-            if until_time is not None and time > until_time:
-                break
-            self.clock = time
+            self.clock, _, item = heapq.heappop(self._heap)
             events += 1
             if events > self.config.max_events:
                 # the clock can outgrow str(int)'s 4300-digit limit

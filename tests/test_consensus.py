@@ -341,6 +341,23 @@ class TestExecutionWatermark:
             node.broadcast_update(1, b"late")
 
 
+class TestIdleReplica:
+    def test_lone_view_change_dies_out(self):
+        """A replica with nothing waiting to execute stops voting once its
+        vote gathers no support."""
+        keyring = KeyRing(range(4), random.Random(0))
+        nodes = {i: Replica(i, 4, 1, keyring) for i in range(4)}
+        sim = Simulator(SimConfig(n=4, f=1, max_events=10_000), nodes, AdversaryPolicy())
+        for node in nodes.values():
+            node.broadcast_update(0, b"req-%d" % node.rid)
+        sim.run()
+        assert all(node.next_exec == 1 for node in nodes.values())
+        nodes[3]._start_view_change(1)
+        sim.run()  # drains, where escalation would raise LivelockError
+        assert nodes[3].vc_voted == 1
+        assert all(node.view == 0 for node in nodes.values())
+
+
 class DropsViewZeroCommits(Replica):
     """Ignores every view-0 COMMIT, so each replica prepares in view 0 and
     none commits there; the prepared digest must survive the view change."""

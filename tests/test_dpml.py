@@ -328,12 +328,42 @@ def test_each_request_tag_checked_once_per_replica(monkeypatch):
 class TestPreGstTraining:
     """Defended training with every slot's requests submitted before GST."""
 
-    @pytest.mark.parametrize("seed", [4, 5])
-    def test_finishes_within_budget(self, monkeypatch, seed):
+    @pytest.mark.parametrize("mode, seed", [
+        ("ebyftves", 4),
+        ("ebyftves", 5),
+        # a replica with nothing left to execute escalated its view changes
+        ("ebyftves", 2),
+        ("ebyftves", 8),
+        # a commit quorum of one view, its batch accepted in a later one
+        ("ebyftves+acumpa", 26),
+    ])
+    def test_finishes_within_budget(self, monkeypatch, mode, seed):
         monkeypatch.setattr(dpml, "SimConfig",
                             functools.partial(SimConfig, max_events=60_000))
-        result = run(TrainingConfig(mode="ebyftves", seed=seed, gst=100, delta=2))
+        attackers = (3,) if mode.endswith("+acumpa") else ()
+        result = run(TrainingConfig(mode=mode, attackers=attackers, seed=seed,
+                                    gst=100, delta=2))
         assert len(result.metrics) == 30
+        assert result.adaptive_rounds == []
+
+
+class StrayRequest(dpml.WorkflowParticipant):
+    """Participant 0 also submits into a slot that no round ever reaches."""
+
+    def start_round(self, t):
+        super().start_round(t)
+        if self.rid == 0 and t == 1:
+            self.broadcast_update(10**6, b"stray")
+
+
+def test_stray_request_cannot_stall_a_run(monkeypatch):
+    config = TrainingConfig(mode="ebyftves", seed=0, rounds=3)
+    honest = run(config)
+    monkeypatch.setattr(dpml, "WorkflowParticipant", StrayRequest)
+    monkeypatch.setattr(dpml, "SimConfig", functools.partial(SimConfig, max_events=60_000))
+    result = run(config)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(honest.weights_history, result.weights_history, strict=True))
 
 
 class TestWhatDefends:

@@ -80,7 +80,7 @@ class TestDeliveryModel:
         sim, replicas = build_sim(gst=1000, adversary=AdversaryPolicy(
             drop_pre_gst_involving=frozenset({0})))
         replicas[0].broadcast_update(0, b"req")
-        sim.run(until_time=50)
+        sim.run(until=lambda: sim.clock >= 50)
         drops = [r for r in sim.trace.records if r["kind"] == "drop"]
         assert drops, "messages touching participant 0 should be dropped pre-GST"
 
@@ -88,7 +88,7 @@ class TestDeliveryModel:
         sim, replicas = build_sim()
         fired = []
         sim.schedule_call(10, lambda: fired.append(sim.clock))
-        sim.run(until_time=20)
+        sim.run()
         assert fired == [10]
 
     def test_livelock_guard(self):
