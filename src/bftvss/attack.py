@@ -134,9 +134,10 @@ class AcumpaAttacker:
         self.adaptive_rounds: list[int] = []
         self.fallback_rounds: list[int] = []
 
-    def observed_target(self, observed: dict[int, list[vss.ShareBundle]]) -> Optional[np.ndarray]:
-        """Reconstruct the honest average from observed shares, or None when
-        any dealer is short of th usable shares."""
+    def observed_target(self, observed: dict[int, list[vss.ShareBundle]],
+                        dim: int) -> Optional[np.ndarray]:
+        """Reconstruct the honest average of dim coordinates from observed
+        shares, or None when any dealer is short of th usable shares."""
         if not observed:
             return None
         secrets = []
@@ -144,14 +145,15 @@ class AcumpaAttacker:
             distinct = {b.eval_point: b for b in bundles}
             if len(distinct) < self.th:
                 return None
-            secrets.append(vss.reconstruct(distinct.values(), self.th, self.group, self.codec))
+            secrets.append(vss.reconstruct(distinct.values(), self.th, self.group,
+                                           self.codec, dim))
         return np.mean(np.array(secrets, dtype=float), axis=0)
 
     def craft_submission(self, round_index: int,
                          observed: dict[int, list[vss.ShareBundle]],
                          own_update: np.ndarray) -> tuple[np.ndarray, bool]:
         """Return (vector to submit, adaptive_engaged)."""
-        target = self.observed_target(observed)
+        target = self.observed_target(observed, own_update.size)
         if target is not None and float(np.linalg.norm(target)) > 0:
             crafted = asdp_craft(target, self.params)
             self.last_craft = crafted

@@ -260,7 +260,7 @@ def _baseline_step(config: TrainingConfig):
     over point-to-point channels and are verified independently; nothing is
     consensus-gated."""
     group = generate_group(config.bits_p, config.bits_q, config.seed)
-    codec = FixedPointCodec(config.fraction_bits, group.q)
+    codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     share_rng = random.Random(config.seed * 100003 + 7)
     attackers = {pid: _make_attacker(config, pid, group, codec)
                  for pid in config.attackers}
@@ -287,7 +287,7 @@ def _baseline_step(config: TrainingConfig):
             raise WorkflowError(f"round {t}: no dealer cleared verification")
         summed = [vss.sum_shares([bundles[d][j] for d in accepted], group)
                   for j in range(config.n)]
-        total = vss.reconstruct(summed, config.th, group, codec)
+        total = vss.reconstruct(summed, config.th, group, codec, config.dim)
         return np.asarray(total) / len(accepted), len(accepted)
 
     return step, attackers
@@ -430,7 +430,7 @@ class WorkflowParticipant(Replica):
         base = self.base_slot()
         if self.done or self.failed or not base <= sq <= base + 2:
             return
-        dim = self.config.dim
+        dim = self.codec.packed_length(self.config.dim)
         try:
             if sq == base:
                 ciphertexts, commits = decode_share_request(req)
@@ -497,7 +497,7 @@ class WorkflowParticipant(Replica):
                            f"shares committed, need {self.config.th}")
             return
         total = vss.reconstruct(self._agg.values(), self.config.th,
-                                self.group, self.codec)
+                                self.group, self.codec, self.config.dim)
         self.w = np.asarray(total) / len(self._dealer_set)
         go = self.coordinator.round_complete(self.rid, self.t, self.w,
                                              len(self._dealer_set))
@@ -553,7 +553,7 @@ class DelayedDealerNode(WorkflowParticipant):
             return
         if self._decided(sq):
             return  # deadline already passed
-        if self.attacker.observed_target(store) is None:
+        if self.attacker.observed_target(store, self.config.dim) is None:
             return  # keep waiting: more shares may still show up
         crafted, _ = self.attacker.craft_submission(self.t, store, self.update)
         self.submitted.add(sq)
@@ -572,7 +572,7 @@ class DelayedDealerNode(WorkflowParticipant):
 def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResult:
     datasets, test, w0 = _task(config)
     group = generate_group(config.bits_p, config.bits_q, config.seed)
-    codec = FixedPointCodec(config.fraction_bits, group.q)
+    codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     scheme = make_scheme(config.encryption, group)
     key_rng = random.Random(config.seed * 100003 + 11)
     keypairs = [scheme.keygen(key_rng) for _ in range(config.n)]
@@ -618,5 +618,6 @@ def run(config: TrainingConfig, collect_trace: bool = False) -> RunResult:
         return run_local(config)
     except EncodingRangeError as exc:
         # whether a value fits depends on the data, so validate cannot say
-        raise WorkflowError(f"fraction_bits {config.fraction_bits} is too large "
-                            f"for bits_q {config.bits_q}: {exc}") from exc
+        raise WorkflowError(f"a value exceeds the codec's bound max_abs, set by "
+                            f"fraction_bits {config.fraction_bits}, bits_q "
+                            f"{config.bits_q} and n {config.n}: {exc}") from exc

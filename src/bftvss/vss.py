@@ -1,10 +1,11 @@
-"""Feldman-style verifiable secret sharing, applied per gradient coordinate.
+"""Feldman-style verifiable secret sharing, applied per packed field element.
 
-Each coordinate of a gradient vector is shared through its own random
-polynomial of degree th-1; the dealer publishes g^{a_k} commitments for every
-coefficient so shareholders can check their share without learning the secret.
-Shares are additively homomorphic, which the aggregation workflow exploits:
-summed shares reconstruct to the sum of the dealt secrets.
+The codec packs a gradient vector into field elements, several coordinates
+to an element when q is wide enough.  Each element is shared through its own
+random polynomial of degree th-1; the dealer publishes g^{a_k} commitments
+for every coefficient so shareholders can check their share without learning
+the secret.  Shares are additively homomorphic, which the aggregation
+workflow exploits: summed shares reconstruct to the sum of the dealt secrets.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ class MalformedInputError(Exception):
 
 @dataclass(frozen=True)
 class ShareBundle:
-    """One shareholder's shares from one dealer: a field element per gradient
-    coordinate, all evaluated at the shareholder's point (index + 1)."""
+    """One shareholder's shares from one dealer: one per packed element, all
+    evaluated at the shareholder's point (index + 1).  The dimension counts
+    elements, not gradient coordinates."""
 
     dealer: int
     eval_point: int
@@ -49,24 +51,24 @@ class ShareBundle:
 
 @dataclass(frozen=True)
 class CommitmentVector:
-    """Per-coordinate Feldman commitments: for each coordinate, the th group
-    elements g^{a_0}, ..., g^{a_{th-1}}."""
+    """Feldman commitments, one row per packed element: the th group elements
+    g^{a_0}, ..., g^{a_{th-1}} of its polynomial."""
 
     dealer: int
-    per_coordinate: tuple[tuple[int, ...], ...]
+    per_element: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.per_coordinate)
+        return len(self.per_element)
 
     @property
     def threshold(self) -> int:
-        return len(self.per_coordinate[0]) if self.per_coordinate else 0
+        return len(self.per_element[0]) if self.per_element else 0
 
     def to_bytes(self) -> bytes:
-        """dealer, th, then every commitment, coordinate by coordinate; the
+        """dealer, th, then every commitment, element by element; the
         dimension is the count over th."""
-        flat = [c for coord in self.per_coordinate for c in coord]
+        flat = [c for row in self.per_element for c in row]
         return wire.u32(self.dealer) + wire.u32(self.threshold) + wire.pack_fixed(flat)
 
 
@@ -88,11 +90,11 @@ def parse_commitments(data: bytes) -> CommitmentVector:
         dealer, th, values = r.u32(), r.u32(), r.fixed()
         r.expect_end()
         if values and (not th or len(values) % th):
-            raise ValueError("commitments do not split into coordinates of th")
-        per_coordinate = tuple(values[i : i + th] for i in range(0, len(values), th or 1))
+            raise ValueError("commitments do not split into rows of th")
+        per_element = tuple(values[i : i + th] for i in range(0, len(values), th or 1))
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
-    return CommitmentVector(dealer=dealer, per_coordinate=per_coordinate)
+    return CommitmentVector(dealer=dealer, per_element=per_element)
 
 
 def eval_poly(coeffs: Sequence[int], x: int, q: int) -> int:
@@ -113,7 +115,7 @@ def share(
     rng: random.Random,
     dealer: int = 0,
 ) -> tuple[list[ShareBundle], CommitmentVector]:
-    """Encode a real-valued secret vector and share it coordinate-wise.
+    """Encode a real-valued secret vector and share it element-wise.
 
     Returns n bundles (evaluation points 1..n, one per shareholder)
     and the dealer's commitment vector.
@@ -129,11 +131,11 @@ def share(
                     values=tuple(eval_poly(coeffs, j, q) for coeffs in polys))
         for j in range(1, n + 1)
     ]
-    return bundles, CommitmentVector(dealer=dealer, per_coordinate=commitments)
+    return bundles, CommitmentVector(dealer=dealer, per_element=commitments)
 
 
 def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupParams) -> bool:
-    """Check g^{s_j} == c_0 * c_1^j * c_2^{j^2} * ... per coordinate.
+    """Check g^{s_j} == c_0 * c_1^j * c_2^{j^2} * ... per element.
 
     Exponents j^k are reduced mod q, which is sound because the commitments
     live in a subgroup of order q.
@@ -144,11 +146,11 @@ def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupPara
         raise MalformedInputError("bundle and commitments disagree on dimension")
     p, q = params.p, params.q
     j = bundle.eval_point
-    for value, coord_commits in zip(bundle.values, commitments.per_coordinate):
+    for value, row in zip(bundle.values, commitments.per_element):
         lhs = params.exp(value)
         rhs = 1
         jk = 1  # j^k mod q
-        for c in coord_commits:
+        for c in row:
             rhs = (rhs * pow(c, jk, p)) % p
             jk = (jk * j) % q
         if lhs != rhs:
@@ -175,7 +177,7 @@ def _select_bundles(bundles: Iterable[ShareBundle], th: int) -> list[ShareBundle
 def reconstruct_encoded(
     bundles: Iterable[ShareBundle], th: int, params: GroupParams
 ) -> tuple[int, ...]:
-    """Lagrange interpolation at 0 over Z_q, per coordinate.
+    """Lagrange interpolation at 0 over Z_q, per element.
 
     If more than th bundles are given, the th with the lowest evaluation
     points are used, so the result is deterministic.
@@ -193,12 +195,11 @@ def reconstruct_encoded(
             num = (num * (-xj)) % q
             den = (den * (xi - xj)) % q
         lambdas.append((num * pow(den, -1, q)) % q)
-    dim = chosen[0].dimension
     out = []
-    for coord in range(dim):
+    for k in range(chosen[0].dimension):
         acc = 0
         for b, lam in zip(chosen, lambdas):
-            acc = (acc + b.values[coord] * lam) % q
+            acc = (acc + b.values[k] * lam) % q
         out.append(acc)
     return tuple(out)
 
@@ -208,13 +209,14 @@ def reconstruct(
     th: int,
     params: GroupParams,
     codec: FixedPointCodec,
+    dim: int,
 ) -> tuple[float, ...]:
-    """Reconstruct and decode back to the real domain."""
-    return codec.decode_vector(reconstruct_encoded(bundles, th, params))
+    """Reconstruct and decode back to a real vector of dim coordinates."""
+    return codec.decode_vector(reconstruct_encoded(bundles, th, params), dim)
 
 
 def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBundle:
-    """Coordinate-wise field sum of one shareholder's bundles from distinct
+    """Element-wise field sum of one shareholder's bundles from distinct
     dealers, labelled AGGREGATE_DEALER even when there is one bundle.
     Reconstructing th such sums yields the sum of the secrets."""
     if not bundles:

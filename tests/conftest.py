@@ -21,8 +21,14 @@ def group() -> GroupParams:
 
 
 @pytest.fixture(scope="session")
+def group_2048() -> GroupParams:
+    """The committed 2048/256 group: no search, validated once per process."""
+    return generate_group(2048, 256, 0)
+
+
+@pytest.fixture(scope="session")
 def codec(group) -> FixedPointCodec:
-    return FixedPointCodec(16, group.q)
+    return FixedPointCodec(16, group.q, 4)
 
 
 @pytest.fixture()

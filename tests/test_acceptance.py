@@ -35,7 +35,7 @@ class TestCriterion1RoundTrip:
                            for _ in range(16))
             bundles, _ = vss.share(secret, 3, 4, group, codec, rng)
             for subset in itertools.combinations(bundles, 3):
-                assert vss.reconstruct(subset, 3, group, codec) == secret
+                assert vss.reconstruct(subset, 3, group, codec, 16) == secret
         assert time.monotonic() - start < 10.0
 
 

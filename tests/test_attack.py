@@ -133,7 +133,7 @@ class TestAcumpaAttacker:
             0: self._deal([1.0, 0.0], group, codec, rng, 0),
             1: self._deal([0.0, 1.0], group, codec, rng, 1),
         }
-        target = attacker.observed_target(observed)
+        target = attacker.observed_target(observed, 2)
         assert target == pytest.approx([0.5, 0.5], abs=1e-12)
         out, engaged = attacker.craft_submission(1, observed, np.ones(2))
         assert engaged
@@ -143,7 +143,7 @@ class TestAcumpaAttacker:
     def test_below_threshold_observation_forces_fallback(self, group, codec, rng):
         attacker = self._attacker(group, codec)
         observed = {0: self._deal([1.0, 0.0], group, codec, rng, 0)[:2]}
-        assert attacker.observed_target(observed) is None
+        assert attacker.observed_target(observed, 2) is None
         out, engaged = attacker.craft_submission(1, observed, np.array([3.0, 4.0]))
         assert not engaged
         assert attacker.fallback_rounds == [1]

@@ -21,6 +21,7 @@ from bftvss.dpml import (
     encode_vote_request,
     run,
 )
+from bftvss.field import FixedPointCodec
 from bftvss.netsim import SimConfig
 
 FAST = dict(rounds=4, samples=100, test_samples=200, dim=8)
@@ -163,18 +164,18 @@ class TestDefendedEngine:
 
 
 class ShortCommitments(dpml.WorkflowParticipant):
-    """Participant 0 submits commitments one coordinate short."""
+    """Participant 0 submits commitments one element short."""
 
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 0:
             cts, commits = decode_share_request(req)
             req = encode_share_request(cts, vss.CommitmentVector(
-                commits.dealer, commits.per_coordinate[:-1]))
+                commits.dealer, commits.per_element[:-1]))
         super().broadcast_update(sq, req)
 
 
 class ShortAggShare(dpml.WorkflowParticipant):
-    """Participant 0 submits an aggregated share one coordinate short."""
+    """Participant 0 submits an aggregated share one element short."""
 
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 2:
@@ -389,6 +390,79 @@ class TestWhatDefends:
         assert result.final_accuracy > 0.9 and result.it <= 5
 
 
+PACKED = dict(bits_p=2048, bits_q=256, rounds=3, seed=0)
+VSS_MODES = ("ebyftves", "ebyftves+acumpa", "baseline-vss", "baseline-vss+acumpa")
+
+
+@functools.cache
+def packed_and_unpacked(mode: str):
+    """mode at the committed 2048/256 group (nine coordinates to an element)
+    and at the 96/48 default (one), same seed."""
+    attackers = (3,) if mode.endswith("+acumpa") else ()
+    return tuple(run(TrainingConfig(mode=mode, attackers=attackers, **config))
+                 for config in (PACKED, dict(PACKED, bits_p=96, bits_q=48)))
+
+
+class TestPackedWorkflows:
+    @pytest.mark.parametrize("mode", VSS_MODES)
+    def test_packing_changes_no_weight(self, mode):
+        packed, unpacked = packed_and_unpacked(mode)
+        assert packed.adaptive_rounds == unpacked.adaptive_rounds
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(packed.weights_history, unpacked.weights_history, strict=True))
+
+    @pytest.mark.parametrize("mode", ["ebyftves", "baseline-vss"])
+    def test_honest_matches_plain_within_fixed_point(self, mode):
+        plain = run(TrainingConfig(mode="fedavg-plain", **PACKED))
+        packed, _ = packed_and_unpacked(mode)
+        tol = 4 * 2.0 ** -16
+        for wp, ws in zip(plain.weights_history, packed.weights_history, strict=True):
+            assert np.max(np.abs(wp - ws)) < tol
+
+    def test_attack_engagement_as_unpacked(self):
+        defended, _ = packed_and_unpacked("ebyftves+acumpa")
+        baseline, _ = packed_and_unpacked("baseline-vss+acumpa")
+        assert defended.adaptive_rounds == []
+        assert all(m.dealer_count == 3 for m in defended.metrics)
+        assert baseline.adaptive_rounds == [1, 2, 3]
+
+
+@dataclasses.dataclass(frozen=True)
+class TopLanes(FixedPointCodec):
+    """Encodes any vector as elements whose every lane holds 2^(width-1) - 1,
+    the top of its signed range: summed with any positive coordinate, a lane
+    carries into the next."""
+
+    def encode_vector(self, xs):
+        lane = (1 << (self.width - 1)) - 1
+        e = sum(lane << (self.width * k) for k in range(self.lanes))
+        return (e % self.q,) * self.packed_length(len(xs))
+
+
+class CarryDealer(dpml.WorkflowParticipant):
+    """Participant 0 deals TopLanes elements, which verify against their
+    commitments like any others."""
+
+    def __init__(self, rid, config, keyring, group, codec, *args):
+        if rid == 0:
+            codec = TopLanes(codec.fraction_bits, codec.q, codec.summands)
+        super().__init__(rid, config, keyring, group, codec, *args)
+
+
+class TestLaneCarry:
+    """A Byzantine dealer controls every lane of its own elements, so a carry
+    it induces into a neighbouring lane gives it no power it lacks: honest
+    participants reconstruct identical weights, or the run ends in a
+    WorkflowError; no other exception escapes.  Here every participant
+    reconstructs the same round-1 weights, carried out of range, and the
+    first round-2 update over max_abs ends the run."""
+
+    def test_carry_dealer(self, monkeypatch):
+        monkeypatch.setattr(dpml, "WorkflowParticipant", CarryDealer)
+        with pytest.raises(WorkflowError, match="max_abs"):
+            run(TrainingConfig(mode="ebyftves", **PACKED))
+
+
 class TestSumAverageOracle:
     def test_two_dealers_share_sum_then_average(self, group, codec, rng):
         """End-to-end miniature of the aggregation path: secrets 1.0 and 2.0
@@ -397,7 +471,7 @@ class TestSumAverageOracle:
         a, _ = vss.share([1.0], 3, 4, group, codec, rng, dealer=0)
         b, _ = vss.share([2.0], 3, 4, group, codec, rng, dealer=1)
         summed = [vss.sum_shares([a[j], b[j]], group) for j in range(4)]
-        total = vss.reconstruct(summed, 3, group, codec)
+        total = vss.reconstruct(summed, 3, group, codec, 1)
         assert total == (3.0,)
         assert total[0] / 2 == 1.5
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bftvss import vss
 from bftvss.field import (
     EncodingRangeError,
     FixedPointCodec,
@@ -95,42 +97,123 @@ class TestFixedBaseExp:
 
 
 class TestFixedPointCodec:
-    def test_exact_values(self, group):
-        codec = FixedPointCodec(16, group.q)
-        assert codec.decode(codec.encode(1.5)) == 1.5
-        assert codec.decode(codec.encode(-2.25)) == -2.25
-        assert codec.decode(codec.encode(0.0)) == 0.0
+    def test_exact_values(self, codec):
+        xs = (1.5, -2.25, 0.0)
+        assert codec.decode_vector(codec.encode_vector(xs), 3) == xs
 
-    def test_negative_wraps_to_top_half(self, group):
-        codec = FixedPointCodec(16, group.q)
-        e = codec.encode(-1.0)
+    def test_negative_wraps_to_top_half(self, group, codec):
+        (e,) = codec.encode_vector([-1.0])
         assert e > group.q // 2
-        assert codec.decode(e) == -1.0
+        assert codec.decode_vector([e], 1) == (-1.0,)
 
-    def test_range_error(self, group):
-        codec = FixedPointCodec(16, group.q)
+    def test_range_error(self, codec):
         with pytest.raises(EncodingRangeError):
-            codec.encode(codec.max_abs)
+            codec.encode_vector([codec.max_abs])
         with pytest.raises(EncodingRangeError):
-            codec.encode(-codec.max_abs * 2)
+            codec.encode_vector([-codec.max_abs * 2])
 
-    def test_encode_is_additive(self, group):
-        codec = FixedPointCodec(16, group.q)
+    def test_encode_is_additive(self, group, codec):
         rng = random.Random(0)
         for _ in range(200):
             # representable multiples of 2^-16 add without rounding error
             a = rng.randrange(-1 << 20, 1 << 20) / codec.scale
             b = rng.randrange(-1 << 20, 1 << 20) / codec.scale
-            summed = (codec.encode(a) + codec.encode(b)) % group.q
-            assert codec.decode(summed) == a + b
+            (ea,), (eb,) = codec.encode_vector([a]), codec.encode_vector([b])
+            assert codec.decode_vector([(ea + eb) % group.q], 1) == (a + b,)
 
     @given(st.floats(-100.0, 100.0, allow_nan=False))
     @settings(max_examples=300)
-    def test_roundtrip_within_half_ulp(self, group, x):
-        codec = FixedPointCodec(16, group.q)
-        assert abs(codec.decode(codec.encode(x)) - x) <= 0.5 / codec.scale
+    def test_roundtrip_within_half_ulp(self, codec, x):
+        (y,) = codec.decode_vector(codec.encode_vector([x]), 1)
+        assert abs(y - x) <= 0.5 / codec.scale
 
-    def test_vector_helpers(self, group):
-        codec = FixedPointCodec(16, group.q)
+    def test_vector_helpers(self, codec):
         xs = (0.5, -0.5, 3.0)
-        assert codec.decode_vector(codec.encode_vector(xs)) == xs
+        assert codec.decode_vector(codec.encode_vector(xs), 3) == xs
+
+    @pytest.mark.parametrize("n", [4, 7, 10, 13])
+    def test_one_lane_at_the_default_group(self, group, n):
+        # so every 96/48 encoding is the unpacked one: v mod q
+        codec = FixedPointCodec(16, group.q, n)
+        assert codec.lanes == 1
+        assert codec.encode_vector([-1.0, 2.5]) == (group.q - codec.scale,
+                                                     5 * codec.scale // 2)
+
+    @pytest.mark.parametrize("n", [4, 7, 10, 13])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_summands_at_the_bound_sum_exactly(self, group, n, sign):
+        codec = FixedPointCodec(16, group.q, n)
+        x = sign * (codec.max_abs - 1 / codec.scale)
+        (e,) = codec.encode_vector([x])
+        assert codec.decode_vector([e * n % group.q], 1) == (n * x,)
+
+    def test_decode_rejects_a_wrong_element_count(self, codec):
+        with pytest.raises(ValueError):
+            codec.decode_vector((1, 2), 1)
+
+
+@pytest.fixture(scope="module")
+def packed(group_2048) -> FixedPointCodec:
+    return FixedPointCodec(16, group_2048.q, 4)
+
+
+def in_range(codec: FixedPointCodec):
+    return st.floats(-codec.max_abs, codec.max_abs, exclude_min=True, exclude_max=True)
+
+
+class TestPackedCodec:
+    """Nine 28-bit lanes to an element of the committed 2048/256 group."""
+
+    def test_shape(self, packed):
+        assert (packed.lanes, packed.width, packed.max_abs) == (9, 28, 256.0)
+        assert packed.packed_length(16) == 2
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_within_half_ulp(self, packed, data):
+        dim = data.draw(st.integers(1, 3 * packed.lanes + 1))
+        xs = data.draw(st.lists(in_range(packed), min_size=dim, max_size=dim))
+        es = packed.encode_vector(xs)
+        assert len(es) == packed.packed_length(dim)
+        ys = packed.decode_vector(es, dim)
+        assert all(abs(y - x) <= 0.5 / packed.scale for x, y in zip(xs, ys, strict=True))
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_summands_sum_exactly_through_shares(self, group_2048, packed, data):
+        dim = data.draw(st.integers(1, 2 * packed.lanes + 1))
+        vectors = data.draw(st.lists(
+            st.lists(in_range(packed), min_size=dim, max_size=dim),
+            min_size=packed.summands, max_size=packed.summands))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        dealt = [vss.share(v, 3, 4, group_2048, packed, rng, dealer=d)[0]
+                 for d, v in enumerate(vectors)]
+        summed = [vss.sum_shares([bundles[j] for bundles in dealt], group_2048)
+                  for j in range(4)]
+        decoded = [packed.decode_vector(packed.encode_vector(v), dim) for v in vectors]
+        expected = tuple(sum(column) for column in zip(*decoded))
+        assert vss.reconstruct(summed, 3, group_2048, packed, dim) == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_elements_decode_to_finite_values(self, packed, data):
+        # what a Byzantine dealer's elements reconstruct to
+        dim = data.draw(st.integers(1, 3 * packed.lanes + 1))
+        es = data.draw(st.lists(st.integers(0, packed.q - 1),
+                                min_size=packed.packed_length(dim),
+                                max_size=packed.packed_length(dim)))
+        ys = packed.decode_vector(es, dim)
+        bound = 2.0 ** (packed.width - 1) / packed.scale
+        assert len(ys) == dim and all(math.isfinite(y) and abs(y) <= bound for y in ys)
+
+    @given(st.floats(allow_nan=False).filter(lambda x: abs(x) >= 256.0),  # max_abs
+           st.integers(0, 8))
+    def test_out_of_range_raises(self, packed, x, k):
+        xs = [0.0] * 9
+        xs[k] = x
+        with pytest.raises(EncodingRangeError):
+            packed.encode_vector(xs)
+
+    def test_nan_raises(self, packed):
+        with pytest.raises(EncodingRangeError):
+            packed.encode_vector([math.nan])

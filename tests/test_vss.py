@@ -46,7 +46,7 @@ class TestHandOracle:
     def test_commitments_verify(self, tiny_group):
         # commitments for f(x) = 5 + 3x: (g^5, g^3) = (32, 8) mod 47
         assert pow(2, 5, 47) == 32 and pow(2, 3, 47) == 8
-        commits = CommitmentVector(dealer=0, per_coordinate=((32, 8),))
+        commits = CommitmentVector(dealer=0, per_element=((32, 8),))
         good = ShareBundle(dealer=0, eval_point=2, values=(11,))
         assert vss.verify(good, commits, tiny_group)
         bad = ShareBundle(dealer=0, eval_point=2, values=(12,))
@@ -59,23 +59,23 @@ class TestShareReconstruct:
         bundles, commits = vss.share(secret, 3, 4, group, codec, rng, dealer=7)
         assert all(vss.verify(b, commits, group) for b in bundles)
         for subset in itertools.combinations(bundles, 3):
-            assert vss.reconstruct(subset, 3, group, codec) == tuple(secret)
+            assert vss.reconstruct(subset, 3, group, codec, 3) == tuple(secret)
 
     def test_insufficient_shares(self, group, codec, rng):
         bundles, _ = vss.share([1.0], 3, 4, group, codec, rng)
         with pytest.raises(InsufficientSharesError):
-            vss.reconstruct(bundles[:2], 3, group, codec)
+            vss.reconstruct(bundles[:2], 3, group, codec, 1)
 
     def test_duplicate_points_rejected(self, group, codec, rng):
         bundles, _ = vss.share([1.0], 2, 4, group, codec, rng)
         with pytest.raises(MalformedInputError):
-            vss.reconstruct([bundles[0], bundles[0]], 2, group, codec)
+            vss.reconstruct([bundles[0], bundles[0]], 2, group, codec, 1)
 
     def test_mixed_dealers_rejected(self, group, codec, rng):
         a, _ = vss.share([1.0], 2, 4, group, codec, rng, dealer=1)
         b, _ = vss.share([1.0], 2, 4, group, codec, rng, dealer=2)
         with pytest.raises(MalformedInputError):
-            vss.reconstruct([a[0], b[1]], 2, group, codec)
+            vss.reconstruct([a[0], b[1]], 2, group, codec, 1)
 
     def test_threshold_bounds(self, group, codec, rng):
         with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ class TestShareReconstruct:
         rng = random.Random(seed)
         bundles, commits = vss.share(secret, 3, 4, group, codec, rng)
         assert all(vss.verify(b, commits, group) for b in bundles)
-        assert vss.reconstruct(bundles, 3, group, codec) == tuple(secret)
+        assert vss.reconstruct(bundles, 3, group, codec, len(secret)) == tuple(secret)
 
 
 class TestSoundness:
@@ -141,7 +141,7 @@ class TestHomomorphism:
         summed = [vss.sum_shares([dealt[d][j] for d in range(3)], group)
                   for j in range(4)]
         assert all(b.dealer == AGGREGATE_DEALER for b in summed)
-        total = vss.reconstruct(summed, 3, group, codec)
+        total = vss.reconstruct(summed, 3, group, codec, 2)
         assert total == (0.75, 1.5)
 
     def test_sum_rejects_duplicate_dealers(self, group, codec, rng):
@@ -181,15 +181,15 @@ class TestSerialization:
         def commitments(th):
             return wire.u32(0) + wire.u32(th) + wire.pack_fixed([5, 6, 7])
 
-        assert vss.parse_commitments(commitments(3)).per_coordinate == ((5, 6, 7),)
-        assert vss.parse_commitments(commitments(1)).per_coordinate == ((5,), (6,), (7,))
+        assert vss.parse_commitments(commitments(3)).per_element == ((5, 6, 7),)
+        assert vss.parse_commitments(commitments(1)).per_element == ((5,), (6,), (7,))
         with pytest.raises(MalformedInputError):
             vss.parse_commitments(commitments(0))  # elements but no threshold
         with pytest.raises(MalformedInputError):
             vss.parse_commitments(commitments(2))  # 3 is not a multiple of 2
 
     def test_empty_commitments_roundtrip(self):
-        empty = CommitmentVector(dealer=4, per_coordinate=())
+        empty = CommitmentVector(dealer=4, per_element=())
         assert vss.parse_commitments(empty.to_bytes()) == empty
 
     def test_zero_width_rejected_before_allocating(self):
