@@ -12,7 +12,8 @@ VIEW_CHANGEs that justify it, from which every replica entering the view
 takes the highest prepared certificate of each slot they name.
 
 Each replica runs one progress timer, only while requests wait at its
-execution watermark.  A 2f+1 COMMIT quorum in any view commits its digest,
+execution watermark; its timeouts double per view change, up to 2^_MAX_BACKOFF
+times the first.  A 2f+1 COMMIT quorum in any view commits its digest,
 whatever view the batch arrives in.
 
 Each replica is a pure state machine: one event in (message or timer fire),
@@ -50,6 +51,10 @@ class MsgKind(IntEnum):
 # rtag authenticates (origin, sq, req) independently of the enclosing
 # message, so batched requests cannot be forged or replayed across slots.
 ReqTriple = tuple[int, bytes, bytes]
+
+# Largest exponent of a timer's backoff: peers that keep views changing
+# cannot stretch a timeout past 6 * delta * 2^_MAX_BACKOFF.
+_MAX_BACKOFF = 10
 
 
 def request_tag(keyring: KeyRing, origin: int, sq: int, req: bytes) -> bytes:
@@ -504,7 +509,8 @@ class Replica:
         if self.timer_running or not self._waiting():
             return
         self.timer_running = True
-        self._set_timer(("progress", None), 6 * self.delta * (1 << self.vc_round))
+        self._set_timer(("progress", None),
+                        6 * self.delta * (1 << min(self.vc_round, _MAX_BACKOFF)))
 
     def _restart_progress_timer(self):
         """Progress at the watermark: push the timeout out, or stop it if nothing waits."""
@@ -529,7 +535,8 @@ class Replica:
         self.vc_voted = target
         m = self._make(MsgKind.VIEW_CHANGE, 0, (target, self._prepared_certs()), view=self.view)
         self._broadcast(m)
-        self._set_timer(("vc", target), 6 * self.delta * (1 << max(0, target - self.view)))
+        self._set_timer(("vc", target),
+                        6 * self.delta * (1 << min(target - self.view, _MAX_BACKOFF)))
 
     def _check_cert(self, cert) -> bool:
         """2f+1 distinct senders' authentic PREPAREs of the batch's digest."""

@@ -69,10 +69,10 @@ class HybridScheme:
     and is framed nonce || lp(body) || mac.
 
     Because K_ij = K_ji, j can reflect i's ciphertext for j back to i as
-    its own; the recipient drops it by checking the dealer id inside the
-    plaintext against the request's origin.  Good enough to make
-    eavesdropped ciphertexts opaque and tampered ciphertexts detectable
-    inside the simulator.
+    its own.  It opens to i's share for j, which fails verification at i's
+    own point against j's commitments, so it earns j no vote from i.  Good
+    enough to make eavesdropped ciphertexts opaque and tampered ciphertexts
+    detectable inside the simulator.
     """
 
     name = "hybrid"

@@ -17,12 +17,14 @@ Two drivers run the rounds:
   (WorkflowParticipant) and a malicious one is a subclass of it
   (DelayedDealerNode for "+acumpa").  Each round occupies three consensus
   slots: encrypted shares plus commitments, then bundled verification
-  votes, then aggregated sum shares; every request's dealer, voter or
-  sender is its authenticated origin.  What defends against the delaying
-  dealer is share encryption: it opens only the shares dealt to itself,
-  never th of one honest dealer's, so it cannot reconstruct the honest
-  updates, and a dealer that has submitted nothing when the share slot
-  commits is left out of the round.  The commit deadline alone does not
+  votes, then aggregated sum shares.  A request carries only what its
+  receivers cannot derive: its dealer, voter or sender is its authenticated
+  origin, the slot gives its kind, th splits the commitments into rows, and
+  a share's evaluation point is its holder's id + 1.  What defends against
+  the delaying dealer is share encryption: it opens only the shares dealt
+  to itself, never th of one honest dealer's, so it cannot reconstruct the
+  honest updates, and a dealer that has submitted nothing when the share
+  slot commits is left out of the round.  The commit deadline alone does not
   defend: with encryption "identity" the attacker sees every share before
   the slot commits, and its crafted update enters every round.
 
@@ -265,21 +267,20 @@ def _baseline_step(config: TrainingConfig):
     attackers = {pid: _make_attacker(config, pid, group, codec)
                  for pid in config.attackers}
 
-    def deal(vector, dealer):
-        return vss.share(vector, config.th, config.n, group, codec, share_rng,
-                         dealer=dealer)
+    def deal(vector):
+        return vss.share(vector, config.th, config.n, group, codec, share_rng)
 
     def step(t, updates):
         bundles: dict[int, list[vss.ShareBundle]] = {}
         commits: dict[int, vss.CommitmentVector] = {}
         for i in range(config.n):
             if i not in attackers:
-                bundles[i], commits[i] = deal(updates[i], i)
+                bundles[i], commits[i] = deal(updates[i])
         # a delaying dealer sees every honest share before it has to submit
         observed = {d: list(bs) for d, bs in bundles.items()}
         for pid in sorted(attackers):
             vec, _ = attackers[pid].craft_submission(t, observed, updates[pid])
-            bundles[pid], commits[pid] = deal(vec, pid)
+            bundles[pid], commits[pid] = deal(vec)
         accepted = sorted(
             d for d, bs in bundles.items()
             if sum(vss.verify(b, commits[d], group) for b in bs) >= config.n - config.f)
@@ -330,42 +331,30 @@ def _finish(config: TrainingConfig, coordinator: _Coordinator,
 # -- engine: defended consensus-gated workflow --------------------------------
 
 
-def encode_share_request(ciphertexts, commitments) -> bytes:
-    return b"S" + wire.pack_blobs(ciphertexts) + wire.lp(commitments.to_bytes())
+def encode_share_request(ciphertexts, commitments: vss.CommitmentVector) -> bytes:
+    return wire.pack_blobs(ciphertexts) + vss.commitments_to_bytes(commitments)
 
 
-def decode_share_request(req: bytes):
+def decode_share_request(req: bytes, th: int):
     r = wire.Reader(req)
-    if r.take(1) != b"S":
-        raise ValueError("not a share request")
-    ciphertexts, commitments = r.blobs(), vss.parse_commitments(r.lp())
-    r.expect_end()
-    return ciphertexts, commitments
+    ciphertexts = r.blobs()
+    return ciphertexts, vss.parse_commitments(req[r.off:], th)
 
 
 def encode_vote_request(verified) -> bytes:
-    out = [b"V", wire.u32(len(verified))]
-    out.extend(wire.u32(d) for d in sorted(verified))
-    return b"".join(out)
+    return wire.pack_fixed(sorted(verified))
 
 
 def decode_vote_request(req: bytes):
-    r = wire.Reader(req)
-    if r.take(1) != b"V":
-        raise ValueError("not a vote request")
-    verified = [r.u32() for _ in range(r.u32())]
-    r.expect_end()
-    return verified
+    return wire.unpack_fixed(req)
 
 
 def encode_agg_request(bundle: vss.ShareBundle) -> bytes:
-    return b"A" + bundle.to_bytes()
+    return bundle.to_bytes()
 
 
-def decode_agg_request(req: bytes):
-    if req[:1] != b"A":
-        raise ValueError("not an aggregated-share request")
-    return vss.parse_bundle(req[1:])
+def decode_agg_request(req: bytes, eval_point: int) -> vss.ShareBundle:
+    return vss.parse_bundle(req, eval_point)
 
 
 class WorkflowParticipant(Replica):
@@ -375,8 +364,9 @@ class WorkflowParticipant(Replica):
     Round t (1-indexed) occupies slots 3(t-1)..3(t-1)+2: encrypted shares
     with commitments, then one bundled verification-vote request per
     participant, then aggregated sum shares.  All round state is fed by
-    receiving_update, so it is scoped to committed batches by construction,
-    and every dealer, voter and sender is the request's authenticated origin.
+    receiving_update, so it is scoped to committed batches by construction.
+    A share verifies at the recipient's own point against its origin's
+    commitments, or it earns the origin no vote from that recipient.
     """
 
     def __init__(self, rid, config, keyring, group, codec, scheme, secret_key,
@@ -414,8 +404,7 @@ class WorkflowParticipant(Replica):
 
     def submit_shares(self, vector):
         bundles, commits = vss.share(vector, self.config.th, self.config.n,
-                                     self.group, self.codec, self.rng,
-                                     dealer=self.rid)
+                                     self.group, self.codec, self.rng)
         ciphertexts = [
             self.scheme.encrypt(self.secret_key, self.publics[j],
                                 bundles[j].to_bytes(), self.rng)
@@ -433,28 +422,21 @@ class WorkflowParticipant(Replica):
         dim = self.codec.packed_length(self.config.dim)
         try:
             if sq == base:
-                ciphertexts, commits = decode_share_request(req)
-                if (commits.dealer != origin or len(ciphertexts) != self.config.n
-                        or commits.dimension != dim
-                        or commits.threshold != self.config.th):
+                ciphertexts, commits = decode_share_request(req, self.config.th)
+                if len(ciphertexts) != self.config.n or len(commits) != dim:
                     return
                 self._commits[origin] = commits
                 plain = self.scheme.decrypt(self.secret_key, self.publics[origin],
                                             ciphertexts[self.rid])
-                bundle = vss.parse_bundle(plain)
-                # the dealer inside the ciphertext stops a Byzantine dealer from
-                # reflecting an honest dealer's ciphertext back as its own: the
-                # pair key of (dealer, recipient) is the same in both directions
-                if (bundle.dealer == origin and bundle.eval_point == self.eval_point
-                        and bundle.dimension == dim):
+                bundle = vss.parse_bundle(plain, self.eval_point)
+                if bundle.dimension == dim:
                     self._own_shares[origin] = bundle
             elif sq == base + 1:
                 for d in decode_vote_request(req):
                     self._votes[d].add(origin)
             else:
-                bundle = decode_agg_request(req)
-                if (bundle.dealer == vss.AGGREGATE_DEALER
-                        and bundle.eval_point == origin + 1 and bundle.dimension == dim):
+                bundle = decode_agg_request(req, origin + 1)
+                if bundle.dimension == dim:
                     self._agg[origin] = bundle
         except (ValueError, DecryptionError, vss.MalformedInputError):
             return  # malformed or undecryptable input from a faulty peer
@@ -534,18 +516,16 @@ class DelayedDealerNode(WorkflowParticipant):
 
     def _eavesdrop(self, sq: int, dealer: int, req: bytes):
         try:
-            ciphertexts, _ = decode_share_request(req)
+            ciphertexts, _ = decode_share_request(req, self.config.th)
         except (ValueError, vss.MalformedInputError):
             return
         store = self.observed.setdefault(sq, defaultdict(list))
-        for ct in ciphertexts:
+        for j, ct in enumerate(ciphertexts):  # ciphertext j is the share at j + 1
             try:
-                bundle = vss.parse_bundle(
-                    self.scheme.decrypt(self.secret_key, self.publics[dealer], ct))
-            except (DecryptionError, ValueError, vss.MalformedInputError):
+                store[dealer].append(vss.parse_bundle(
+                    self.scheme.decrypt(self.secret_key, self.publics[dealer], ct), j + 1))
+            except (DecryptionError, vss.MalformedInputError):
                 continue
-            if bundle.dealer == dealer:
-                store[dealer].append(bundle)
         self._maybe_submit(sq, store)
 
     def _maybe_submit(self, sq: int, store):

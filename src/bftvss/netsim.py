@@ -43,14 +43,13 @@ class SimConfig:
 
 @dataclass
 class AdversaryPolicy:
-    """Delay/drop control.  Before GST the adversary drops messages touching
-    the configured targets and stretches the rest up to 4 * delta; after GST
-    honest-to-honest delivery is bounded by delta.  Payloads are never
-    mutated in transit: receivers authenticate, so mutation would only waste
-    the message."""
+    """Delay control.  Before GST the adversary stretches every delivery up
+    to 4 * delta; after GST honest-to-honest delivery is bounded by delta.
+    A subclass may drop a message by returning None from schedule, which
+    the simulator records as a drop.  Payloads are never mutated in transit:
+    receivers authenticate, so mutation would only waste the message."""
 
     corrupt: frozenset = frozenset()
-    drop_pre_gst_involving: frozenset = frozenset()
 
     def validate(self, config: SimConfig):
         if len(self.corrupt) > config.f:
@@ -61,8 +60,6 @@ class AdversaryPolicy:
         """Return the delivery delay in ticks, or None to drop."""
         if now >= config.gst:
             return rng.randint(1, config.delta)
-        if src in self.drop_pre_gst_involving or dst in self.drop_pre_gst_involving:
-            return None
         return rng.randint(1, 4 * config.delta)
 
 

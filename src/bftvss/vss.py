@@ -6,6 +6,11 @@ random polynomial of degree th-1; the dealer publishes g^{a_k} commitments
 for every coefficient so shareholders can check their share without learning
 the secret.  Shares are additively homomorphic, which the aggregation
 workflow exploits: summed shares reconstruct to the sum of the dealt secrets.
+
+A share is its evaluation point and its values, and commitments are their
+rows; neither names a dealer.  Callers key both by dealer, and a receiver
+knows a share's point (its own, or its sender's) and th, so only the values
+cross the wire.
 """
 
 from __future__ import annotations
@@ -17,18 +22,14 @@ from typing import Iterable, Sequence
 from . import wire
 from .field import FixedPointCodec, GroupParams
 
-# Dealer id carried by bundles produced by sum_shares: the sum no longer
-# belongs to a single dealer.
-AGGREGATE_DEALER = 0xFFFFFFFF
-
 
 class InsufficientSharesError(Exception):
     """Fewer than th usable shares were supplied to reconstruct."""
 
 
 class MalformedInputError(Exception):
-    """Bundles/commitments that cannot belong together (dimension, dealer,
-    eval-point mismatches, duplicates)."""
+    """Bundles/commitments that cannot belong together (dimension and
+    eval-point mismatches, duplicates) or bytes that do not parse."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class ShareBundle:
     evaluated at the shareholder's point (index + 1).  The dimension counts
     elements, not gradient coordinates."""
 
-    dealer: int
     eval_point: int
     values: tuple[int, ...]
 
@@ -46,55 +46,39 @@ class ShareBundle:
         return len(self.values)
 
     def to_bytes(self) -> bytes:
-        return wire.u32(self.dealer) + wire.u32(self.eval_point) + wire.pack_fixed(self.values)
+        """The values only: the receiver knows the point."""
+        return wire.pack_fixed(self.values)
 
 
-@dataclass(frozen=True)
-class CommitmentVector:
-    """Feldman commitments, one row per packed element: the th group elements
-    g^{a_0}, ..., g^{a_{th-1}} of its polynomial."""
-
-    dealer: int
-    per_element: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.per_element)
-
-    @property
-    def threshold(self) -> int:
-        return len(self.per_element[0]) if self.per_element else 0
-
-    def to_bytes(self) -> bytes:
-        """dealer, th, then every commitment, element by element; the
-        dimension is the count over th."""
-        flat = [c for row in self.per_element for c in row]
-        return wire.u32(self.dealer) + wire.u32(self.threshold) + wire.pack_fixed(flat)
+# Feldman commitments, one row per packed element: the th group elements
+# g^{a_0}, ..., g^{a_{th-1}} of its polynomial.
+CommitmentVector = tuple[tuple[int, ...], ...]
 
 
-def parse_bundle(data: bytes) -> ShareBundle:
-    """Inverse of ShareBundle.to_bytes; raises MalformedInputError."""
+def _unpack(data: bytes) -> tuple[int, ...]:
     try:
-        r = wire.Reader(data)
-        dealer, eval_point, values = r.u32(), r.u32(), r.fixed()
-        r.expect_end()
+        return wire.unpack_fixed(data)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
-    return ShareBundle(dealer=dealer, eval_point=eval_point, values=values)
 
 
-def parse_commitments(data: bytes) -> CommitmentVector:
-    """Inverse of CommitmentVector.to_bytes; raises MalformedInputError."""
-    try:
-        r = wire.Reader(data)
-        dealer, th, values = r.u32(), r.u32(), r.fixed()
-        r.expect_end()
-        if values and (not th or len(values) % th):
-            raise ValueError("commitments do not split into rows of th")
-        per_element = tuple(values[i : i + th] for i in range(0, len(values), th or 1))
-    except ValueError as exc:
-        raise MalformedInputError(str(exc)) from exc
-    return CommitmentVector(dealer=dealer, per_element=per_element)
+def parse_bundle(data: bytes, eval_point: int) -> ShareBundle:
+    """Inverse of ShareBundle.to_bytes, for the share at eval_point."""
+    return ShareBundle(eval_point, _unpack(data))
+
+
+def commitments_to_bytes(commitments: CommitmentVector) -> bytes:
+    """Every commitment, row by row, as one fixed-width vector: the receiver
+    knows th."""
+    return wire.pack_fixed([c for row in commitments for c in row])
+
+
+def parse_commitments(data: bytes, th: int) -> CommitmentVector:
+    """Inverse of commitments_to_bytes: the values split into rows of th."""
+    values = _unpack(data)
+    if len(values) % th:
+        raise MalformedInputError("commitments do not split into rows of th")
+    return tuple(values[i : i + th] for i in range(0, len(values), th))
 
 
 def eval_poly(coeffs: Sequence[int], x: int, q: int) -> int:
@@ -113,7 +97,6 @@ def share(
     params: GroupParams,
     codec: FixedPointCodec,
     rng: random.Random,
-    dealer: int = 0,
 ) -> tuple[list[ShareBundle], CommitmentVector]:
     """Encode a real-valued secret vector and share it element-wise.
 
@@ -126,12 +109,9 @@ def share(
     q = params.q
     polys = [[s % q] + [rng.randrange(q) for _ in range(th - 1)] for s in encoded]
     commitments = tuple(tuple(params.exp(a) for a in coeffs) for coeffs in polys)
-    bundles = [
-        ShareBundle(dealer=dealer, eval_point=j,
-                    values=tuple(eval_poly(coeffs, j, q) for coeffs in polys))
-        for j in range(1, n + 1)
-    ]
-    return bundles, CommitmentVector(dealer=dealer, per_element=commitments)
+    bundles = [ShareBundle(j, tuple(eval_poly(coeffs, j, q) for coeffs in polys))
+               for j in range(1, n + 1)]
+    return bundles, commitments
 
 
 def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupParams) -> bool:
@@ -140,13 +120,11 @@ def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupPara
     Exponents j^k are reduced mod q, which is sound because the commitments
     live in a subgroup of order q.
     """
-    if bundle.dealer != commitments.dealer:
-        raise MalformedInputError("bundle and commitments disagree on dealer")
-    if bundle.dimension != commitments.dimension:
+    if bundle.dimension != len(commitments):
         raise MalformedInputError("bundle and commitments disagree on dimension")
     p, q = params.p, params.q
     j = bundle.eval_point
-    for value, row in zip(bundle.values, commitments.per_element):
+    for value, row in zip(bundle.values, commitments):
         lhs = params.exp(value)
         rhs = 1
         jk = 1  # j^k mod q
@@ -166,9 +144,6 @@ def _select_bundles(bundles: Iterable[ShareBundle], th: int) -> list[ShareBundle
     dims = {b.dimension for b in chosen}
     if len(dims) > 1:
         raise MalformedInputError("mixed dimensions")
-    dealers = {b.dealer for b in chosen}
-    if len(dealers) > 1:
-        raise MalformedInputError("bundles from different dealers")
     if len(chosen) < th:
         raise InsufficientSharesError(f"need {th} shares, got {len(chosen)}")
     return chosen[:th]
@@ -216,15 +191,11 @@ def reconstruct(
 
 
 def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBundle:
-    """Element-wise field sum of one shareholder's bundles from distinct
-    dealers, labelled AGGREGATE_DEALER even when there is one bundle.
+    """Element-wise field sum of one shareholder's bundles, one per dealer.
     Reconstructing th such sums yields the sum of the secrets."""
     if not bundles:
         raise MalformedInputError("no bundles to sum")
     first = bundles[0]
-    dealers = [b.dealer for b in bundles]
-    if len(set(dealers)) != len(dealers):
-        raise MalformedInputError("duplicate dealers in sum")
     q = params.q
     acc = list(first.values)
     for b in bundles[1:]:
@@ -234,5 +205,4 @@ def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBund
             raise MalformedInputError("dimension mismatch in sum")
         for i, v in enumerate(b.values):
             acc[i] = (acc[i] + v) % q
-    return ShareBundle(dealer=AGGREGATE_DEALER, eval_point=first.eval_point,
-                       values=tuple(acc))
+    return ShareBundle(first.eval_point, tuple(acc))

@@ -89,3 +89,11 @@ class Reader:
     def expect_end(self):
         if self.off != len(self.data):
             raise ValueError("trailing bytes in encoding")
+
+
+def unpack_fixed(data: bytes) -> tuple:
+    """Inverse of pack_fixed, which must make up the whole of data."""
+    r = Reader(data)
+    values = r.fixed()
+    r.expect_end()
+    return values

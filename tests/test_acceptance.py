@@ -56,7 +56,7 @@ class TestCriterion2Soundness:
             bundle, commits = dealt[i % len(dealt)]
             delta = rng.randrange(1, group.q)
             tampered = ShareBundle(
-                dealer=bundle.dealer, eval_point=bundle.eval_point,
+                eval_point=bundle.eval_point,
                 values=((bundle.values[0] + delta) % group.q,))
             passes += vss.verify(tampered, commits, group)
         assert passes == 0

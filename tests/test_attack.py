@@ -123,15 +123,15 @@ class TestAcumpaAttacker:
         return AcumpaAttacker(3, AsdpParams(theta_cos=0.8), th=3, group=group,
                               codec=codec, seed=42, **kw)
 
-    def _deal(self, secret, group, codec, rng, dealer):
-        bundles, _ = vss.share(secret, 3, 4, group, codec, rng, dealer=dealer)
+    def _deal(self, secret, group, codec, rng):
+        bundles, _ = vss.share(secret, 3, 4, group, codec, rng)
         return bundles
 
     def test_adaptive_path_reconstructs_average(self, group, codec, rng):
         attacker = self._attacker(group, codec)
         observed = {
-            0: self._deal([1.0, 0.0], group, codec, rng, 0),
-            1: self._deal([0.0, 1.0], group, codec, rng, 1),
+            0: self._deal([1.0, 0.0], group, codec, rng),
+            1: self._deal([0.0, 1.0], group, codec, rng),
         }
         target = attacker.observed_target(observed, 2)
         assert target == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -142,7 +142,7 @@ class TestAcumpaAttacker:
 
     def test_below_threshold_observation_forces_fallback(self, group, codec, rng):
         attacker = self._attacker(group, codec)
-        observed = {0: self._deal([1.0, 0.0], group, codec, rng, 0)[:2]}
+        observed = {0: self._deal([1.0, 0.0], group, codec, rng)[:2]}
         assert attacker.observed_target(observed, 2) is None
         out, engaged = attacker.craft_submission(1, observed, np.array([3.0, 4.0]))
         assert not engaged
@@ -153,8 +153,8 @@ class TestAcumpaAttacker:
     def test_stale_fallback_replays_last_craft(self, group, codec, rng):
         attacker = self._attacker(group, codec)
         observed = {
-            0: self._deal([1.0, 0.0], group, codec, rng, 0),
-            1: self._deal([0.0, 1.0], group, codec, rng, 1),
+            0: self._deal([1.0, 0.0], group, codec, rng),
+            1: self._deal([0.0, 1.0], group, codec, rng),
         }
         first, _ = attacker.craft_submission(1, observed, np.ones(2))
         second, engaged = attacker.craft_submission(2, {}, np.ones(2))
@@ -164,8 +164,8 @@ class TestAcumpaAttacker:
     def test_random_fallback_policy(self, group, codec, rng):
         attacker = self._attacker(group, codec, fallback="random")
         observed = {
-            0: self._deal([1.0, 0.0], group, codec, rng, 0),
-            1: self._deal([0.0, 1.0], group, codec, rng, 1),
+            0: self._deal([1.0, 0.0], group, codec, rng),
+            1: self._deal([0.0, 1.0], group, codec, rng),
         }
         first, _ = attacker.craft_submission(1, observed, np.ones(2))
         second, engaged = attacker.craft_submission(2, {}, np.ones(2))

@@ -358,6 +358,31 @@ class TestIdleReplica:
         assert all(node.view == 0 for node in nodes.values())
 
 
+class TestBackoffCap:
+    """A timeout doubles per view change only up to 2^10 times the first, so
+    peers that keep views changing cannot stretch a timer without bound."""
+
+    delta = 2
+    bound = 6 * delta * 2**10
+
+    def test_progress_timer(self, keyring):
+        rep = Replica(0, 4, 1, keyring, delta=self.delta)
+        rep.vc_round = 10**6
+        rep.broadcast_update(0, b"req")  # a waiting request arms the timer
+        _, timers = rep.drain()
+        assert timers == [("set", ("progress", None), self.bound)]
+
+    def test_joined_view_change_timer(self, keyring):
+        rep = Replica(0, 4, 1, keyring, delta=self.delta)
+        target = rep.view + 10**6
+        for sender in (1, 2):  # f + 1 votes: the replica joins
+            rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, sender,
+                                  (target, ())))
+        _, timers = rep.drain()
+        assert rep.vc_voted == target
+        assert timers == [("set", ("vc", target), self.bound)]
+
+
 class DropsViewZeroCommits(Replica):
     """Ignores every view-0 COMMIT, so each replica prepares in view 0 and
     none commits there; the prepared digest must survive the view change."""

@@ -64,7 +64,7 @@ class TestHybridScheme:
 
     def test_pair_key_is_symmetric(self, parties, rng):
         # what makes reflection possible: b's ciphertext for a opens as if a
-        # had sent it to b (the dealer check in dpml drops such a share)
+        # had sent it to b (such a share fails verification at b's point)
         scheme, a, b = parties
         ct = scheme.encrypt(b.secret, a.public, b"secret payload", rng)
         fresh = HybridScheme(scheme.params)  # no memoised pair key

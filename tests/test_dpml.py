@@ -2,11 +2,14 @@ import collections
 import dataclasses
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bftvss import consensus, crypto, dpml, vss
+from bftvss import consensus, crypto, dpml, vss, wire
 from bftvss.consensus import MsgKind
 from bftvss.dpml import (
     MODES,
@@ -21,7 +24,7 @@ from bftvss.dpml import (
     encode_vote_request,
     run,
 )
-from bftvss.field import FixedPointCodec
+from bftvss.field import FixedPointCodec, generate_group
 from bftvss.netsim import SimConfig
 
 FAST = dict(rounds=4, samples=100, test_samples=200, dim=8)
@@ -65,31 +68,28 @@ class TestInferenceTime:
 
 class TestRequestCodecs:
     def test_share_request_roundtrip(self, group, codec, rng):
-        bundles, commits = vss.share([1.0, -1.0], 3, 4, group, codec, rng, dealer=2)
+        bundles, commits = vss.share([1.0, -1.0], 3, 4, group, codec, rng)
         cts = [b.to_bytes() for b in bundles]
         req = encode_share_request(cts, commits)
-        out_cts, out_commits = decode_share_request(req)
+        out_cts, out_commits = decode_share_request(req, 3)
         assert out_cts == cts and out_commits == commits
+        with pytest.raises(vss.MalformedInputError):
+            decode_share_request(req + b"\x00", 3)
 
     def test_vote_request_roundtrip(self):
         req = encode_vote_request([3, 0, 2])
-        assert decode_vote_request(req) == [0, 2, 3]
+        assert decode_vote_request(req) == (0, 2, 3)
 
     def test_agg_request_roundtrip(self, group, codec, rng):
-        bundles, _ = vss.share([0.5], 3, 4, group, codec, rng, dealer=1)
+        bundles, _ = vss.share([0.5], 3, 4, group, codec, rng)
         summed = vss.sum_shares([bundles[0]], group)
         req = encode_agg_request(summed)
-        assert decode_agg_request(req) == summed
+        assert decode_agg_request(req, 1) == summed
 
     def test_agg_request_trailing_byte_rejected(self, group, codec, rng):
-        bundles, _ = vss.share([0.5], 3, 4, group, codec, rng, dealer=1)
+        bundles, _ = vss.share([0.5], 3, 4, group, codec, rng)
         with pytest.raises(vss.MalformedInputError):
-            decode_agg_request(encode_agg_request(bundles[0]) + b"\x00")
-
-    def test_wrong_marker_rejected(self):
-        with pytest.raises(ValueError):
-            decode_vote_request(encode_agg_request(vss.ShareBundle(
-                dealer=vss.AGGREGATE_DEALER, eval_point=1, values=(1,))))
+            decode_agg_request(encode_agg_request(bundles[0]) + b"\x00", 1)
 
 
 class TestPlainEngine:
@@ -168,9 +168,8 @@ class ShortCommitments(dpml.WorkflowParticipant):
 
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 0:
-            cts, commits = decode_share_request(req)
-            req = encode_share_request(cts, vss.CommitmentVector(
-                commits.dealer, commits.per_element[:-1]))
+            cts, commits = decode_share_request(req, self.config.th)
+            req = encode_share_request(cts, commits[:-1])
         super().broadcast_update(sq, req)
 
 
@@ -179,18 +178,8 @@ class ShortAggShare(dpml.WorkflowParticipant):
 
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 2:
-            bundle = decode_agg_request(req)
+            bundle = decode_agg_request(req, self.eval_point)
             req = encode_agg_request(dataclasses.replace(bundle, values=bundle.values[:-1]))
-        super().broadcast_update(sq, req)
-
-
-class RelabelledAggShare(dpml.WorkflowParticipant):
-    """Participant 0 labels its aggregated share with a dealer id of its own."""
-
-    def broadcast_update(self, sq, req):
-        if self.rid == 0 and sq % 3 == 2:
-            bundle = decode_agg_request(req)
-            req = encode_agg_request(dataclasses.replace(bundle, dealer=12345))
         super().broadcast_update(sq, req)
 
 
@@ -217,22 +206,14 @@ class TestMalformedPeerInput:
                    zip(honest.weights_history, result.weights_history, strict=True))
 
 
-    def test_relabelled_aggregated_share_is_dropped(self, monkeypatch):
-        honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
-        result = self.run_with(monkeypatch, RelabelledAggShare)
-        assert all(m.dealer_count == 4 for m in result.metrics)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(honest.weights_history, result.weights_history, strict=True))
-
-
 class Reflector(dpml.WorkflowParticipant):
     """Participant 0 waits for dealer 1's share request, then submits its own
     with dealer 1's ciphertext for 0 in the place meant for 1.  The pair key
     of (0, 1) is the same both ways, so participant 1 decrypts it.  Every
-    participant records whose shares it holds when the share slot commits."""
+    participant records which dealers it verified when the share slot
+    commits."""
 
-    held: dict = {}
-    reflected: list = []
+    verified: dict = {}
 
     def submit_shares(self, vector):
         if self.rid != 0:
@@ -242,45 +223,133 @@ class Reflector(dpml.WorkflowParticipant):
     def on_message(self, m, now=0):
         if (self.rid == 0 and m.kind == MsgKind.REQUEST and m.sq % 3 == 0
                 and m.sender == 1 and self._pending is not None):
-            self._theirs = decode_share_request(m.payload[0])[0][0]
+            self._theirs = decode_share_request(m.payload[0], self.config.th)[0][0]
             vector, self._pending = self._pending, None
             super().submit_shares(vector)
         super().on_message(m, now)
 
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 0:
-            cts, commits = decode_share_request(req)
+            cts, commits = decode_share_request(req, self.config.th)
             cts[1] = self._theirs
-            self.reflected.append(vss.parse_bundle(self.scheme.decrypt(
-                self.secret_key, self.publics[1], self._theirs)))
             req = encode_share_request(cts, commits)
         super().broadcast_update(sq, req)
 
     def _share_slot_done(self, sq):
-        self.held[self.rid, self.t] = set(self._own_shares)
         super()._share_slot_done(sq)
+        self.verified[self.rid, self.t] = set(self._verified)
 
 
 class TestReflectedCiphertext:
     def test_reflected_share_is_dropped(self, monkeypatch):
         honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
-        monkeypatch.setattr(Reflector, "held", {})
-        monkeypatch.setattr(Reflector, "reflected", [])
+        monkeypatch.setattr(Reflector, "verified", {})
         monkeypatch.setattr(dpml, "WorkflowParticipant", Reflector)
         result = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
         rounds = range(1, FAST["rounds"] + 1)
-        # the reflected ciphertext opens under K_01: it is dealer 1's share
-        # for participant 0, which the dealer check (and the evaluation
-        # point) tell apart from a share dealt by 0
-        assert [(b.dealer, b.eval_point) for b in Reflector.reflected] \
-            == [(1, 1)] * FAST["rounds"]
-        assert all(0 not in Reflector.held[1, t] for t in rounds)
-        assert all(0 in Reflector.held[j, t] for j in (2, 3) for t in rounds)
+        # the reflected ciphertext opens under K_01 to dealer 1's share for
+        # participant 0, a share of another polynomial at another point: it
+        # fails verification at participant 1's point against 0's commitments
+        assert all(0 not in Reflector.verified[1, t] for t in rounds)
+        assert all(0 in Reflector.verified[j, t] for j in (2, 3) for t in rounds)
         # dealer 0 still has th votes; the three other aggregated shares
         # reconstruct the fault-free sum
         assert all(m.dealer_count == 4 for m in result.metrics)
         assert all(np.array_equal(a, b) for a, b in
                    zip(honest.weights_history, result.weights_history, strict=True))
+
+
+@functools.cache
+def round_one():
+    """A factory of participants in round 1, each origin's valid request in
+    each slot (indexed by slot), and how a Byzantine origin seals a plaintext
+    for participant 1 under its own key."""
+    config = TrainingConfig(mode="ebyftves", seed=0, **FAST)
+    group = generate_group(config.bits_p, config.bits_q, config.seed)
+    codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
+    scheme = crypto.HybridScheme(group)
+    keys = [scheme.keygen(random.Random(i)) for i in range(config.n)]
+    datasets, test, w0 = dpml._task(config)
+    coordinator = dpml._Coordinator(config, datasets, test)
+    keyring = crypto.KeyRing(range(config.n), random.Random(0))
+
+    def participant(rid):
+        node = dpml.WorkflowParticipant(
+            rid, config, keyring, group, codec, scheme, keys[rid].secret,
+            [k.public for k in keys], datasets[rid], coordinator, w0)
+        node.start_round(1)
+        return node
+
+    def seal(origin, plaintext):
+        return scheme.encrypt(keys[origin].secret, keys[1].public, plaintext,
+                              random.Random(0))
+
+    shares = [participant(i).drain()[0][0][1].payload[0] for i in range(config.n)]
+    votes = [encode_vote_request(range(config.n))] * config.n
+    bundles, _ = vss.share([0.5] * config.dim, config.th, config.n, group, codec,
+                           random.Random(0))
+    aggs = [encode_agg_request(b) for b in bundles]
+    return participant, (shares, votes, aggs), seal
+
+
+def peer_request(slot, valid, seal):
+    """Arbitrary bytes, a truncation or one-byte mutation of a valid request,
+    or a well-formed request one size off: n ciphertexts, the packed
+    dimension 8 in the commitments, in the share the ciphertext opens to, or
+    in an aggregated share."""
+    def elements(k):
+        return st.lists(st.integers(0, 2**100), min_size=k, max_size=k)
+
+    off = st.sampled_from([0, 7, 9])
+    if slot == 0:
+        def share_request(count, rows, values):
+            return encode_share_request([seal(wire.pack_fixed(values))] * count, rows)
+
+        def commitments(k):
+            return st.lists(st.tuples(*[st.integers(0, 2**100)] * 3),
+                            min_size=k, max_size=k)
+
+        resized = st.one_of(
+            st.builds(share_request, st.sampled_from([0, 1, 3, 5]), commitments(8),
+                      elements(8)),
+            st.builds(share_request, st.just(4), off.flatmap(commitments), elements(8)),
+            st.builds(share_request, st.just(4), commitments(8), off.flatmap(elements)))
+    else:
+        resized = off.flatmap(elements).map(wire.pack_fixed)
+    k = st.integers(0, len(valid) - 1)
+    return st.one_of(
+        st.binary(max_size=2 * len(valid)),
+        k.map(lambda k: valid[:k]),
+        st.tuples(k, st.integers(1, 255)).map(
+            lambda kb: valid[:kb[0]] + bytes([valid[kb[0]] ^ kb[1]]) + valid[kb[0] + 1:]),
+        resized)
+
+
+class TestPeerBytes:
+    """Whatever one origin's request in a slot holds, receiving_update raises
+    nothing and stores only commitments and shares of the packed dimension,
+    so the slot's own step raises nothing either."""
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nothing_raises(self, slot, data):
+        participant, requests, seal = round_one()
+        receiver = participant(1)
+        origin = data.draw(st.integers(0, 3), label="origin")
+        valid = requests[slot][origin]
+        req = data.draw(peer_request(slot, valid, functools.partial(seal, origin)),
+                        label="req")
+        for sq in range(slot + 1):
+            for o in range(4):
+                receiver.receiving_update(
+                    sq, o, req if (sq, o) == (slot, origin) else requests[sq][o])
+            if sq < 2:  # the aggregate slot's step needs every participant
+                receiver.on_slot_committed(sq, ())
+        dim = receiver.codec.packed_length(receiver.config.dim)
+        assert all(len(c) == dim for c in receiver._commits.values())
+        assert all(b.dimension == dim for b in receiver._own_shares.values())
+        assert all(b.dimension == dim for b in receiver._agg.values())
 
 
 @pytest.mark.parametrize("rounds", [1, 3])
@@ -468,8 +537,8 @@ class TestSumAverageOracle:
         """End-to-end miniature of the aggregation path: secrets 1.0 and 2.0
         dealt separately, shares summed per recipient, reconstructed total
         3.0, averaged to 1.5 after leaving the field."""
-        a, _ = vss.share([1.0], 3, 4, group, codec, rng, dealer=0)
-        b, _ = vss.share([2.0], 3, 4, group, codec, rng, dealer=1)
+        a, _ = vss.share([1.0], 3, 4, group, codec, rng)
+        b, _ = vss.share([2.0], 3, 4, group, codec, rng)
         summed = [vss.sum_shares([a[j], b[j]], group) for j in range(4)]
         total = vss.reconstruct(summed, 3, group, codec, 1)
         assert total == (3.0,)

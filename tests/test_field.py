@@ -186,8 +186,7 @@ class TestPackedCodec:
             st.lists(in_range(packed), min_size=dim, max_size=dim),
             min_size=packed.summands, max_size=packed.summands))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        dealt = [vss.share(v, 3, 4, group_2048, packed, rng, dealer=d)[0]
-                 for d, v in enumerate(vectors)]
+        dealt = [vss.share(v, 3, 4, group_2048, packed, rng)[0] for v in vectors]
         summed = [vss.sum_shares([bundles[j] for bundles in dealt], group_2048)
                   for j in range(4)]
         decoded = [packed.decode_vector(packed.encode_vector(v), dim) for v in vectors]

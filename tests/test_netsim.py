@@ -77,8 +77,14 @@ class TestDeliveryModel:
             sim.run()
 
     def test_pre_gst_drops(self):
-        sim, replicas = build_sim(gst=1000, adversary=AdversaryPolicy(
-            drop_pre_gst_involving=frozenset({0})))
+        # a policy returning None drops the message and the trace records it
+        class DropsZeroPreGst(AdversaryPolicy):
+            def schedule(self, src, dst, now, config, rng):
+                if now < config.gst and 0 in (src, dst):
+                    return None
+                return super().schedule(src, dst, now, config, rng)
+
+        sim, replicas = build_sim(gst=1000, adversary=DropsZeroPreGst())
         replicas[0].broadcast_update(0, b"req")
         sim.run(until=lambda: sim.clock >= 50)
         drops = [r for r in sim.trace.records if r["kind"] == "drop"]
