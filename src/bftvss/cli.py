@@ -126,11 +126,14 @@ def load_scenario(path: str) -> dict:
         n = data.get("n")
         if not isinstance(n, int) or n != 3 * ((n - 1) // 3) + 1 or n < 4:
             raise ScenarioError(f"{path}: 'n' must satisfy n = 3f + 1, n >= 4")
+        # a null request_time means "at GST"; gst and delta have no null
         timing = {k: data[k] for k in ("gst", "delta", "request_time")
-                  if data.get(k) is not None}
+                  if k in data and not (k == "request_time" and data[k] is None)}
         if any(isinstance(v, bool) or not isinstance(v, int) for v in timing.values()):
             raise ScenarioError(f"{path}: 'gst', 'delta' and 'request_time' "
                                 f"must be integers")
+        if timing.get("request_time", 0) < 0:
+            raise ScenarioError(f"{path}: 'request_time' must be non-negative")
         try:
             SimConfig(n=n, f=(n - 1) // 3, gst=timing.get("gst", 0),
                       delta=timing.get("delta", 1))
@@ -284,8 +287,16 @@ def report(paths, csv_path=None) -> int:
             print(f"error: no results match {pattern!r}", file=sys.stderr)
             return 2
         for p in matched or [pattern]:
-            with open(p) as fh:
-                results.append(json.load(fh))
+            try:
+                with open(p) as fh:
+                    result = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ScenarioError(f"cannot read result {p}: {exc}") from exc
+            if (not isinstance(result, dict)
+                    or result.get("schema_version") != dpml.RESULT_SCHEMA_VERSION):
+                raise ScenarioError(f"{p}: not a result file of schema version "
+                                    f"{dpml.RESULT_SCHEMA_VERSION}")
+            results.append(result)
     training = [r for r in results if r.get("kind") == "training"]
     compat = [{k: r["config"][k] for k in _COMPAT_KEYS} for r in training]
     for r, cfg in zip(training, compat):

@@ -46,8 +46,7 @@ from . import training, vss, wire
 from .attack import FALLBACKS, AcumpaAttacker, AsdpParams
 from .consensus import MsgKind, Replica
 from .crypto import SCHEMES, DecryptionError, KeyRing, make_scheme
-from .field import (EncodingRangeError, FixedPointCodec, GroupParams, check_group_sizes,
-                    generate_group)
+from .field import GROUPS, EncodingRangeError, FixedPointCodec, GroupParams, generate_group
 from .netsim import AdversaryPolicy, SimConfig, Simulator, Trace
 
 MODES = (
@@ -122,7 +121,8 @@ class TrainingConfig:
             raise ValueError("rounds, dim, samples and test_samples must be positive")
         if self.seed < 0 or self.fraction_bits < 0:
             raise ValueError("seed and fraction_bits must be non-negative")
-        check_group_sizes(self.bits_p, self.bits_q)
+        if (self.bits_p, self.bits_q) not in GROUPS:
+            raise ValueError(f"(bits_p, bits_q) must be one of {sorted(GROUPS)}")
         AsdpParams(theta_cos=self.theta_cos, delta=self.asdp_delta)
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
@@ -261,7 +261,7 @@ def _baseline_step(config: TrainingConfig):
     """baseline-vss aggregate step: every dealer's shares travel in plaintext
     over point-to-point channels and are verified independently; nothing is
     consensus-gated."""
-    group = generate_group(config.bits_p, config.bits_q, config.seed)
+    group = generate_group(config.bits_p, config.bits_q)
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     share_rng = random.Random(config.seed * 100003 + 7)
     attackers = {pid: _make_attacker(config, pid, group, codec)
@@ -551,7 +551,7 @@ class DelayedDealerNode(WorkflowParticipant):
 
 def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResult:
     datasets, test, w0 = _task(config)
-    group = generate_group(config.bits_p, config.bits_q, config.seed)
+    group = generate_group(config.bits_p, config.bits_q)
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     scheme = make_scheme(config.encryption, group)
     key_rng = random.Random(config.seed * 100003 + 11)

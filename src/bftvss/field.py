@@ -1,33 +1,23 @@
 """Modular arithmetic over a prime-order subgroup, plus the fixed-point codec.
 
 The sharing layer works over Z_q (exponents / share values) and the
-multiplicative subgroup of order q inside Z_p* (commitments).  Gradients are
-real-valued, so a fixed-point codec maps them into Z_q, several signed
-coordinates to an element when q is wide enough.
+multiplicative subgroup of order q inside Z_p* (commitments), in one of the
+committed groups of GROUPS.  Gradients are real-valued, so a fixed-point codec
+maps them into Z_q, several signed coordinates to an element when q is wide
+enough.
 """
 
 from __future__ import annotations
 
-import functools
-import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import sympy
-
-
-class GroupGenerationError(Exception):
-    """Parameter search exhausted without finding a valid (p, q, g)."""
 
 
 class EncodingRangeError(Exception):
     """Real value too large for the fixed-point representation."""
 
-
-# Search budgets for generate_group.  Generous: a random bits_q-bit prime q
-# admits a prime p = q*m + 1 quickly by the prime number theorem.
-_MAX_Q_CANDIDATES = 50_000
-_MAX_P_CANDIDATES = 200_000
 
 # Window width of the fixed-base table for g.  At 2048/256 on a 2-core x86-64
 # VM (CPython 3.11), 6 bits builds the table in 40-50 ms and makes exp 6-7x
@@ -87,93 +77,49 @@ class GroupParams:
         return acc
 
 
-def check_group_sizes(bits_p: int, bits_q: int) -> None:
-    """Raise ValueError unless generate_group accepts these sizes."""
-    if bits_q >= bits_p:
-        raise ValueError("bits_q must be smaller than bits_p")
-    if bits_q < 4:
-        raise ValueError("bits_q too small")
+# The committed groups, by (bits_p, bits_q); 96/48 is the test default.  The
+# VSS arithmetic does not depend on which group of a size it runs in, and a
+# 2048/256 search takes seconds, so each size has one fixed group, as RFC 5114
+# section 2.3 publishes fixed groups.
+GROUPS = {
+    (96, 48): GroupParams(p=0xf3693a785e13f899db059f51, q=0xf7c14da5e709,
+                          g=0x2d7e4966c126fb2794d06789),
+    (2048, 256): GroupParams(
+        p=int(
+            "80e81c2c49829190c246075d545a76b5060a60b925ce5605c0574f5a6990d9bc"
+            "dcd83d59064332723cdb7cbcc97a86e6e6bf79ecbdd3299ab3d1ea958bf4e934"
+            "9cf3452af7a577d1df491d11bcb1a41d105afca41343d2ca1a9eb6660d2fe984"
+            "3742c7858783507f0834b08ea1d9869ef622b6c31bd9e88fca7678cfb103ca80"
+            "930038a9ea83427a7d09bc756e542bc012ad03efc07ad290bc7e86c89fd3853b"
+            "22e8987d50c9df3211bd3a448a194f1852fb1f61492c9cc6ccc6a4b36e8c4759"
+            "ff3dfbdd3f7eed84890b93a9ff5e50765081a557fd3d8bc7d788f068ae6dcf8a"
+            "7ad601559118ee5d487c1fea91198ebac09611718b2df9e326fe0e2e506f74f1", 16),
+        q=int(
+            "9a9e8547147a08acc65d8e4ed01e488b00a1402e57e7ef7b848610cfd21276c3", 16),
+        g=int(
+            "28c69aed8974ee43815710812ed9a504cfaf648433b4061d6be4276fb0a8cbb7"
+            "64cc497f9471aa8d7cc775cff3284aee49d9cb136ecc5b7917099f6ddef4b5c8"
+            "b28fbbd302d789d1760966a991284d2a18a657ba8cc80b525cf6e27d73b0b8de"
+            "affc072f269934347c31b7f20f00de3fa313186269e5673d3096481d59dece0f"
+            "ad66acd77e0b5ba83e6c6724d22d61b9fbed51c55f04cc85aeb44d9875f9174d"
+            "d9b2f532b2c6dc701c882d6a3881a1e286c22cee01a04864cdde8e106a8bf966"
+            "6821995267278a474de8546db79fc22418957b50cb6170b96ea38eae634a895e"
+            "3676700b39adc0a3f23d02bc1d405a185d43bc3da6bfb256959edc3966ff4a2a", 16),
+    ),
+}
 
 
-# generate_group(2048, 256, 0) as the search below finds it.  A search at this
-# size takes from 0.7 s to 18 s by seed; RFC 5114 section 2.3 publishes a fixed
-# 2048/256 group for the same reason.
-_COMMITTED_GROUPS = {(2048, 256): GroupParams(
-    p=int(
-        "80e81c2c49829190c246075d545a76b5060a60b925ce5605c0574f5a6990d9bc"
-        "dcd83d59064332723cdb7cbcc97a86e6e6bf79ecbdd3299ab3d1ea958bf4e934"
-        "9cf3452af7a577d1df491d11bcb1a41d105afca41343d2ca1a9eb6660d2fe984"
-        "3742c7858783507f0834b08ea1d9869ef622b6c31bd9e88fca7678cfb103ca80"
-        "930038a9ea83427a7d09bc756e542bc012ad03efc07ad290bc7e86c89fd3853b"
-        "22e8987d50c9df3211bd3a448a194f1852fb1f61492c9cc6ccc6a4b36e8c4759"
-        "ff3dfbdd3f7eed84890b93a9ff5e50765081a557fd3d8bc7d788f068ae6dcf8a"
-        "7ad601559118ee5d487c1fea91198ebac09611718b2df9e326fe0e2e506f74f1", 16),
-    q=int(
-        "9a9e8547147a08acc65d8e4ed01e488b00a1402e57e7ef7b848610cfd21276c3", 16),
-    g=int(
-        "28c69aed8974ee43815710812ed9a504cfaf648433b4061d6be4276fb0a8cbb7"
-        "64cc497f9471aa8d7cc775cff3284aee49d9cb136ecc5b7917099f6ddef4b5c8"
-        "b28fbbd302d789d1760966a991284d2a18a657ba8cc80b525cf6e27d73b0b8de"
-        "affc072f269934347c31b7f20f00de3fa313186269e5673d3096481d59dece0f"
-        "ad66acd77e0b5ba83e6c6724d22d61b9fbed51c55f04cc85aeb44d9875f9174d"
-        "d9b2f532b2c6dc701c882d6a3881a1e286c22cee01a04864cdde8e106a8bf966"
-        "6821995267278a474de8546db79fc22418957b50cb6170b96ea38eae634a895e"
-        "3676700b39adc0a3f23d02bc1d405a185d43bc3da6bfb256959edc3966ff4a2a", 16),
-)}
-
-
-@functools.cache
-def _committed_group(bits_p: int, bits_q: int) -> GroupParams:
-    """The committed group of this size, validated once per process.  Every
-    call returns the same object, so its fixed-base table is built once too."""
-    params = _COMMITTED_GROUPS[(bits_p, bits_q)]
+@cache
+def generate_group(bits_p: int, bits_q: int) -> GroupParams:
+    """The committed group with a bits_p-bit p and a bits_q-bit q, validated
+    once per process.  Every call returns the same object, so its fixed-base
+    table is built once too.  Raises ValueError for a size not in GROUPS."""
+    params = GROUPS.get((bits_p, bits_q))
+    if params is None:
+        raise ValueError(f"no committed group of {bits_p}/{bits_q} bits; "
+                         f"supported (bits_p, bits_q): {sorted(GROUPS)}")
     params.validate()
     return params
-
-
-def generate_group(bits_p: int, bits_q: int, seed: int) -> GroupParams:
-    """Deterministically generate group parameters from a seed.
-
-    Picks a random bits_q-bit prime q, searches for p = q*m + 1 prime with
-    exactly bits_p bits, then derives a generator g = h^((p-1)/q) mod p.
-    Small test-scale sizes (down to 4-bit q) are permitted so properties can
-    be checked exhaustively.  A size with a committed group returns that
-    group whatever the seed.
-    """
-    check_group_sizes(bits_p, bits_q)
-    if (bits_p, bits_q) in _COMMITTED_GROUPS:
-        return _committed_group(bits_p, bits_q)
-    rng = random.Random(seed)
-
-    q = None
-    for _ in range(_MAX_Q_CANDIDATES):
-        cand = rng.getrandbits(bits_q) | (1 << (bits_q - 1)) | 1
-        if sympy.isprime(cand):
-            q = cand
-            break
-    if q is None:
-        raise GroupGenerationError("no prime q found within budget")
-
-    bits_m = bits_p - bits_q
-    p = None
-    for _ in range(_MAX_P_CANDIDATES):
-        m = rng.getrandbits(bits_m) | (1 << (bits_m - 1))
-        cand = q * m + 1
-        if cand.bit_length() == bits_p and sympy.isprime(cand):
-            p = cand
-            break
-    if p is None:
-        raise GroupGenerationError("no prime p = q*m + 1 found within budget")
-
-    cofactor = (p - 1) // q
-    for _ in range(_MAX_Q_CANDIDATES):
-        h = rng.randrange(2, p - 1)
-        g = pow(h, cofactor, p)
-        if g != 1:
-            params = GroupParams(p=p, q=q, g=g)
-            params.validate()
-            return params
-    raise GroupGenerationError("no generator found within budget")
 
 
 # --- Fixed-point codec ----------------------------------------------------

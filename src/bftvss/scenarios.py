@@ -47,6 +47,8 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
     """
     if script not in CONSENSUS_SCRIPTS:
         raise ValueError(f"unknown script {script!r}")
+    if request_time is not None and request_time < 0:
+        raise ValueError("request_time must be non-negative")
     f = (n - 1) // 3
     position, behaviour = _BEHAVIOURS[script]
     byzantine = None if position is None else position % n

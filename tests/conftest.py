@@ -16,14 +16,14 @@ def tiny_group() -> GroupParams:
 
 @pytest.fixture(scope="session")
 def group() -> GroupParams:
-    """The default production-shaped group (96-bit p, 48-bit q)."""
-    return generate_group(96, 48, 0)
+    """The committed 96/48 group, the test default."""
+    return generate_group(96, 48)
 
 
 @pytest.fixture(scope="session")
 def group_2048() -> GroupParams:
-    """The committed 2048/256 group: no search, validated once per process."""
-    return generate_group(2048, 256, 0)
+    """The committed 2048/256 group."""
+    return generate_group(2048, 256)
 
 
 @pytest.fixture(scope="session")

@@ -83,6 +83,11 @@ class TestValidate:
 # workflow (dim 0) or ran to a NaN accuracy (test_samples 0)
 UNRUNNABLE = {
     "consensus-delta-0": {"kind": "consensus", "n": 4, "script": "none", "delta": 0},
+    "consensus-gst-null": {"kind": "consensus", "n": 4, "script": "none", "gst": None},
+    "consensus-delta-null": {"kind": "consensus", "n": 4, "script": "none",
+                             "delta": None},
+    "consensus-request_time-negative": {"kind": "consensus", "n": 4, "script": "none",
+                                        "request_time": -50},
     "training-delta-0": {"kind": "training", "config": dict(FAST_CONFIG, delta=0)},
     "training-dim-str": {"kind": "training", "config": dict(FAST_CONFIG, dim="16")},
     "training-encryption": {"kind": "training",
@@ -101,6 +106,8 @@ UNRUNNABLE = {
                               "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
                                              attackers=[3], asdp_delta=0)},
     "training-bits_q-3": {"kind": "training", "config": dict(FAST_CONFIG, bits_q=3)},
+    "training-bits-512-128": {"kind": "training",
+                              "config": dict(FAST_CONFIG, bits_p=512, bits_q=128)},
     "training-bits_q-bits_p": {"kind": "training",
                                "config": dict(FAST_CONFIG, bits_p=96, bits_q=96)},
     "training-seed-negative": {"kind": "training", "config": dict(FAST_CONFIG, seed=-1)},
@@ -231,6 +238,22 @@ class TestReport:
 
     def test_no_matches(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing_*.json")]) == 2
+
+    @pytest.mark.parametrize("bad", ["directory", "not-json", "training-scenario",
+                                     "consensus-scenario"])
+    def test_unreadable_input(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        if bad == "directory":
+            path.mkdir()
+        elif bad == "not-json":
+            path.write_text("mode,runs\n")
+        elif bad == "training-scenario":
+            write_scenario(path)
+        else:
+            path.write_text(json.dumps({"name": "c", "kind": "consensus", "n": 4,
+                                        "script": "none"}))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_compare_output_is_readable_by_report(tmp_path, capsys):

@@ -265,7 +265,7 @@ def round_one():
     each slot (indexed by slot), and how a Byzantine origin seals a plaintext
     for participant 1 under its own key."""
     config = TrainingConfig(mode="ebyftves", seed=0, **FAST)
-    group = generate_group(config.bits_p, config.bits_q, config.seed)
+    group = generate_group(config.bits_p, config.bits_q)
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     scheme = crypto.HybridScheme(group)
     keys = [scheme.keygen(random.Random(i)) for i in range(config.n)]

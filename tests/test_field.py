@@ -3,12 +3,12 @@ import math
 import random
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bftvss import vss
 from bftvss.field import (
+    GROUPS,
     EncodingRangeError,
     FixedPointCodec,
     GroupParams,
@@ -16,23 +16,22 @@ from bftvss.field import (
 )
 
 
+def sizes_id(sizes):
+    return "%d-%d" % sizes
+
+
 class TestGroupGeneration:
-    def test_deterministic(self):
-        a = generate_group(64, 32, 7)
-        b = generate_group(64, 32, 7)
-        assert (a.p, a.q, a.g) == (b.p, b.q, b.g)
+    @pytest.mark.parametrize("sizes", sorted(GROUPS), ids=sizes_id)
+    def test_committed_group(self, sizes):
+        params = generate_group(*sizes)
+        params.validate()
+        assert (params.p.bit_length(), params.q.bit_length()) == sizes
+        assert params is GROUPS[sizes] is generate_group(*sizes)
 
-    def test_different_seeds_differ(self):
-        assert generate_group(64, 32, 1) != generate_group(64, 32, 2)
-
-    def test_structure(self):
-        params = generate_group(64, 32, 3)
-        assert sympy.isprime(params.p) and sympy.isprime(params.q)
-        assert params.p.bit_length() == 64
-        assert params.q.bit_length() == 32
-        assert (params.p - 1) % params.q == 0
-        assert pow(params.g, params.q, params.p) == 1
-        assert params.g != 1
+    @pytest.mark.parametrize("sizes", [(64, 32), (512, 128)], ids=sizes_id)
+    def test_rejects_uncommitted_sizes(self, sizes):
+        with pytest.raises(ValueError, match="supported"):
+            generate_group(*sizes)
 
     def test_validate_rejects_composite_p(self):
         with pytest.raises(ValueError):
@@ -45,16 +44,11 @@ class TestGroupGeneration:
 
     def test_rejects_tiny_q(self):
         with pytest.raises(ValueError):
-            generate_group(16, 3, 0)
+            generate_group(16, 3)
 
     def test_rejects_q_not_below_p(self):
         with pytest.raises(ValueError):
-            generate_group(32, 32, 0)
-
-
-@pytest.fixture(scope="module")
-def mid_group() -> GroupParams:
-    return generate_group(512, 128, 5)
+            generate_group(32, 32)
 
 
 def exponents(params: GroupParams):
@@ -65,7 +59,7 @@ def exponents(params: GroupParams):
 
 
 class TestFixedBaseExp:
-    @pytest.mark.parametrize("name", ["tiny_group", "group", "mid_group"])
+    @pytest.mark.parametrize("name", ["tiny_group", "group", "group_2048"])
     def test_edges(self, request, name):
         params = request.getfixturevalue(name)
         q = params.q
@@ -75,8 +69,8 @@ class TestFixedBaseExp:
 
     @given(st.data())
     @settings(max_examples=200)
-    def test_matches_pow(self, tiny_group, group, mid_group, data):
-        for params in (tiny_group, group, mid_group):
+    def test_matches_pow(self, tiny_group, group, group_2048, data):
+        for params in (tiny_group, group, group_2048):
             e = data.draw(exponents(params))
             assert params.exp(e) == pow(params.g, e, params.p)
 
