@@ -539,12 +539,14 @@ class Replica:
                         6 * self.delta * (1 << min(target - self.view, _MAX_BACKOFF)))
 
     def _check_cert(self, cert) -> bool:
-        """2f+1 distinct senders' authentic PREPAREs of the batch's digest."""
+        """2f+1 distinct senders' authentic PREPAREs of the batch's digest;
+        an entry that is not a Message fails the certificate."""
         sq, view, batch, prepares = cert
         payload = (batch_digest(tuple(batch)),)
         senders = set()
         for pm in prepares:
-            if (pm.kind != MsgKind.PREPARE or pm.view != view or pm.sq != sq
+            if (not isinstance(pm, Message) or pm.kind != MsgKind.PREPARE
+                    or pm.view != view or pm.sq != sq
                     or pm.payload != payload or not self._authentic(pm)):
                 return False
             senders.add(pm.sender)
@@ -572,12 +574,13 @@ class Replica:
 
     def _check_new_view(self, m: Message) -> bool:
         """2f+1 distinct senders' authentic VIEW_CHANGEs into the NEW_VIEW's
-        view, each carrying only valid certificates."""
+        view, each carrying only valid certificates; an entry that is not a
+        Message fails the NEW_VIEW."""
         (vcs,) = m.payload
         senders = set()
         for vc in vcs:
-            if (vc.kind != MsgKind.VIEW_CHANGE or vc.payload[0] != m.view
-                    or not self._authentic(vc)
+            if (not isinstance(vc, Message) or vc.kind != MsgKind.VIEW_CHANGE
+                    or vc.payload[0] != m.view or not self._authentic(vc)
                     or not all(self._check_cert(c) for c in vc.payload[1])):
                 return False
             senders.add(vc.sender)

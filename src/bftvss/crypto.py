@@ -59,14 +59,22 @@ def _stream(key: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """data XOR stream, for a stream of data's length."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(
+        len(data), "big")
+
+
 class HybridScheme:
     """Static Diffie-Hellman pair keys plus hash keystream plus integrity tag.
 
     The pair (i, j) shares K = sha256(pk_j^sk_i) = sha256(pk_i^sk_j).  It
     costs one pow on first use and is then memoised on this instance, so a
-    run pays n pows per participant, all in its first round.  Each message
-    draws a nonce, keys the keystream and the tag with sha256(K || nonce),
-    and is framed nonce || lp(body) || mac.
+    run pays n - 1 pows per participant, all in its first round.  A
+    participant's key with itself, pk^sk = g^(sk*sk), comes from the
+    fixed-base table instead, since keygen records each key pair.  Each
+    message draws a nonce, keys the keystream and the tag with
+    sha256(K || nonce), and is framed nonce || lp(body) || mac.
 
     Because K_ij = K_ji, j can reflect i's ciphertext for j back to i as
     its own.  It opens to i's share for j, which fails verification at i's
@@ -80,15 +88,20 @@ class HybridScheme:
     def __init__(self, params: GroupParams):
         self.params = params
         self._pair_keys: dict[tuple[int, int], bytes] = {}
+        self._publics: dict[int, int] = {}  # secret -> public, per keygen
 
     def keygen(self, rng: random.Random) -> KeyPair:
         sk = rng.randrange(1, self.params.q)
-        return KeyPair(public=self.params.exp(sk), secret=sk)
+        pk = self._publics[sk] = self.params.exp(sk)
+        return KeyPair(public=pk, secret=sk)
 
     def _message_key(self, secret: int, public: int, nonce: bytes) -> bytes:
         pair = self._pair_keys.get((secret, public))
         if pair is None:
-            shared = pow(public, secret, self.params.p)
+            if self._publics.get(secret) == public:  # a key pair with itself
+                shared = self.params.exp(secret * secret)
+            else:
+                shared = pow(public, secret, self.params.p)
             pair = self._pair_keys[(secret, public)] = hashlib.sha256(
                 wire.big(shared)).digest()
         return hashlib.sha256(pair + nonce).digest()
@@ -97,7 +110,7 @@ class HybridScheme:
                 rng: random.Random) -> bytes:
         nonce = rng.randbytes(NONCE_LEN)
         key = self._message_key(secret, public, nonce)
-        body = bytes(a ^ b for a, b in zip(plaintext, _stream(key, len(plaintext))))
+        body = _xor(plaintext, _stream(key, len(plaintext)))
         mac = hashlib.sha256(key + body).digest()
         return nonce + wire.lp(body) + mac
 
@@ -111,7 +124,7 @@ class HybridScheme:
         key = self._message_key(secret, public, nonce)
         if hashlib.sha256(key + body).digest() != mac:
             raise DecryptionError("integrity check failed")
-        return bytes(a ^ b for a, b in zip(body, _stream(key, len(body))))
+        return _xor(body, _stream(key, len(body)))
 
 
 class IdentityScheme:

@@ -104,8 +104,10 @@ class TrainingConfig:
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         # n = 3f + 1, gst >= 0, delta >= 1: the simulator's own checks
         SimConfig(n=self.n, f=self.f, gst=self.gst, delta=self.delta)
-        if not 1 <= self.th <= self.n:
-            raise ValueError("threshold must satisfy 1 <= th <= n")
+        # th <= f would let f colluders reconstruct a secret on their own;
+        # th > n - f would leave the n - f honest aggregated shares short
+        if not self.f < self.th <= self.n - self.f:
+            raise ValueError("threshold must satisfy f < th <= n - f")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not set(self.attackers) <= set(range(self.n)):
@@ -281,9 +283,11 @@ def _baseline_step(config: TrainingConfig):
         for pid in sorted(attackers):
             vec, _ = attackers[pid].craft_submission(t, observed, updates[pid])
             bundles[pid], commits[pid] = deal(vec)
+        # each dealer counts its own share as verified, unchecked
         accepted = sorted(
             d for d, bs in bundles.items()
-            if sum(vss.verify(b, commits[d], group) for b in bs) >= config.n - config.f)
+            if 1 + sum(vss.verify(b, commits[d], group)
+                       for j, b in enumerate(bs) if j != d) >= config.n - config.f)
         if not accepted:
             raise WorkflowError(f"round {t}: no dealer cleared verification")
         summed = [vss.sum_shares([bundles[d][j] for d in accepted], group)
@@ -366,7 +370,10 @@ class WorkflowParticipant(Replica):
     participant, then aggregated sum shares.  All round state is fed by
     receiving_update, so it is scoped to committed batches by construction.
     A share verifies at the recipient's own point against its origin's
-    commitments, or it earns the origin no vote from that recipient.
+    commitments, or it earns the origin no vote from that recipient.  A
+    participant's own request, authenticated as its own, needs no check: it
+    keeps the share it dealt itself and counts itself verified once that
+    request commits.
     """
 
     def __init__(self, rid, config, keyring, group, codec, scheme, secret_key,
@@ -394,6 +401,7 @@ class WorkflowParticipant(Replica):
         self.t = t
         self._commits: dict[int, vss.CommitmentVector] = {}
         self._own_shares: dict[int, vss.ShareBundle] = {}
+        self._dealt_self: Optional[vss.ShareBundle] = None
         self._verified: set[int] = set()
         self._votes: dict[int, set[int]] = defaultdict(set)
         self._agg: dict[int, vss.ShareBundle] = {}
@@ -405,6 +413,7 @@ class WorkflowParticipant(Replica):
     def submit_shares(self, vector):
         bundles, commits = vss.share(vector, self.config.th, self.config.n,
                                      self.group, self.codec, self.rng)
+        self._dealt_self = bundles[self.rid]
         ciphertexts = [
             self.scheme.encrypt(self.secret_key, self.publics[j],
                                 bundles[j].to_bytes(), self.rng)
@@ -426,9 +435,12 @@ class WorkflowParticipant(Replica):
                 if len(ciphertexts) != self.config.n or len(commits) != dim:
                     return
                 self._commits[origin] = commits
-                plain = self.scheme.decrypt(self.secret_key, self.publics[origin],
-                                            ciphertexts[self.rid])
-                bundle = vss.parse_bundle(plain, self.eval_point)
+                if origin == self.rid:
+                    bundle = self._dealt_self
+                else:
+                    plain = self.scheme.decrypt(self.secret_key, self.publics[origin],
+                                                ciphertexts[self.rid])
+                    bundle = vss.parse_bundle(plain, self.eval_point)
                 if bundle.dimension == dim:
                     self._own_shares[origin] = bundle
             elif sq == base + 1:
@@ -455,7 +467,8 @@ class WorkflowParticipant(Replica):
     def _share_slot_done(self, sq: int):
         self._verified = {
             d for d, bundle in self._own_shares.items()
-            if d in self._commits and vss.verify(bundle, self._commits[d], self.group)
+            if d in self._commits and (
+                d == self.rid or vss.verify(bundle, self._commits[d], self.group))
         }
         self.broadcast_update(sq + 1, encode_vote_request(sorted(self._verified)))
 

@@ -117,21 +117,20 @@ def share(
 def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupParams) -> bool:
     """Check g^{s_j} == c_0 * c_1^j * c_2^{j^2} * ... per element.
 
-    Exponents j^k are reduced mod q, which is sound because the commitments
-    live in a subgroup of order q.
+    The right-hand side is evaluated in Horner's form,
+    (...(c_{th-1}^j * c_{th-2})^j * ...)^j * c_0, so each commitment but the
+    first costs one pow to the small exponent j.  It equals the product form
+    with exponents j^k reduced mod q for every row inside the order-q
+    subgroup, and for any row at all while j^(th-1) < q.
     """
     if bundle.dimension != len(commitments):
         raise MalformedInputError("bundle and commitments disagree on dimension")
-    p, q = params.p, params.q
-    j = bundle.eval_point
+    p, j = params.p, bundle.eval_point
     for value, row in zip(bundle.values, commitments):
-        lhs = params.exp(value)
-        rhs = 1
-        jk = 1  # j^k mod q
-        for c in row:
-            rhs = (rhs * pow(c, jk, p)) % p
-            jk = (jk * j) % q
-        if lhs != rhs:
+        rhs = row[-1]
+        for c in reversed(row[:-1]):
+            rhs = pow(rhs, j, p) * c % p
+        if params.exp(value) != rhs:
             return False
     return True
 

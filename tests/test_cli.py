@@ -55,6 +55,10 @@ class TestValidate:
                            config=dict(FAST_CONFIG, n=5))
         assert main(["validate", str(p)]) == 2
 
+    def test_threshold_f_colluders_meet(self, tmp_path):
+        p = write_scenario(tmp_path / "s.json", config=dict(FAST_CONFIG, th=1))
+        assert main(["validate", str(p)]) == 2
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text("{not json")

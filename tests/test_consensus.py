@@ -211,6 +211,17 @@ class TestRejectionRules:
         rep = self.new_view(keyring, (0, 1, 3), targets=(1, 1, 2))
         assert rep.view == 0 and rep.vc_voted == 2
 
+    def test_certificate_of_non_messages_is_dropped(self, keyring):
+        rep = Replica(0, 4, 1, keyring)
+        rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 1,
+                              (1, ((0, 0, (), (1, 2, 3)),))))
+        assert rep.dropped_count == 1 and 1 not in rep.view_changes
+
+    def test_new_view_of_non_messages_pushes_for_the_next_view(self, keyring):
+        rep = Replica(2, 4, 1, keyring)
+        rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, ((0, 1, 3),)))
+        assert rep.view == 0 and rep.vc_voted == 2
+
 
 class TestAgreementRuns:
     def test_fault_free_commit(self):

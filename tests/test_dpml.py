@@ -49,10 +49,19 @@ class TestConfig:
         dict(gst=-1),
         dict(dim="16"),                                  # not an integer
         dict(rounds=2.0),
+        dict(th=1),                                      # f colluders reconstruct
+        dict(th=4),                                      # above n - f
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
             TrainingConfig(**bad).validate()
+
+    def test_threshold_between_f_and_n_minus_f(self):
+        TrainingConfig(n=10, f=3, th=4).validate()
+        TrainingConfig(n=10, f=3, th=7).validate()
+        for th in (3, 8):
+            with pytest.raises(ValueError, match="f < th <= n - f"):
+                TrainingConfig(n=10, f=3, th=th).validate()
 
 
 class TestInferenceTime:
@@ -354,8 +363,10 @@ class TestPeerBytes:
 
 @pytest.mark.parametrize("rounds", [1, 3])
 def test_pair_keys_cost_n_squared_exponentiations(monkeypatch, rounds):
-    """The KEM computes each of the n^2 pair keys once per run: the count of
-    crypto's variable-base pow does not grow with the number of rounds."""
+    """The KEM computes each of the n(n-1) keys between two participants
+    with one variable-base pow, once per run: the count of crypto's pow does
+    not grow with the number of rounds.  Each participant's key with itself
+    comes from the fixed-base table."""
     calls = []
 
     def counting_pow(*args):
@@ -365,7 +376,33 @@ def test_pair_keys_cost_n_squared_exponentiations(monkeypatch, rounds):
     monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
     result = run(TrainingConfig(mode="ebyftves", seed=0, **dict(FAST, rounds=rounds)))
     assert len(result.metrics) == rounds
-    assert len(calls) == 4 ** 2
+    assert len(calls) == 4 * 3
+
+
+@pytest.mark.parametrize("mode", ["baseline-vss", "ebyftves"])
+def test_no_participant_checks_its_own_share(monkeypatch, mode):
+    """Each participant verifies the shares of the n - 1 other dealers only,
+    and decrypts no ciphertext it sealed for itself."""
+    verified, opened = collections.Counter(), collections.Counter()
+    verify, decrypt = vss.verify, crypto.HybridScheme.decrypt
+
+    def counting_verify(bundle, commitments, params):
+        verified[bundle.eval_point] += 1
+        return verify(bundle, commitments, params)
+
+    def counting_decrypt(self, secret, public, ciphertext):
+        opened[secret, public] += 1
+        return decrypt(self, secret, public, ciphertext)
+
+    monkeypatch.setattr(vss, "verify", counting_verify)
+    monkeypatch.setattr(crypto.HybridScheme, "decrypt", counting_decrypt)
+    result = run(TrainingConfig(mode=mode, seed=0, **FAST))
+    assert [m.dealer_count for m in result.metrics] == [4] * FAST["rounds"]
+    assert verified == {j: 3 * FAST["rounds"] for j in range(1, 5)}
+    if mode == "ebyftves":
+        group = generate_group(96, 48)
+        assert sum(opened.values()) == 4 * 3 * FAST["rounds"]
+        assert all(public != group.exp(secret) for secret, public in opened)
 
 
 def test_each_request_tag_checked_once_per_replica(monkeypatch):

@@ -67,6 +67,24 @@ class TestFixedBaseExp:
                   (1 << (q.bit_length() + 70)) + 3, -1):
             assert params.exp(e) == pow(params.g, e, params.p), e
 
+    @pytest.mark.parametrize("name", ["group", "group_2048"])
+    def test_window_edges(self, request, name):
+        params = request.getfixturevalue(name)
+        q, w = params.q, params._window
+        for e in (0, 1, (1 << w) - 1, 1 << w, q - 1, q, q + 1, 1 << q.bit_length()):
+            assert params.exp(e) == pow(params.g, e, params.p), e
+
+    @pytest.mark.parametrize("sizes, window, rows", [((96, 48), 12, 4),
+                                                     ((2048, 256), 9, 29)])
+    def test_widest_window_within_the_table_budget(self, sizes, window, rows):
+        params = generate_group(*sizes)
+        assert (params._window, len(params._g_table)) == (window, rows)
+        assert rows << window <= 1 << 14 < -(-sizes[1] // (window + 1)) << (window + 1)
+
+    def test_window_no_wider_than_q(self, tiny_group):
+        assert tiny_group._window == tiny_group.q.bit_length() == 5
+        assert len(tiny_group._g_table) == 1
+
     @given(st.data())
     @settings(max_examples=200)
     def test_matches_pow(self, tiny_group, group, group_2048, data):

@@ -51,6 +51,78 @@ class TestHandOracle:
         assert not vss.verify(bad, commits, tiny_group)
 
 
+def product_form_verify(bundle, commitments, params):
+    """The textbook right-hand side, prod_k c_k^(j^k mod q), kept as an
+    oracle for verify's Horner form."""
+    p, q, j = params.p, params.q, bundle.eval_point
+    for value, row in zip(bundle.values, commitments):
+        rhs = 1
+        for k, c in enumerate(row):
+            rhs = rhs * pow(c, pow(j, k, q), p) % p
+        if params.exp(value) != rhs:
+            return False
+    return True
+
+
+class TestHornerVerify:
+    """verify agrees with the product form for j and th up to 13 at both
+    committed groups: on honest rows, on rows with elements outside the
+    order-q subgroup (times p - 1, of order 2, or arbitrary residues), and
+    after tampering with one value or one commitment."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_product_form(self, group, group_2048, data):
+        params = data.draw(st.sampled_from([group, group_2048]), label="group")
+        p, q = params.p, params.q
+        th = data.draw(st.integers(1, 13), label="th")
+        j = data.draw(st.integers(1, 13), label="j")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        polys = [data.draw(st.lists(st.integers(0, q - 1), min_size=th, max_size=th))
+                 for _ in range(dim)]
+        rows = [[params.exp(a) for a in coeffs] for coeffs in polys]
+        values = [vss.eval_poly(coeffs, j, q) for coeffs in polys]
+        outside = st.one_of(st.just(p - 1), st.integers(2, p - 2))
+        for e in range(dim):
+            for k in range(th):
+                if data.draw(st.booleans(), label=f"leave c[{e}][{k}]"):
+                    rows[e][k] = rows[e][k] * data.draw(outside) % p
+        if data.draw(st.booleans(), label="tamper a value"):
+            e = data.draw(st.integers(0, dim - 1))
+            values[e] = (values[e] + data.draw(st.integers(1, q - 1))) % q
+        bundle = ShareBundle(j, tuple(values))
+        commitments = tuple(tuple(row) for row in rows)
+        assert vss.verify(bundle, commitments, params) == product_form_verify(
+            bundle, commitments, params)
+
+    @pytest.mark.parametrize("name", ["group", "group_2048"])
+    def test_honest_rows_pass_and_single_tampers_fail(self, request, name):
+        params = request.getfixturevalue(name)
+        rng = random.Random(5)
+        th, q = 13, params.q
+        coeffs = [rng.randrange(q) for _ in range(th)]
+        row = tuple(params.exp(a) for a in coeffs)
+        for j in range(1, 14):
+            bundle = ShareBundle(j, (vss.eval_poly(coeffs, j, q),))
+            assert vss.verify(bundle, (row,), params)
+            assert not vss.verify(ShareBundle(j, ((bundle.values[0] + 1) % q,)),
+                                  (row,), params)
+            for k in range(th):
+                tampered = row[:k] + (row[k] * params.g % params.p,) + row[k + 1:]
+                assert not vss.verify(bundle, (tampered,), params)
+
+    def test_element_of_order_two_passes_both_forms_at_even_points(self, group):
+        # -1 = p - 1 lies outside the order-q subgroup; raised to j^k it is 1
+        # at an even j, so both forms accept it in place of any c_k, k >= 1
+        coeffs = [7, 11, 13]
+        row = [group.exp(a) for a in coeffs]
+        row[1] = row[1] * (group.p - 1) % group.p
+        for j, passes in ((2, True), (3, False)):
+            bundle = ShareBundle(j, (vss.eval_poly(coeffs, j, group.q),))
+            assert vss.verify(bundle, (tuple(row),), group) is passes
+            assert product_form_verify(bundle, (tuple(row),), group) is passes
+
+
 class TestShareReconstruct:
     def test_roundtrip_every_subset(self, group, codec, rng):
         secret = [1.25, -0.5, 3.0]
