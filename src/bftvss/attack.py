@@ -11,7 +11,6 @@ also exposed here as a testable identity.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,9 +102,6 @@ def defense_cosine_check(candidate, reference, theta_cos: float,
     return c >= theta_cos - boundary_slack
 
 
-FALLBACKS = ("stale-or-random", "random")
-
-
 class AcumpaAttacker:
     """State for one malicious dealer across training rounds.
 
@@ -113,24 +109,16 @@ class AcumpaAttacker:
     secret from observed shares, average them, and craft against that
     average.  When fewer than th shares per dealer are observable before the
     submission deadline (share encryption in the defended workflow
-    guarantees this), it falls back to the configured non-adaptive vector:
-    the previous crafted output if one exists, otherwise a seeded random
-    direction scaled to its own honest update's norm.
+    guarantees this), it has nothing to craft against: it records the round
+    and hands back its own honest update.
     """
 
-    def __init__(self, pid: int, params: AsdpParams, th: int,
-                 group: GroupParams, codec: FixedPointCodec, seed: int,
-                 fallback: str = "stale-or-random"):
-        if fallback not in FALLBACKS:
-            raise ValueError(f"unknown fallback policy {fallback!r}")
-        self.pid = pid
+    def __init__(self, params: AsdpParams, th: int, group: GroupParams,
+                 codec: FixedPointCodec):
         self.params = params
         self.th = th
         self.group = group
         self.codec = codec
-        self.rng = random.Random(seed)
-        self.fallback = fallback
-        self.last_craft: Optional[np.ndarray] = None
         self.adaptive_rounds: list[int] = []
         self.fallback_rounds: list[int] = []
 
@@ -155,16 +143,7 @@ class AcumpaAttacker:
         """Return (vector to submit, adaptive_engaged)."""
         target = self.observed_target(observed, own_update.size)
         if target is not None and float(np.linalg.norm(target)) > 0:
-            crafted = asdp_craft(target, self.params)
-            self.last_craft = crafted
             self.adaptive_rounds.append(round_index)
-            return crafted, True
+            return asdp_craft(target, self.params), True
         self.fallback_rounds.append(round_index)
-        if self.fallback == "stale-or-random" and self.last_craft is not None:
-            return self.last_craft, False
-        direction = np.array([self.rng.gauss(0, 1) for _ in range(own_update.size)])
-        norm = float(np.linalg.norm(direction))
-        scale = float(np.linalg.norm(own_update))
-        if norm == 0 or scale == 0:
-            return own_update, False
-        return direction * (scale / norm), False
+        return own_update, False

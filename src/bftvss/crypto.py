@@ -70,11 +70,10 @@ class HybridScheme:
 
     The pair (i, j) shares K = sha256(pk_j^sk_i) = sha256(pk_i^sk_j).  It
     costs one pow on first use and is then memoised on this instance, so a
-    run pays n - 1 pows per participant, all in its first round.  A
-    participant's key with itself, pk^sk = g^(sk*sk), comes from the
-    fixed-base table instead, since keygen records each key pair.  Each
-    message draws a nonce, keys the keystream and the tag with
-    sha256(K || nonce), and is framed nonce || lp(body) || mac.
+    run pays n - 1 pows per participant, all in its first round: no
+    participant seals a ciphertext to itself.  Each message draws a nonce,
+    keys the keystream and the tag with sha256(K || nonce), and is framed
+    nonce || lp(body) || mac.
 
     Because K_ij = K_ji, j can reflect i's ciphertext for j back to i as
     its own.  It opens to i's share for j, which fails verification at i's
@@ -88,20 +87,15 @@ class HybridScheme:
     def __init__(self, params: GroupParams):
         self.params = params
         self._pair_keys: dict[tuple[int, int], bytes] = {}
-        self._publics: dict[int, int] = {}  # secret -> public, per keygen
 
     def keygen(self, rng: random.Random) -> KeyPair:
         sk = rng.randrange(1, self.params.q)
-        pk = self._publics[sk] = self.params.exp(sk)
-        return KeyPair(public=pk, secret=sk)
+        return KeyPair(public=self.params.exp(sk), secret=sk)
 
     def _message_key(self, secret: int, public: int, nonce: bytes) -> bytes:
         pair = self._pair_keys.get((secret, public))
         if pair is None:
-            if self._publics.get(secret) == public:  # a key pair with itself
-                shared = self.params.exp(secret * secret)
-            else:
-                shared = pow(public, secret, self.params.p)
+            shared = pow(public, secret, self.params.p)
             pair = self._pair_keys[(secret, public)] = hashlib.sha256(
                 wire.big(shared)).digest()
         return hashlib.sha256(pair + nonce).digest()

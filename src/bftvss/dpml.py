@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import training, vss, wire
-from .attack import FALLBACKS, AcumpaAttacker, AsdpParams
+from .attack import AcumpaAttacker, AsdpParams
 from .consensus import MsgKind, Replica
 from .crypto import SCHEMES, DecryptionError, KeyRing, make_scheme
 from .field import GROUPS, EncodingRangeError, FixedPointCodec, GroupParams, generate_group
@@ -90,7 +90,6 @@ class TrainingConfig:
     bits_q: int = 48
     seed: int = 0
     asdp_delta: float = 1.0
-    fallback: str = "stale-or-random"
     encryption: str = "hybrid"
     gst: int = 0
     delta: int = 1
@@ -130,8 +129,6 @@ class TrainingConfig:
             raise ValueError("tau must lie in (0, 1]")
         if self.encryption not in SCHEMES:
             raise ValueError(f"unknown encryption scheme {self.encryption!r}")
-        if self.fallback not in FALLBACKS:
-            raise ValueError(f"unknown fallback policy {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -241,12 +238,10 @@ class _Coordinator:
         return go
 
 
-def _make_attacker(config: TrainingConfig, pid: int, group: GroupParams,
+def _make_attacker(config: TrainingConfig, group: GroupParams,
                    codec: FixedPointCodec) -> AcumpaAttacker:
     params = AsdpParams(theta_cos=config.theta_cos, delta=config.asdp_delta)
-    return AcumpaAttacker(pid, params, config.th, group, codec,
-                          seed=config.seed * 100003 + 500 + pid,
-                          fallback=config.fallback)
+    return AcumpaAttacker(params, config.th, group, codec)
 
 
 # -- local round loop: fedavg-plain and baseline-vss ---------------------------
@@ -266,7 +261,7 @@ def _baseline_step(config: TrainingConfig):
     group = generate_group(config.bits_p, config.bits_q)
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     share_rng = random.Random(config.seed * 100003 + 7)
-    attackers = {pid: _make_attacker(config, pid, group, codec)
+    attackers = {pid: _make_attacker(config, group, codec)
                  for pid in config.attackers}
 
     def deal(vector):
@@ -372,8 +367,8 @@ class WorkflowParticipant(Replica):
     A share verifies at the recipient's own point against its origin's
     commitments, or it earns the origin no vote from that recipient.  A
     participant's own request, authenticated as its own, needs no check: it
-    keeps the share it dealt itself and counts itself verified once that
-    request commits.
+    keeps the share it dealt itself, leaves that share's blob in the request
+    empty, and counts itself verified once that request commits.
     """
 
     def __init__(self, rid, config, keyring, group, codec, scheme, secret_key,
@@ -415,8 +410,8 @@ class WorkflowParticipant(Replica):
                                      self.group, self.codec, self.rng)
         self._dealt_self = bundles[self.rid]
         ciphertexts = [
-            self.scheme.encrypt(self.secret_key, self.publics[j],
-                                bundles[j].to_bytes(), self.rng)
+            b"" if j == self.rid else self.scheme.encrypt(
+                self.secret_key, self.publics[j], bundles[j].to_bytes(), self.rng)
             for j in range(self.config.n)
         ]
         self.broadcast_update(self.base_slot(),
@@ -508,12 +503,13 @@ class DelayedDealerNode(WorkflowParticipant):
     opens, and submits a crafted share request if the observations reach the
     reconstruction threshold for every observed dealer before the slot
     commits.  Under real encryption only its own shares decrypt, so that
-    never happens; it keeps waiting, the batch forms without it, and its
-    (recorded) fallback comes too late to enter the round."""
+    never happens; it keeps waiting, the batch forms without it, and the
+    round is recorded as a fallback round.  What it observed for a slot is
+    dropped once the slot commits."""
 
     def __init__(self, rid, config, keyring, group, codec, *args):
         super().__init__(rid, config, keyring, group, codec, *args)
-        self.attacker = _make_attacker(config, rid, group, codec)
+        self.attacker = _make_attacker(config, group, codec)
         self.observed: dict[int, dict[int, list[vss.ShareBundle]]] = {}
         self.submitted: set[int] = set()
 
@@ -528,6 +524,8 @@ class DelayedDealerNode(WorkflowParticipant):
         super().on_message(m, now)
 
     def _eavesdrop(self, sq: int, dealer: int, req: bytes):
+        if self._decided(sq):
+            return  # deadline already passed
         try:
             ciphertexts, _ = decode_share_request(req, self.config.th)
         except (ValueError, vss.MalformedInputError):
@@ -544,8 +542,6 @@ class DelayedDealerNode(WorkflowParticipant):
     def _maybe_submit(self, sq: int, store):
         if sq in self.submitted or sq != self.base_slot():
             return
-        if self._decided(sq):
-            return  # deadline already passed
         if self.attacker.observed_target(store, self.config.dim) is None:
             return  # keep waiting: more shares may still show up
         crafted, _ = self.attacker.craft_submission(self.t, store, self.update)
@@ -553,12 +549,12 @@ class DelayedDealerNode(WorkflowParticipant):
         super().submit_shares(crafted)
 
     def _share_slot_done(self, sq: int):
+        observed = self.observed.pop(sq, {})
         if sq not in self.submitted:
             # the share slot just committed: what was observed until now is
             # all the attacker will ever see this round, unless a crafted
             # submission already went out before the deadline
-            self.attacker.craft_submission(self.t, self.observed.get(sq, {}),
-                                           self.update)
+            self.attacker.craft_submission(self.t, observed, self.update)
         super()._share_slot_done(sq)
 
 

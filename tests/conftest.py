@@ -4,13 +4,14 @@ import pytest
 
 from bftvss.dpml import TrainingConfig, run
 from bftvss.field import FixedPointCodec, GroupParams, generate_group
+from group_check import validate
 
 
 @pytest.fixture(scope="session")
 def tiny_group() -> GroupParams:
     """Hand-checkable parameters: q = 23, p = 2q + 1 = 47, g = 2 (2^23 = 1 mod 47)."""
     params = GroupParams(p=47, q=23, g=2)
-    params.validate()
+    validate(params)
     return params
 
 

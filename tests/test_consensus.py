@@ -222,6 +222,22 @@ class TestRejectionRules:
         rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, ((0, 1, 3),)))
         assert rep.view == 0 and rep.vc_voted == 2
 
+    @pytest.mark.parametrize("kind, view, payload", [
+        (MsgKind.VIEW_CHANGE, 0, (1, (5,))),
+        (MsgKind.PREPARE, -1, (b"d" * 32,)),
+        (MsgKind.PREPARE, 0, (7,)),
+        (MsgKind.REQUEST, 0, (b"r",)),
+        (MsgKind.PRE_PREPARE, 0, ((1,),)),
+        (MsgKind.NEW_VIEW, 0, (("a",),)),
+    ], ids=["view-change-int-certificate", "prepare-negative-view",
+            "prepare-int-digest", "request-without-tag", "pre-prepare-int-proposal",
+            "new-view-str-entry"])
+    def test_unencodable_body_is_dropped(self, keyring, kind, view, payload):
+        # the body cannot be encoded, so no key could have tagged it
+        rep = Replica(0, 4, 1, keyring)
+        rep.on_message(Message(kind, view, 0, 1, payload, b"x" * 32))
+        assert rep.dropped_count == 1
+
 
 class TestAgreementRuns:
     def test_fault_free_commit(self):

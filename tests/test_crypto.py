@@ -113,30 +113,6 @@ class TestHybridScheme:
         assert scheme.decrypt(b.secret, a.public, ct) == plaintext
 
 
-class TestSelfPairKey:
-    """A participant's key with itself, pk^sk = g^(sk*sk), comes from the
-    fixed-base table of the scheme that generated the key pair."""
-
-    @pytest.mark.parametrize("name", ["group", "group_2048"])
-    def test_equals_pow(self, request, monkeypatch, rng, name):
-        params = request.getfixturevalue(name)
-        scheme = HybridScheme(params)
-        kp = scheme.keygen(rng)
-        calls = []
-
-        def counting_pow(*args):
-            calls.append(args)
-            return pow(*args)
-
-        monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
-        ct = scheme.encrypt(kp.secret, kp.public, b"own share", rng)
-        assert calls == []
-        # a scheme that never generated the pair computes pow(pk, sk, p)
-        fresh = HybridScheme(params)
-        assert fresh.decrypt(kp.secret, kp.public, ct) == b"own share"
-        assert calls == [(kp.public, kp.secret, params.p)]
-
-
 @given(st.binary(max_size=300), st.integers(0, 2**32))
 @settings(max_examples=100)
 def test_xor_matches_bytewise(data, seed):

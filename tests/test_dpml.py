@@ -382,27 +382,62 @@ def test_pair_keys_cost_n_squared_exponentiations(monkeypatch, rounds):
 @pytest.mark.parametrize("mode", ["baseline-vss", "ebyftves"])
 def test_no_participant_checks_its_own_share(monkeypatch, mode):
     """Each participant verifies the shares of the n - 1 other dealers only,
-    and decrypts no ciphertext it sealed for itself."""
-    verified, opened = collections.Counter(), collections.Counter()
-    verify, decrypt = vss.verify, crypto.HybridScheme.decrypt
+    and seals and decrypts no ciphertext for itself."""
+    verified, opened, sealed = (collections.Counter() for _ in range(3))
+    verify = vss.verify
+    encrypt, decrypt = crypto.HybridScheme.encrypt, crypto.HybridScheme.decrypt
 
     def counting_verify(bundle, commitments, params):
         verified[bundle.eval_point] += 1
         return verify(bundle, commitments, params)
+
+    def counting_encrypt(self, secret, public, plaintext, rng):
+        sealed[secret, public] += 1
+        return encrypt(self, secret, public, plaintext, rng)
 
     def counting_decrypt(self, secret, public, ciphertext):
         opened[secret, public] += 1
         return decrypt(self, secret, public, ciphertext)
 
     monkeypatch.setattr(vss, "verify", counting_verify)
+    monkeypatch.setattr(crypto.HybridScheme, "encrypt", counting_encrypt)
     monkeypatch.setattr(crypto.HybridScheme, "decrypt", counting_decrypt)
     result = run(TrainingConfig(mode=mode, seed=0, **FAST))
     assert [m.dealer_count for m in result.metrics] == [4] * FAST["rounds"]
     assert verified == {j: 3 * FAST["rounds"] for j in range(1, 5)}
     if mode == "ebyftves":
         group = generate_group(96, 48)
-        assert sum(opened.values()) == 4 * 3 * FAST["rounds"]
-        assert all(public != group.exp(secret) for secret, public in opened)
+        for counts in (sealed, opened):
+            assert sum(counts.values()) == 4 * 3 * FAST["rounds"]
+            assert all(public != group.exp(secret) for secret, public in counts)
+
+
+@pytest.mark.parametrize("encryption", ["hybrid", "identity"])
+def test_attacker_forgets_committed_slots(monkeypatch, encryption):
+    """The delaying dealer drops what it eavesdropped for a share slot once
+    that slot commits, and keeps nothing that arrives later: after a full
+    run it holds no observations."""
+    nodes, seen = [], []
+
+    class Recording(dpml.DelayedDealerNode):
+        def __init__(self, *args):
+            super().__init__(*args)
+            nodes.append(self)
+
+        def _share_slot_done(self, sq):
+            seen.append(sum(map(len, self.observed.get(sq, {}).values())))
+            super()._share_slot_done(sq)
+
+    monkeypatch.setattr(dpml, "DelayedDealerNode", Recording)
+    result = run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,),
+                                encryption=encryption))
+    assert len(result.metrics) == len(seen) == 30
+    (node,) = nodes
+    assert node.observed == {}
+    if encryption == "hybrid":  # its own key opens one share per honest dealer
+        assert seen == [3] * 30
+    else:
+        assert min(seen) > 3
 
 
 def test_each_request_tag_checked_once_per_replica(monkeypatch):

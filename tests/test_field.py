@@ -14,6 +14,7 @@ from bftvss.field import (
     GroupParams,
     generate_group,
 )
+from group_check import validate
 
 
 def sizes_id(sizes):
@@ -24,7 +25,7 @@ class TestGroupGeneration:
     @pytest.mark.parametrize("sizes", sorted(GROUPS), ids=sizes_id)
     def test_committed_group(self, sizes):
         params = generate_group(*sizes)
-        params.validate()
+        validate(params)
         assert (params.p.bit_length(), params.q.bit_length()) == sizes
         assert params is GROUPS[sizes] is generate_group(*sizes)
 
@@ -35,12 +36,12 @@ class TestGroupGeneration:
 
     def test_validate_rejects_composite_p(self):
         with pytest.raises(ValueError):
-            GroupParams(p=48, q=23, g=2).validate()
+            validate(GroupParams(p=48, q=23, g=2))
 
     def test_validate_rejects_wrong_order(self):
         # 5 is a non-residue mod 47, so 5^23 = -1: not in the q=23 subgroup
         with pytest.raises(ValueError):
-            GroupParams(p=47, q=23, g=5).validate()
+            validate(GroupParams(p=47, q=23, g=5))
 
     def test_rejects_tiny_q(self):
         with pytest.raises(ValueError):
@@ -101,11 +102,11 @@ class TestFixedBaseExp:
 
     def test_order_check_does_not_use_the_table(self):
         # g = 5 has order 46, not 23, mod 47: reducing e mod q would hide
-        # that, so validate() must keep computing g^q with pow
+        # that, so validate must keep computing g^q with pow
         bad = GroupParams(p=47, q=23, g=5)
         assert bad.exp(bad.q) == 1 != pow(5, 23, 47)
         with pytest.raises(ValueError):
-            bad.validate()
+            validate(bad)
 
 
 class TestFixedPointCodec:
