@@ -1,7 +1,7 @@
 """Desk-scale verifiable secret sharing, BFT consensus, and the training
 workflows built on top of them."""
 
-from .attack import AcumpaAttacker, AsdpParams, asdp_craft, cosine, defense_cosine_check, tau0
+from .attack import AcumpaAttacker, asdp_craft, cosine, defense_cosine_check, tau0
 from .consensus import Message, MsgKind, Replica, aggregate, batch_digest
 from .dpml import MODES, RoundMetrics, RunResult, TrainingConfig, WorkflowError, run
 from .field import FixedPointCodec, GroupParams, generate_group
@@ -11,7 +11,6 @@ from .vss import CommitmentVector, ShareBundle, reconstruct, share, sum_shares, 
 __all__ = [
     "AcumpaAttacker",
     "AdversaryPolicy",
-    "AsdpParams",
     "CommitmentVector",
     "FixedPointCodec",
     "GroupParams",

@@ -2,8 +2,8 @@
 check it is built to skirt.
 
 The crafting loop builds a sparse sign vector over the target's largest
-coordinates, stopping as soon as the running cosine drops to the configured
-threshold, then rescales to the target's norm.  At full support the achieved
+coordinates, stopping as soon as the running cosine drops to the threshold
+theta_cos, then rescales to the target's norm.  At full support the achieved
 cosine equals the closed-form floor ||v||_1 / (||v||_2 * sqrt(d)), which is
 also exposed here as a testable identity.
 """
@@ -11,7 +11,6 @@ also exposed here as a testable identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,18 +21,6 @@ from .field import FixedPointCodec, GroupParams
 
 class DegenerateInputError(Exception):
     """Zero vector where a direction is required."""
-
-
-@dataclass(frozen=True)
-class AsdpParams:
-    theta_cos: float
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if not -1.0 <= self.theta_cos <= 1.0:
-            raise ValueError("theta_cos must lie in [-1, 1]")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
 
 
 def cosine(u, v) -> float:
@@ -59,12 +46,12 @@ def tau0(v) -> float:
     return float(np.sum(np.abs(v))) / (n2 * math.sqrt(v.size))
 
 
-def asdp_craft(target, params: AsdpParams) -> np.ndarray:
+def asdp_craft(target, theta_cos: float) -> np.ndarray:
     """Craft a substitute for `target` with the same norm, sitting at the
     cosine boundary.
 
     Coordinates are visited in descending |target| order; each step sets the
-    sign entry, bumps the running squared norm by params.delta, and breaks
+    sign entry, bumps the running squared norm by 1, and breaks
     once the running cosine falls to theta_cos or the support is exhausted.
     The final rescale uses the true norm of the crafted vector so the output
     norm matches the target exactly.
@@ -81,9 +68,9 @@ def asdp_craft(target, params: AsdpParams) -> np.ndarray:
     for idx in order:
         crafted[idx] = signs[idx]
         indicator += target[idx] * crafted[idx]
-        norm_squared += params.delta
+        norm_squared += 1.0
         cos = indicator / (target_norm * math.sqrt(norm_squared))
-        if cos <= params.theta_cos:
+        if cos <= theta_cos:
             break
     true_norm = float(np.linalg.norm(crafted))
     return crafted * (target_norm / true_norm)
@@ -113,9 +100,9 @@ class AcumpaAttacker:
     and hands back its own honest update.
     """
 
-    def __init__(self, params: AsdpParams, th: int, group: GroupParams,
+    def __init__(self, theta_cos: float, th: int, group: GroupParams,
                  codec: FixedPointCodec):
-        self.params = params
+        self.theta_cos = theta_cos
         self.th = th
         self.group = group
         self.codec = codec
@@ -144,6 +131,6 @@ class AcumpaAttacker:
         target = self.observed_target(observed, own_update.size)
         if target is not None and float(np.linalg.norm(target)) > 0:
             self.adaptive_rounds.append(round_index)
-            return asdp_craft(target, self.params), True
+            return asdp_craft(target, self.theta_cos), True
         self.fallback_rounds.append(round_index)
         return own_update, False

@@ -39,8 +39,7 @@ GRID_DELTA = 2
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 _TRAINING_KEYS = {"name", "kind", "config", "assertions"}
-_CONSENSUS_KEYS = {"name", "kind", "n", "script", "gst", "delta",
-                   "request_time", "assertions"}
+_CONSENSUS_KEYS = {"name", "kind", "n", "script", "gst", "delta", "assertions"}
 _CONFIG_KEYS = {f.name for f in fields(TrainingConfig)}
 
 # assertion key -> (value type, actual value, whether it holds), for a
@@ -126,14 +125,9 @@ def load_scenario(path: str) -> dict:
         n = data.get("n")
         if not isinstance(n, int) or n != 3 * ((n - 1) // 3) + 1 or n < 4:
             raise ScenarioError(f"{path}: 'n' must satisfy n = 3f + 1, n >= 4")
-        # a null request_time means "at GST"; gst and delta have no null
-        timing = {k: data[k] for k in ("gst", "delta", "request_time")
-                  if k in data and not (k == "request_time" and data[k] is None)}
+        timing = {k: data[k] for k in ("gst", "delta") if k in data}
         if any(isinstance(v, bool) or not isinstance(v, int) for v in timing.values()):
-            raise ScenarioError(f"{path}: 'gst', 'delta' and 'request_time' "
-                                f"must be integers")
-        if timing.get("request_time", 0) < 0:
-            raise ScenarioError(f"{path}: 'request_time' must be non-negative")
+            raise ScenarioError(f"{path}: 'gst' and 'delta' must be integers")
         try:
             SimConfig(n=n, f=(n - 1) // 3, gst=timing.get("gst", 0),
                       delta=timing.get("delta", 1))
@@ -207,8 +201,7 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
         run_seed = 0 if seed is None else seed
         outcome = scenarios.run_consensus(
             n=scenario["n"], script=scenario["script"], seed=run_seed,
-            gst=scenario.get("gst", 0), delta=scenario.get("delta", 1),
-            request_time=scenario.get("request_time"))
+            gst=scenario.get("gst", 0), delta=scenario.get("delta", 1))
         payload = _payload(outcome, name, "consensus",
                            _assertions(_CONSENSUS_ASSERTS, asserts, outcome))
         out_path = os.path.join(out_dir,
@@ -265,8 +258,13 @@ def grid(seeds: int = 5, out_dir=None) -> int:
 
 # -- report -------------------------------------------------------------------
 
-_COMPAT_KEYS = ("n", "f", "th", "rounds", "dim", "samples", "tau",
-                "learning_rate")
+_COMPAT_KEYS = ("n", "f", "th", "rounds", "dim")
+# the keys each table reads from a result file of that kind
+_RESULT_KEYS = {
+    "training": ("scenario", "mode", "seed", "config", "final_accuracy", "it"),
+    "consensus": ("n", "script", "safety_ok", "all_committed", "commit_span",
+                  "max_view"),
+}
 
 
 def _fmt_it(values) -> str:
@@ -277,6 +275,17 @@ def _fmt_it(values) -> str:
     std = statistics.stdev(finite) if len(finite) > 1 else 0.0
     tail = f" (+{len(values) - len(finite)} inf)" if len(finite) < len(values) else ""
     return f"{mean:.1f} +/- {std:.1f}{tail}"
+
+
+def _missing_keys(result: dict) -> list[str]:
+    """The keys that report's tables read from this result and it lacks."""
+    kind = result.get("kind")
+    missing = [k for k in _RESULT_KEYS.get(kind, ()) if k not in result]
+    if kind == "training" and "config" in result:
+        config = result["config"]
+        missing += [f"config.{k}" for k in _COMPAT_KEYS
+                    if not isinstance(config, dict) or k not in config]
+    return missing
 
 
 def report(paths, csv_path=None) -> int:
@@ -296,6 +305,9 @@ def report(paths, csv_path=None) -> int:
                     or result.get("schema_version") != dpml.RESULT_SCHEMA_VERSION):
                 raise ScenarioError(f"{p}: not a result file of schema version "
                                     f"{dpml.RESULT_SCHEMA_VERSION}")
+            missing = _missing_keys(result)
+            if missing:
+                raise ScenarioError(f"{p}: result lacks {missing}")
             results.append(result)
     training = [r for r in results if r.get("kind") == "training"]
     compat = [{k: r["config"][k] for k in _COMPAT_KEYS} for r in training]

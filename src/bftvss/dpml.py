@@ -1,8 +1,8 @@
 """Distributed training workflows over the toy task.
 
 Every mode shares the same data, initialization, local-update rule and
-round bookkeeping (_Coordinator: metrics, divergence check, early stop).
-Two drivers run the rounds:
+round bookkeeping (_Coordinator: metrics, divergence check), and every run
+trains for exactly config.rounds rounds.  Two drivers run the rounds:
 
 * the local round loop (run_local) trains every participant in one
   process and differs per mode only in its aggregate step:
@@ -38,15 +38,15 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from . import training, vss, wire
-from .attack import AcumpaAttacker, AsdpParams
+from .attack import AcumpaAttacker
 from .consensus import MsgKind, Replica
 from .crypto import SCHEMES, DecryptionError, KeyRing, make_scheme
-from .field import GROUPS, EncodingRangeError, FixedPointCodec, GroupParams, generate_group
+from .field import GROUPS, EncodingRangeError, FixedPointCodec, generate_group
 from .netsim import AdversaryPolicy, SimConfig, Simulator, Trace
 
 MODES = (
@@ -59,9 +59,17 @@ MODES = (
 
 RESULT_SCHEMA_VERSION = 1
 
+# the toy task's fixed settings: the local step size, the examples per
+# participant and in the shared test set, the accuracy IT waits for, and the
+# cosine boundary the ACuMPA attacker crafts at
+LEARNING_RATE = 0.1
+SAMPLES = 400
+TEST_SAMPLES = 1000
+TAU = 0.90
+THETA_COS = 0.8
+
 # accepted value types per TrainingConfig field annotation (attackers: per id)
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str,
-                "tuple[int, ...]": int}
+_FIELD_TYPES = {"int": int, "str": str, "tuple[int, ...]": int}
 
 
 class WorkflowError(Exception):
@@ -75,24 +83,17 @@ class TrainingConfig:
     f: int = 1
     th: int = 3
     rounds: int = 30
-    error_threshold: float = 0.05
-    learning_rate: float = 0.1
     dim: int = 16
-    samples: int = 400
-    test_samples: int = 1000
-    flip_rate: float = 0.02
     mode: str = "fedavg-plain"
     attackers: tuple[int, ...] = ()
-    theta_cos: float = 0.8
-    tau: float = 0.90
-    fraction_bits: int = 16
     bits_p: int = 96
     bits_q: int = 48
     seed: int = 0
-    asdp_delta: float = 1.0
     encryption: str = "hybrid"
     gst: int = 0
     delta: int = 1
+    # fixed-point precision of the field codec; a constant, not a field
+    fraction_bits: ClassVar[int] = 16
 
     def validate(self) -> None:
         for f in fields(self):
@@ -118,15 +119,12 @@ class TrainingConfig:
             raise ValueError("attack mode needs a non-empty attacker set")
         if not attacked and self.attackers:
             raise ValueError(f"mode {self.mode!r} does not take attackers")
-        if min(self.rounds, self.dim, self.samples, self.test_samples) < 1:
-            raise ValueError("rounds, dim, samples and test_samples must be positive")
-        if self.seed < 0 or self.fraction_bits < 0:
-            raise ValueError("seed and fraction_bits must be non-negative")
+        if min(self.rounds, self.dim) < 1:
+            raise ValueError("rounds and dim must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if (self.bits_p, self.bits_q) not in GROUPS:
             raise ValueError(f"(bits_p, bits_q) must be one of {sorted(GROUPS)}")
-        AsdpParams(theta_cos=self.theta_cos, delta=self.asdp_delta)
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
         if self.encryption not in SCHEMES:
             raise ValueError(f"unknown encryption scheme {self.encryption!r}")
 
@@ -156,7 +154,6 @@ class RunResult:
     weights_history: list[np.ndarray]
     adaptive_rounds: list[int]
     fallback_rounds: list[int]
-    stopped_early: bool
     trace: Optional[Trace] = None
 
     @property
@@ -165,7 +162,7 @@ class RunResult:
 
     @property
     def it(self) -> float:
-        return compute_inference_time(self.accuracy_series, self.config.tau)
+        return compute_inference_time(self.accuracy_series, TAU)
 
     @property
     def final_accuracy(self) -> float:
@@ -184,7 +181,6 @@ class RunResult:
             "final_accuracy": self.final_accuracy,
             "adaptive_rounds": list(self.adaptive_rounds),
             "fallback_rounds": list(self.fallback_rounds),
-            "stopped_early": self.stopped_early,
         }
 
 
@@ -194,54 +190,38 @@ class RunResult:
 def _task(config: TrainingConfig):
     base = config.seed * 7919
     w_true = training.make_true_weights(config.dim, base + 1)
-    datasets = [
-        training.make_dataset(config.dim, config.samples, w_true,
-                              base + 100 + i, config.flip_rate)
-        for i in range(config.n)
-    ]
-    test = training.make_dataset(config.dim, config.test_samples, w_true,
-                                 base + 99, config.flip_rate)
+    datasets = [training.make_dataset(config.dim, SAMPLES, w_true, base + 100 + i)
+                for i in range(config.n)]
+    test = training.make_dataset(config.dim, TEST_SAMPLES, w_true, base + 99)
     w0 = training.initial_weights(config.dim, base + 2)
     return datasets, test, w0
 
 
 class _Coordinator:
     """Experiment harness shared by every mode and participant: computes the
-    metrics once per round, checks that everyone arrived at bit-identical
-    weights, and makes the (global, deterministic) continue/stop call."""
+    metrics once per round and checks that everyone arrived at bit-identical
+    weights."""
 
-    def __init__(self, config: TrainingConfig, datasets, test):
-        self.config = config
+    def __init__(self, datasets, test):
         self.datasets = datasets
         self.test = test
         self.metrics: list[RoundMetrics] = []
         self.weights_history: list[np.ndarray] = []
-        self._decisions: dict[int, bool] = {}
         self._weight_bytes: dict[int, bytes] = {}
 
-    def round_complete(self, pid: int, t: int, w: np.ndarray, dealer_count: int) -> bool:
+    def round_complete(self, pid: int, t: int, w: np.ndarray, dealer_count: int):
         key = w.tobytes()
-        if t in self._decisions:
+        if t in self._weight_bytes:
             if key != self._weight_bytes[t]:
                 raise WorkflowError(
                     f"round {t}: participant {pid} reconstructed divergent weights")
-            return self._decisions[t]
+            return
         self._weight_bytes[t] = key
-        m = RoundMetrics(
+        self.metrics.append(RoundMetrics(
             t=t, accuracy=training.accuracy(w, self.test),
             train_error=float(np.mean([training.loss(w, d) for d in self.datasets])),
-            dealer_count=dealer_count)
-        self.metrics.append(m)
+            dealer_count=dealer_count))
         self.weights_history.append(w.copy())
-        go = m.train_error > self.config.error_threshold and t < self.config.rounds
-        self._decisions[t] = go
-        return go
-
-
-def _make_attacker(config: TrainingConfig, group: GroupParams,
-                   codec: FixedPointCodec) -> AcumpaAttacker:
-    params = AsdpParams(theta_cos=config.theta_cos, delta=config.asdp_delta)
-    return AcumpaAttacker(params, config.th, group, codec)
 
 
 # -- local round loop: fedavg-plain and baseline-vss ---------------------------
@@ -261,7 +241,7 @@ def _baseline_step(config: TrainingConfig):
     group = generate_group(config.bits_p, config.bits_q)
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     share_rng = random.Random(config.seed * 100003 + 7)
-    attackers = {pid: _make_attacker(config, group, codec)
+    attackers = {pid: AcumpaAttacker(THETA_COS, config.th, group, codec)
                  for pid in config.attackers}
 
     def deal(vector):
@@ -299,13 +279,11 @@ def run_local(config: TrainingConfig) -> RunResult:
     datasets, test, w = _task(config)
     make_step = _mean_step if config.mode == "fedavg-plain" else _baseline_step
     step, attackers = make_step(config)
-    coordinator = _Coordinator(config, datasets, test)
-    t, go = 0, True
-    while go:
-        t += 1
-        updates = [training.local_train(w, d, config.learning_rate) for d in datasets]
+    coordinator = _Coordinator(datasets, test)
+    for t in range(1, config.rounds + 1):
+        updates = [training.local_train(w, d, LEARNING_RATE) for d in datasets]
         w, dealer_count = step(t, updates)
-        go = coordinator.round_complete(0, t, w, dealer_count)
+        coordinator.round_complete(0, t, w, dealer_count)
     return _finish(config, coordinator, attackers)
 
 
@@ -320,11 +298,9 @@ def _finish(config: TrainingConfig, coordinator: _Coordinator,
         replace(m, adaptive_engaged=m.t in adaptive, fallback_engaged=m.t in fallback)
         for m in coordinator.metrics
     ]
-    stopped = bool(metrics) and metrics[-1].train_error <= config.error_threshold
     return RunResult(config=config, metrics=metrics,
                      weights_history=coordinator.weights_history,
-                     adaptive_rounds=adaptive, fallback_rounds=fallback,
-                     stopped_early=stopped, trace=trace)
+                     adaptive_rounds=adaptive, fallback_rounds=fallback, trace=trace)
 
 
 # -- engine: defended consensus-gated workflow --------------------------------
@@ -401,8 +377,7 @@ class WorkflowParticipant(Replica):
         self._votes: dict[int, set[int]] = defaultdict(set)
         self._agg: dict[int, vss.ShareBundle] = {}
         self._dealer_set: list[int] = []
-        self.update = training.local_train(self.w, self.dataset,
-                                           self.config.learning_rate)
+        self.update = training.local_train(self.w, self.dataset, LEARNING_RATE)
         self.submit_shares(self.update)
 
     def submit_shares(self, vector):
@@ -489,9 +464,9 @@ class WorkflowParticipant(Replica):
         total = vss.reconstruct(self._agg.values(), self.config.th,
                                 self.group, self.codec, self.config.dim)
         self.w = np.asarray(total) / len(self._dealer_set)
-        go = self.coordinator.round_complete(self.rid, self.t, self.w,
-                                             len(self._dealer_set))
-        if go:
+        self.coordinator.round_complete(self.rid, self.t, self.w,
+                                        len(self._dealer_set))
+        if self.t < self.config.rounds:
             self.start_round(self.t + 1)
         else:
             self.done = True
@@ -509,7 +484,7 @@ class DelayedDealerNode(WorkflowParticipant):
 
     def __init__(self, rid, config, keyring, group, codec, *args):
         super().__init__(rid, config, keyring, group, codec, *args)
-        self.attacker = _make_attacker(config, group, codec)
+        self.attacker = AcumpaAttacker(THETA_COS, config.th, group, codec)
         self.observed: dict[int, dict[int, list[vss.ShareBundle]]] = {}
         self.submitted: set[int] = set()
 
@@ -518,8 +493,9 @@ class DelayedDealerNode(WorkflowParticipant):
         a crafted vector goes out through super().submit_shares instead."""
 
     def on_message(self, m, now=0):
+        # only an authentic share request has a (bytes, bytes) payload to read
         if (m.kind == MsgKind.REQUEST and m.sq % 3 == 0
-                and m.sender != self.rid):
+                and m.sender != self.rid and self._authentic(m)):
             self._eavesdrop(m.sq, m.sender, m.payload[0])
         super().on_message(m, now)
 
@@ -567,7 +543,7 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
     keypairs = [scheme.keygen(key_rng) for _ in range(config.n)]
     publics = [kp.public for kp in keypairs]
     keyring = KeyRing(range(config.n), random.Random(config.seed * 100003 + 13))
-    coordinator = _Coordinator(config, datasets, test)
+    coordinator = _Coordinator(datasets, test)
 
     nodes = {
         i: (DelayedDealerNode if i in config.attackers else WorkflowParticipant)(

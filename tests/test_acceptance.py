@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bftvss import vss
-from bftvss.attack import AsdpParams, asdp_craft, cosine, tau0
+from bftvss.attack import asdp_craft, cosine, tau0
 from bftvss.cli import run_scenario
 from bftvss.dpml import TrainingConfig, run
 from bftvss.scenarios import run_consensus
@@ -115,7 +115,7 @@ class TestCriterion6AsdpContract:
             d = int(rng.integers(2, 48))
             target = rng.normal(size=d)
             theta = float(rng.uniform(0.0, 0.99))
-            out = asdp_craft(target, AsdpParams(theta_cos=theta))
+            out = asdp_craft(target, theta)
             assert np.linalg.norm(out) == pytest.approx(
                 np.linalg.norm(target), rel=1e-9)
             support = int(np.count_nonzero(out))

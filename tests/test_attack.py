@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from bftvss import vss
 from bftvss.attack import (
     AcumpaAttacker,
-    AsdpParams,
     DegenerateInputError,
     asdp_craft,
     cosine,
@@ -61,27 +60,27 @@ class TestAsdpCraft:
     def test_hand_oracle(self):
         # target (3, 4): the first step sets crafted = (0, 1) giving cosine
         # 4/5 < 0.995, so the loop stops at support 1 and rescales to norm 5
-        out = asdp_craft([3.0, 4.0], AsdpParams(theta_cos=0.995))
+        out = asdp_craft([3.0, 4.0], 0.995)
         assert out == pytest.approx([0.0, 5.0], abs=1e-12)
 
     def test_full_support_hits_tau0(self):
         # with theta below tau0 the loop exhausts the support, so the output
         # is exactly the rescaled sign vector and achieves cosine tau0
         target = [3.0, 4.0]
-        out = asdp_craft(target, AsdpParams(theta_cos=0.1))
+        out = asdp_craft(target, 0.1)
         assert out == pytest.approx(np.sign(target) * (5 / math.sqrt(2)), abs=1e-12)
         assert cosine(out, target) == pytest.approx(tau0(target), abs=1e-12)
 
     @given(nonzero_vectors, st.floats(0.0, 0.999))
     @settings(max_examples=200, deadline=None)
     def test_norm_preserved(self, target, theta):
-        out = asdp_craft(target, AsdpParams(theta_cos=theta))
+        out = asdp_craft(target, theta)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(target), rel=1e-9)
 
     @given(nonzero_vectors, st.floats(0.0, 0.999))
     @settings(max_examples=200, deadline=None)
     def test_cosine_at_or_below_threshold_unless_exhausted(self, target, theta):
-        out = asdp_craft(target, AsdpParams(theta_cos=theta))
+        out = asdp_craft(target, theta)
         support = int(np.count_nonzero(out))
         assert support <= target.size
         if support < np.count_nonzero(target):
@@ -90,13 +89,7 @@ class TestAsdpCraft:
 
     def test_zero_target_rejected(self):
         with pytest.raises(DegenerateInputError):
-            asdp_craft([0.0, 0.0], AsdpParams(theta_cos=0.5))
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            AsdpParams(theta_cos=1.5)
-        with pytest.raises(ValueError):
-            AsdpParams(theta_cos=0.5, delta=0.0)
+            asdp_craft([0.0, 0.0], 0.5)
 
 
 class TestDefenseCheck:
@@ -120,7 +113,7 @@ class TestDefenseCheck:
 
 class TestAcumpaAttacker:
     def _attacker(self, group, codec):
-        return AcumpaAttacker(AsdpParams(theta_cos=0.8), th=3, group=group, codec=codec)
+        return AcumpaAttacker(0.8, th=3, group=group, codec=codec)
 
     def _deal(self, secret, group, codec, rng):
         bundles, _ = vss.share(secret, 3, 4, group, codec, rng)

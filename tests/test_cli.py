@@ -3,12 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from bftvss import dpml
 from bftvss.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
-FAST_CONFIG = {"mode": "ebyftves", "rounds": 3, "samples": 100,
-               "test_samples": 200, "dim": 8}
+FAST_CONFIG = {"mode": "ebyftves", "rounds": 3, "dim": 8}
 
 
 def write_scenario(path, **overrides):
@@ -84,14 +84,12 @@ class TestValidate:
 
 
 # each passed validate, then crashed run with a traceback, failed its
-# workflow (dim 0) or ran to a NaN accuracy (test_samples 0)
+# workflow (dim 0) or ran to a NaN accuracy
 UNRUNNABLE = {
     "consensus-delta-0": {"kind": "consensus", "n": 4, "script": "none", "delta": 0},
     "consensus-gst-null": {"kind": "consensus", "n": 4, "script": "none", "gst": None},
     "consensus-delta-null": {"kind": "consensus", "n": 4, "script": "none",
                              "delta": None},
-    "consensus-request_time-negative": {"kind": "consensus", "n": 4, "script": "none",
-                                        "request_time": -50},
     "training-delta-0": {"kind": "training", "config": dict(FAST_CONFIG, delta=0)},
     "training-dim-str": {"kind": "training", "config": dict(FAST_CONFIG, dim="16")},
     "training-encryption": {"kind": "training",
@@ -103,29 +101,28 @@ UNRUNNABLE = {
                             "assertions": {"max_it": "6"}},
     "training-min_final_accuracy-str": {"kind": "training", "config": FAST_CONFIG,
                                         "assertions": {"min_final_accuracy": "0.9"}},
-    "training-theta_cos-2": {"kind": "training",
-                             "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
-                                            attackers=[3], theta_cos=2.0)},
-    "training-asdp_delta-0": {"kind": "training",
-                              "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
-                                             attackers=[3], asdp_delta=0)},
     "training-bits_q-3": {"kind": "training", "config": dict(FAST_CONFIG, bits_q=3)},
     "training-bits-512-128": {"kind": "training",
                               "config": dict(FAST_CONFIG, bits_p=512, bits_q=128)},
     "training-bits_q-bits_p": {"kind": "training",
                                "config": dict(FAST_CONFIG, bits_p=96, bits_q=96)},
     "training-seed-negative": {"kind": "training", "config": dict(FAST_CONFIG, seed=-1)},
-    "training-fraction_bits-negative": {"kind": "training",
-                                        "config": dict(FAST_CONFIG, fraction_bits=-1)},
-    "training-samples-0": {"kind": "training", "config": dict(FAST_CONFIG, samples=0)},
-    "training-test_samples-0": {"kind": "training",
-                                "config": dict(FAST_CONFIG, test_samples=0)},
     "training-dim-0": {"kind": "training", "config": dict(FAST_CONFIG, dim=0)},
     "consensus-commit_within-str": {"kind": "consensus", "n": 4, "script": "none",
                                     "assertions": {"commit_within": "40"}},
     "consensus-max_view-str": {"kind": "consensus", "n": 4, "script": "none",
                                "assertions": {"max_view": "3"}},
 }
+# settings that are constants now: a scenario that sets one, even to its
+# former default, is rejected as unknown before anything runs
+REMOVED_CONFIG = {"error_threshold": 0.05, "learning_rate": 0.1, "samples": 400,
+                  "test_samples": 1000, "flip_rate": 0.02, "theta_cos": 0.8,
+                  "tau": 0.9, "asdp_delta": 1.0, "fraction_bits": 16}
+UNRUNNABLE.update({f"training-{key}-removed": {"kind": "training",
+                                               "config": dict(FAST_CONFIG, **{key: value})}
+                   for key, value in REMOVED_CONFIG.items()})
+UNRUNNABLE["consensus-request_time-removed"] = {"kind": "consensus", "n": 4,
+                                                "script": "none", "request_time": None}
 
 
 @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
@@ -181,12 +178,14 @@ class TestRun:
         first_line = trace.read_text().splitlines()[0]
         json.loads(first_line)
 
-    def test_fraction_bits_too_large_is_a_workflow_error(self, tmp_path, capsys):
-        # validates, since whether a value fits depends on the data
-        p = write_scenario(tmp_path / "s.json",
-                           config=dict(FAST_CONFIG, fraction_bits=60))
+    def test_workflow_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def stalled(config, collect_trace=False):
+            raise dpml.WorkflowError("training stalled in round 1")
+
+        monkeypatch.setattr(dpml, "run", stalled)
+        p = write_scenario(tmp_path / "s.json")
         assert main(["run", str(p), "--out-dir", str(tmp_path / "o")]) == 1
-        assert "fraction_bits" in capsys.readouterr().err
+        assert "workflow failed" in capsys.readouterr().err
 
     def test_consensus_run(self, tmp_path):
         p = tmp_path / "c.json"
@@ -244,7 +243,8 @@ class TestReport:
         assert main(["report", str(tmp_path / "nothing_*.json")]) == 2
 
     @pytest.mark.parametrize("bad", ["directory", "not-json", "training-scenario",
-                                     "consensus-scenario"])
+                                     "consensus-scenario", "training-incomplete",
+                                     "consensus-incomplete"])
     def test_unreadable_input(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
         if bad == "directory":
@@ -253,6 +253,9 @@ class TestReport:
             path.write_text("mode,runs\n")
         elif bad == "training-scenario":
             write_scenario(path)
+        elif bad.endswith("-incomplete"):
+            kind = bad.split("-")[0]
+            path.write_text(json.dumps({"schema_version": 1, "kind": kind}))
         else:
             path.write_text(json.dumps({"name": "c", "kind": "consensus", "n": 4,
                                         "script": "none"}))
