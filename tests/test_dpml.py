@@ -44,6 +44,7 @@ class TestConfig:
         dict(mode="ebyftves+acumpa", attackers=(9,)),    # not a participant
         dict(mode="ebyftves+acumpa", attackers=(1, 2)),  # more than f
         dict(rounds=0),
+        dict(dim=0),
         dict(delta=0),                                   # simulator's own check
         dict(gst=-1),
         dict(dim="16"),                                  # not an integer
