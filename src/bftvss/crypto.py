@@ -141,9 +141,3 @@ class IdentityScheme:
 
 
 SCHEMES = {"hybrid": HybridScheme, "identity": IdentityScheme}
-
-
-def make_scheme(name: str, params: GroupParams):
-    if name not in SCHEMES:
-        raise ValueError(f"unknown encryption scheme {name!r}")
-    return SCHEMES[name](params)

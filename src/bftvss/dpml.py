@@ -45,7 +45,7 @@ import numpy as np
 from . import training, vss, wire
 from .attack import AcumpaAttacker
 from .consensus import MsgKind, Replica
-from .crypto import SCHEMES, DecryptionError, KeyRing, make_scheme
+from .crypto import SCHEMES, DecryptionError, KeyRing
 from .field import GROUPS, EncodingRangeError, FixedPointCodec, generate_group
 from .netsim import AdversaryPolicy, SimConfig, Simulator, Trace
 
@@ -131,6 +131,12 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class RoundMetrics:
+    """One round's outcome.  adaptive_engaged marks a round in which an
+    attacker crafted against the observed honest average, whether or not its
+    crafted update entered the round: dealer_count tells that.  With
+    encryption "identity" at gst 100 and delta 2, seeds 15, 20 and 33 craft
+    and submit in round 1 but miss the batch, so dealer_count is 3 there."""
+
     t: int
     accuracy: float
     train_error: float
@@ -338,8 +344,9 @@ class WorkflowParticipant(Replica):
 
     Round t (1-indexed) occupies slots 3(t-1)..3(t-1)+2: encrypted shares
     with commitments, then one bundled verification-vote request per
-    participant, then aggregated sum shares.  All round state is fed by
-    receiving_update, so it is scoped to committed batches by construction.
+    participant, then aggregated sum shares.  All round state but the share
+    a participant deals itself is fed by receiving_update, so it is scoped to
+    committed batches by construction.
     A share verifies at the recipient's own point against its origin's
     commitments, or it earns the origin no vote from that recipient.  A
     participant's own request, authenticated as its own, needs no check: it
@@ -372,7 +379,6 @@ class WorkflowParticipant(Replica):
         self.t = t
         self._commits: dict[int, vss.CommitmentVector] = {}
         self._own_shares: dict[int, vss.ShareBundle] = {}
-        self._dealt_self: Optional[vss.ShareBundle] = None
         self._verified: set[int] = set()
         self._votes: dict[int, set[int]] = defaultdict(set)
         self._agg: dict[int, vss.ShareBundle] = {}
@@ -383,7 +389,7 @@ class WorkflowParticipant(Replica):
     def submit_shares(self, vector):
         bundles, commits = vss.share(vector, self.config.th, self.config.n,
                                      self.group, self.codec, self.rng)
-        self._dealt_self = bundles[self.rid]
+        self._own_shares[self.rid] = bundles[self.rid]
         ciphertexts = [
             b"" if j == self.rid else self.scheme.encrypt(
                 self.secret_key, self.publics[j], bundles[j].to_bytes(), self.rng)
@@ -406,11 +412,10 @@ class WorkflowParticipant(Replica):
                     return
                 self._commits[origin] = commits
                 if origin == self.rid:
-                    bundle = self._dealt_self
-                else:
-                    plain = self.scheme.decrypt(self.secret_key, self.publics[origin],
-                                                ciphertexts[self.rid])
-                    bundle = vss.parse_bundle(plain, self.eval_point)
+                    return  # submit_shares kept the share it dealt itself
+                plain = self.scheme.decrypt(self.secret_key, self.publics[origin],
+                                            ciphertexts[self.rid])
+                bundle = vss.parse_bundle(plain, self.eval_point)
                 if bundle.dimension == dim:
                     self._own_shares[origin] = bundle
             elif sq == base + 1:
@@ -440,7 +445,7 @@ class WorkflowParticipant(Replica):
             if d in self._commits and (
                 d == self.rid or vss.verify(bundle, self._commits[d], self.group))
         }
-        self.broadcast_update(sq + 1, encode_vote_request(sorted(self._verified)))
+        self.broadcast_update(sq + 1, encode_vote_request(self._verified))
 
     def _vote_slot_done(self, sq: int):
         dealer_set = sorted(
@@ -538,7 +543,7 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
     datasets, test, w0 = _task(config)
     group = generate_group(config.bits_p, config.bits_q)
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
-    scheme = make_scheme(config.encryption, group)
+    scheme = SCHEMES[config.encryption](group)
     key_rng = random.Random(config.seed * 100003 + 11)
     keypairs = [scheme.keygen(key_rng) for _ in range(config.n)]
     publics = [kp.public for kp in keypairs]

@@ -205,25 +205,19 @@ class SilentNode:
 
 class EquivocatingPrimary(Replica):
     """A replica whose PRE_PREPAREs reach half the destinations as a
-    conflicting one whose batch omits the last request (or, if the batch is
-    empty, a fabricated self request)."""
+    conflicting one whose proposals all omit the request that sorts last.
+    There is always one: each proposal comes from a replica holding at least
+    2f+1 requests."""
 
     def _fork(self, m: Message, dst: int):
         if m.kind != MsgKind.PRE_PREPARE or dst % 2 == 0:
             return m
         raw = dict(m.payload[0])
-        batch_now = [t for prop in raw.values() for t in prop]
-        if batch_now:
-            victim = sorted(set(batch_now))[-1]
-            alt_raw = {
-                proposer: tuple(t for t in prop if t != victim)
-                for proposer, prop in raw.items()
-            }
-        else:
-            fake = b"equivocation-filler"
-            rtag = request_tag(self.keyring, self.rid, m.sq, fake)
-            triple = (self.rid, fake, rtag)
-            alt_raw = {proposer: prop + (triple,) for proposer, prop in raw.items()}
+        victim = max(t for prop in raw.values() for t in prop)
+        alt_raw = {
+            proposer: tuple(t for t in prop if t != victim)
+            for proposer, prop in raw.items()
+        }
         if aggregate(alt_raw, self.f) == aggregate(raw, self.f):
             return m
         return signed(self.keyring, m.kind, m.view, m.sq, m.sender,

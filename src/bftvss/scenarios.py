@@ -20,13 +20,6 @@ from .netsim import (
     Simulator,
 )
 
-CONSENSUS_SCRIPTS = (
-    "none",
-    "silent-primary",
-    "equivocating-primary",
-    "inconsistent-dealer",
-)
-
 # script -> (the Byzantine replica's id modulo n, or None; its class)
 _BEHAVIOURS = {
     "none": (None, Replica),
@@ -34,6 +27,8 @@ _BEHAVIOURS = {
     "equivocating-primary": (0, EquivocatingPrimary),
     "inconsistent-dealer": (-1, InconsistentSender),
 }
+
+CONSENSUS_SCRIPTS = tuple(_BEHAVIOURS)
 
 
 def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,

@@ -11,7 +11,6 @@ from bftvss.crypto import (
     HybridScheme,
     IdentityScheme,
     KeyRing,
-    make_scheme,
 )
 
 
@@ -126,10 +125,3 @@ class TestIdentityScheme:
         kp = scheme.keygen(rng)
         ct = scheme.encrypt(kp.secret, kp.public, b"x", rng)
         assert scheme.decrypt(kp.secret, kp.public, ct) == b"x"
-
-
-def test_make_scheme(group):
-    assert isinstance(make_scheme("hybrid", group), HybridScheme)
-    assert isinstance(make_scheme("identity", group), IdentityScheme)
-    with pytest.raises(ValueError):
-        make_scheme("bogus", group)
