@@ -439,21 +439,27 @@ class Replica:
         if sq == self.next_exec:
             self._restart_progress_timer()
         self._broadcast(self._make(MsgKind.PREPARE, sq, (digest,), view=view))
+        self._check_prepared(sq, view)
         if slot.deferred == digest:
             self._commit_local(sq, view, digest, batch)
 
     def _on_prepare(self, m: Message):
         (digest,) = m.payload
-        slot = self._slot(m.sq)
-        sv = slot.at(m.view)
-        sv.prepares[digest][m.sender] = m
-        if len(sv.prepares[digest]) >= 2 * self.f + 1 and not sv.prepare_cert:
-            if sv.accepted_digest is not None and sv.accepted_digest != digest:
-                return  # votes for a digest we did not accept; never mix
-            sv.prepare_cert = tuple(sorted(sv.prepares[digest].values(), key=lambda x: x.sender))
-            if not sv.commit_sent:
-                sv.commit_sent = True
-                self._broadcast(self._make(MsgKind.COMMIT, m.sq, (digest,), view=m.view))
+        self._slot(m.sq).at(m.view).prepares[digest][m.sender] = m
+        self._check_prepared(m.sq, m.view)
+
+    def _check_prepared(self, sq: int, view: int):
+        """Prepared means 2f+1 PREPAREs of the digest accepted in (view, sq):
+        a quorum that arrives before the batch waits for it, so no prepared
+        certificate lacks its batch.  Once prepared, send COMMIT."""
+        sv = self._slot(sq).at(view)
+        votes = sv.prepares.get(sv.accepted_digest, {})
+        if sv.prepare_cert or len(votes) < 2 * self.f + 1:
+            return
+        sv.prepare_cert = tuple(sorted(votes.values(), key=lambda x: x.sender))
+        if not sv.commit_sent:
+            sv.commit_sent = True
+            self._broadcast(self._make(MsgKind.COMMIT, sq, (sv.accepted_digest,), view=view))
 
     def _on_commit(self, m: Message):
         (digest,) = m.payload

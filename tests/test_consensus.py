@@ -239,6 +239,34 @@ class TestRejectionRules:
         assert rep.dropped_count == 1
 
 
+class TestPreparedOnAcceptedBatch:
+    """A replica is prepared only on the batch it accepted: a PREPARE quorum
+    that arrives before the PRE_PREPARE waits for it."""
+
+    def test_early_prepare_quorum_waits_for_its_batch(self, keyring):
+        batch = tuple(triple(keyring, o, 0, b"req%d" % o) for o in range(4))
+        digest = batch_digest(batch)
+        rep = Replica(1, 4, 1, keyring)
+        rep.broadcast_update(0, b"req1")
+        for sender in (0, 2, 3):
+            rep.on_message(signed(keyring, MsgKind.PREPARE, 0, 0, sender, (digest,)))
+        rep.on_timer(("progress", None))
+        sends = [m for _, m in rep.drain()[0]]
+        assert not any(m.kind == MsgKind.COMMIT for m in sends)
+        (vc,) = {m for m in sends if m.kind == MsgKind.VIEW_CHANGE}
+        assert vc.payload == (1, ())
+        # control: once the batch arrives, the waiting quorum prepares it
+        raw = tuple((p, batch) for p in (0, 2, 3))
+        rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (raw,)))
+        rep.on_timer(("vc", 1))
+        sends = [m for _, m in rep.drain()[0]]
+        assert {m.payload for m in sends if m.kind == MsgKind.COMMIT} == {(digest,)}
+        (vc,) = {m for m in sends if m.kind == MsgKind.VIEW_CHANGE}
+        ((sq, view, certified, prepares),) = vc.payload[1]
+        assert (sq, view, certified) == (0, 0, batch)
+        assert [m.sender for m in prepares] == [0, 2, 3]
+
+
 class TestAgreementRuns:
     def test_fault_free_commit(self):
         out = run_consensus(n=4, script="none", seed=0)

@@ -481,6 +481,8 @@ class TestPreGstTraining:
         ("ebyftves", 8),
         # a commit quorum of one view, its batch accepted in a later one
         ("ebyftves+acumpa", 26),
+        # a PREPARE quorum that came before its batch
+        ("ebyftves", 115),
     ])
     def test_finishes_within_budget(self, monkeypatch, mode, seed):
         monkeypatch.setattr(dpml, "SimConfig",
