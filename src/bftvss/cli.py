@@ -79,14 +79,18 @@ def _reject_unknown(given: dict, allowed, where: str):
         raise ScenarioError(f"{where}: unknown keys {unknown}")
 
 
+def _of_type(value, kind) -> bool:
+    # a bool is an int to isinstance, but never a count or a bound here
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _check_assertions(asserts, table: dict, where: str):
     if not isinstance(asserts, dict):
         raise ScenarioError(f"{where}: must be an object")
     _reject_unknown(asserts, table, where)
     for key, want in asserts.items():
         kind = table[key][0]
-        # a bool is an int to isinstance, but never a count or a bound here
-        if not isinstance(want, kind) or (kind is not bool and isinstance(want, bool)):
+        if not _of_type(want, kind):
             raise ScenarioError(f"{where}: {key} must be of type "
                                 f"{getattr(kind, '__name__', 'number')}, got {want!r}")
 
@@ -258,12 +262,15 @@ def grid(seeds: int = 5, out_dir=None) -> int:
 
 # -- report -------------------------------------------------------------------
 
-_COMPAT_KEYS = ("n", "f", "th", "rounds", "dim")
-# the keys each table reads from a result file of that kind
+_COMPAT_KEYS = ("n", "f", "th", "rounds", "dim")  # ints in a training config
+_OPTIONAL_INT = (int, type(None))
+# the keys each table reads from a result file of that kind, and their types
 _RESULT_KEYS = {
-    "training": ("scenario", "mode", "seed", "config", "final_accuracy", "it"),
-    "consensus": ("n", "script", "safety_ok", "all_committed", "commit_span",
-                  "max_view"),
+    "training": {"scenario": str, "mode": str, "seed": int, "config": dict,
+                 "final_accuracy": (int, float), "it": _OPTIONAL_INT},
+    "consensus": {"n": int, "script": str, "safety_ok": bool,
+                  "all_committed": bool, "commit_span": _OPTIONAL_INT,
+                  "max_view": int},
 }
 
 
@@ -277,15 +284,22 @@ def _fmt_it(values) -> str:
     return f"{mean:.1f} +/- {std:.1f}{tail}"
 
 
-def _missing_keys(result: dict) -> list[str]:
-    """The keys that report's tables read from this result and it lacks."""
+def _check_result(result: dict, where: str):
+    """Reject a result that lacks a key report's tables read, or holds one of
+    a type they cannot read."""
     kind = result.get("kind")
-    missing = [k for k in _RESULT_KEYS.get(kind, ()) if k not in result]
-    if kind == "training" and "config" in result:
-        config = result["config"]
-        missing += [f"config.{k}" for k in _COMPAT_KEYS
-                    if not isinstance(config, dict) or k not in config]
-    return missing
+    # (name, the object holding it, its key there, its accepted types)
+    checks = [(k, result, k, t) for k, t in _RESULT_KEYS.get(kind, {}).items()]
+    config = result.get("config")
+    if kind == "training" and isinstance(config, dict):
+        checks += [(f"config.{k}", config, k, int) for k in _COMPAT_KEYS]
+    missing = [name for name, holder, key, _ in checks if key not in holder]
+    if missing:
+        raise ScenarioError(f"{where}: result lacks {missing}")
+    for name, holder, key, kind in checks:
+        if not _of_type(holder[key], kind):
+            raise ScenarioError(f"{where}: {name} has the wrong type: "
+                                f"{holder[key]!r}")
 
 
 def report(paths, csv_path=None) -> int:
@@ -305,9 +319,7 @@ def report(paths, csv_path=None) -> int:
                     or result.get("schema_version") != dpml.RESULT_SCHEMA_VERSION):
                 raise ScenarioError(f"{p}: not a result file of schema version "
                                     f"{dpml.RESULT_SCHEMA_VERSION}")
-            missing = _missing_keys(result)
-            if missing:
-                raise ScenarioError(f"{p}: result lacks {missing}")
+            _check_result(result, p)
             results.append(result)
     training = [r for r in results if r.get("kind") == "training"]
     compat = [{k: r["config"][k] for k in _COMPAT_KEYS} for r in training]

@@ -208,6 +208,17 @@ class TestRun:
                      "--out-dir", str(tmp_path / "o")]) == 2
 
 
+# the fewest keys a result of each kind needs for report's tables
+READABLE_RESULTS = {
+    "training": {"schema_version": 1, "kind": "training", "scenario": "s",
+                 "mode": "fedavg-plain", "seed": 0, "final_accuracy": 0.9, "it": 3,
+                 "config": {"n": 4, "f": 1, "th": 3, "rounds": 30, "dim": 16}},
+    "consensus": {"schema_version": 1, "kind": "consensus", "n": 4, "script": "none",
+                  "safety_ok": True, "all_committed": True, "commit_span": 10,
+                  "max_view": 0},
+}
+
+
 class TestReport:
     def make_results(self, tmp_path):
         p = write_scenario(tmp_path / "s.json")
@@ -239,15 +250,27 @@ class TestReport:
         main(["run", str(other), "--out-dir", str(out)])
         assert main(["report", str(out / "*.json")]) == 2
 
+    @pytest.mark.parametrize("kind", sorted(READABLE_RESULTS))
+    def test_hand_written_result(self, tmp_path, kind):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(READABLE_RESULTS[kind]))
+        assert main(["report", str(path)]) == 0
+
     def test_no_matches(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing_*.json")]) == 2
 
     @pytest.mark.parametrize("bad", ["directory", "not-json", "training-scenario",
                                      "consensus-scenario", "training-incomplete",
-                                     "consensus-incomplete"])
+                                     "consensus-incomplete", "training-str-accuracy",
+                                     "consensus-str-n"])
     def test_unreadable_input(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
-        if bad == "directory":
+        if bad == "training-str-accuracy":
+            path.write_text(json.dumps(dict(READABLE_RESULTS["training"],
+                                            final_accuracy="high")))
+        elif bad == "consensus-str-n":
+            path.write_text(json.dumps(dict(READABLE_RESULTS["consensus"], n="4")))
+        elif bad == "directory":
             path.mkdir()
         elif bad == "not-json":
             path.write_text("mode,runs\n")
