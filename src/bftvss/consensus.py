@@ -439,20 +439,21 @@ class Replica:
         if sq == self.next_exec:
             self._restart_progress_timer()
         self._broadcast(self._make(MsgKind.PREPARE, sq, (digest,), view=view))
-        self._check_prepared(sq, view)
+        self._check_prepared(sq, view, sv)
         if slot.deferred == digest:
             self._commit_local(sq, view, digest, batch)
 
     def _on_prepare(self, m: Message):
         (digest,) = m.payload
-        self._slot(m.sq).at(m.view).prepares[digest][m.sender] = m
-        self._check_prepared(m.sq, m.view)
+        sv = self._slot(m.sq).at(m.view)
+        sv.prepares[digest][m.sender] = m
+        self._check_prepared(m.sq, m.view, sv)
 
-    def _check_prepared(self, sq: int, view: int):
-        """Prepared means 2f+1 PREPAREs of the digest accepted in (view, sq):
-        a quorum that arrives before the batch waits for it, so no prepared
-        certificate lacks its batch.  Once prepared, send COMMIT."""
-        sv = self._slot(sq).at(view)
+    def _check_prepared(self, sq: int, view: int, sv: SlotViewState):
+        """Prepared means 2f+1 PREPAREs of the digest accepted in (view, sq),
+        whose state is sv: a quorum that arrives before the batch waits for
+        it, so no prepared certificate lacks its batch.  Once prepared, send
+        COMMIT."""
         votes = sv.prepares.get(sv.accepted_digest, {})
         if sv.prepare_cert or len(votes) < 2 * self.f + 1:
             return
