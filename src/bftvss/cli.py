@@ -80,7 +80,7 @@ def _reject_unknown(given: dict, allowed, where: str):
 
 
 def _of_type(value, kind) -> bool:
-    # a bool is an int to isinstance, but never a count or a bound here
+    # a bool is an int to isinstance, but never a count, a bound or a metric
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
@@ -296,8 +296,8 @@ def _check_result(result: dict, where: str):
     missing = [name for name, holder, key, _ in checks if key not in holder]
     if missing:
         raise ScenarioError(f"{where}: result lacks {missing}")
-    for name, holder, key, kind in checks:
-        if not _of_type(holder[key], kind):
+    for name, holder, key, types in checks:
+        if not _of_type(holder[key], types):
             raise ScenarioError(f"{where}: {name} has the wrong type: "
                                 f"{holder[key]!r}")
 
