@@ -192,16 +192,20 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
             config = _build_config(scenario.get("config", {}), seed=seed, mode=mode)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: config: {exc}") from exc
+        if trace and not config.mode.startswith("ebyftves"):
+            raise ScenarioError(f"--trace applies only to ebyftves runs, not {config.mode}")
         result = dpml.run(config, collect_trace=trace)
         payload = _payload(result.to_dict(), name, "training",
                            _assertions(_TRAINING_ASSERTS, asserts, result))
         out_path = os.path.join(out_dir, f"{name}_{config.mode}_{config.seed}.json")
-        if trace and result.trace is not None:
+        if trace:
             result.trace.to_jsonl(os.path.join(
                 out_dir, f"{name}_{config.mode}_{config.seed}.trace.jsonl"))
     else:
         if mode is not None:
             raise ScenarioError("--mode applies only to training scenarios")
+        if trace:
+            raise ScenarioError("--trace applies only to ebyftves runs")
         run_seed = 0 if seed is None else seed
         outcome = scenarios.run_consensus(
             n=scenario["n"], script=scenario["script"], seed=run_seed,
@@ -322,6 +326,8 @@ def report(paths, csv_path=None) -> int:
             _check_result(result, p)
             results.append(result)
     training = [r for r in results if r.get("kind") == "training"]
+    if csv_path and not training:
+        raise ScenarioError("--csv needs at least one training result")
     compat = [{k: r["config"][k] for k in _COMPAT_KEYS} for r in training]
     for r, cfg in zip(training, compat):
         if cfg != compat[0]:

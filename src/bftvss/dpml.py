@@ -73,8 +73,8 @@ _FIELD_TYPES = {"int": int, "str": str, "tuple[int, ...]": int}
 
 
 class WorkflowError(Exception):
-    """A training run could not complete (stalled slot, empty dealer set,
-    diverging replicas)."""
+    """A training run could not complete; raised where the fault is found (empty
+    dealer set, too few aggregated shares, diverging replicas, stalled training)."""
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ class TrainingConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not set(self.attackers) <= set(range(self.n)):
             raise ValueError("attacker ids must be participant ids")
+        if len(set(self.attackers)) != len(self.attackers):
+            raise ValueError("attacker ids must be distinct")
         if len(self.attackers) > self.f:
             raise ValueError(f"at most f={self.f} attackers allowed")
         attacked = self.mode.endswith("+acumpa")
@@ -213,16 +215,14 @@ class _Coordinator:
         self.test = test
         self.metrics: list[RoundMetrics] = []
         self.weights_history: list[np.ndarray] = []
-        self._weight_bytes: dict[int, bytes] = {}
 
     def round_complete(self, pid: int, t: int, w: np.ndarray, dealer_count: int):
-        key = w.tobytes()
-        if t in self._weight_bytes:
-            if key != self._weight_bytes[t]:
+        # rounds complete in order, so round t is recorded at its first completion
+        if t <= len(self.weights_history):
+            if w.tobytes() != self.weights_history[t - 1].tobytes():
                 raise WorkflowError(
                     f"round {t}: participant {pid} reconstructed divergent weights")
             return
-        self._weight_bytes[t] = key
         self.metrics.append(RoundMetrics(
             t=t, accuracy=training.accuracy(w, self.test),
             train_error=float(np.mean([training.loss(w, d) for d in self.datasets])),
@@ -370,7 +370,6 @@ class WorkflowParticipant(Replica):
         self.w = np.array(w0, dtype=float)
         self.t = 0
         self.done = False
-        self.failed: Optional[str] = None
 
     def base_slot(self) -> int:
         return 3 * (self.t - 1)
@@ -402,7 +401,7 @@ class WorkflowParticipant(Replica):
 
     def receiving_update(self, sq: int, origin: int, req: bytes):
         base = self.base_slot()
-        if self.done or self.failed or not base <= sq <= base + 2:
+        if not base <= sq <= base + 2:
             return
         dim = self.codec.packed_length(self.config.dim)
         try:
@@ -429,8 +428,6 @@ class WorkflowParticipant(Replica):
             return  # malformed or undecryptable input from a faulty peer
 
     def on_slot_committed(self, sq: int, batch):
-        if self.done or self.failed:
-            return
         base = self.base_slot()
         if sq == base:
             self._share_slot_done(sq)
@@ -453,8 +450,7 @@ class WorkflowParticipant(Replica):
             if len(voters) >= self.config.th and d in self._commits
         )
         if not dealer_set:
-            self.failed = f"round {self.t}: no dealer reached {self.config.th} votes"
-            return
+            raise WorkflowError(f"round {self.t}: no dealer reached {self.config.th} votes")
         self._dealer_set = dealer_set
         if all(d in self._verified for d in dealer_set):
             summed = vss.sum_shares([self._own_shares[d] for d in dealer_set],
@@ -463,9 +459,8 @@ class WorkflowParticipant(Replica):
 
     def _agg_slot_done(self):
         if len(self._agg) < self.config.th:
-            self.failed = (f"round {self.t}: only {len(self._agg)} aggregated "
-                           f"shares committed, need {self.config.th}")
-            return
+            raise WorkflowError(f"round {self.t}: only {len(self._agg)} aggregated "
+                                f"shares committed, need {self.config.th}")
         total = vss.reconstruct(self._agg.values(), self.config.th,
                                 self.group, self.codec, self.config.dim)
         self.w = np.asarray(total) / len(self._dealer_set)
@@ -567,14 +562,10 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
         node.start_round(1)
     sim.run()
 
-    for node in nodes.values():
-        if node.failed:
-            raise WorkflowError(node.failed)
-    honest = next(node for i, node in nodes.items() if i not in attackers)
-    if not honest.done:
-        raise WorkflowError(
-            f"training stalled in round {honest.t} "
-            f"(simulation drained at t={sim.clock})")
+    stalled = [i for i, node in nodes.items() if i not in attackers and not node.done]
+    if stalled:
+        raise WorkflowError(f"training stalled: participants {stalled} did not finish "
+                            f"round {config.rounds} (simulation drained at t={sim.clock})")
 
     return _finish(config, coordinator, attackers, trace=sim.trace)
 

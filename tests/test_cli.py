@@ -207,6 +207,19 @@ class TestRun:
         assert main(["run", str(p), "--mode", "ebyftves",
                      "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("scenario, mode", [
+        (ROOT / "scenarios" / "liveness_silent_primary.json", None),
+        (None, "fedavg-plain"),
+        (None, "baseline-vss"),
+    ])
+    def test_trace_flag_rejected_outside_ebyftves(self, tmp_path, capsys, scenario, mode):
+        scenario = scenario or write_scenario(tmp_path / "s.json")
+        out = tmp_path / "out"
+        args = ["run", str(scenario), "--trace", "--out-dir", str(out)]
+        assert main(args + (["--mode", mode] if mode else [])) == 2
+        assert capsys.readouterr().err.startswith("error: --trace applies only")
+        assert not list(out.glob("*"))
+
 
 # the fewest keys a result of each kind needs for report's tables
 READABLE_RESULTS = {
@@ -255,6 +268,14 @@ class TestReport:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(READABLE_RESULTS[kind]))
         assert main(["report", str(path)]) == 0
+
+    def test_csv_needs_a_training_result(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(READABLE_RESULTS["consensus"]))
+        csv = tmp_path / "summary.csv"
+        assert main(["report", str(path), "--csv", str(csv)]) == 2
+        assert capsys.readouterr().err.startswith("error: --csv needs")
+        assert not csv.exists()
 
     def test_no_matches(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing_*.json")]) == 2

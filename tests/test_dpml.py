@@ -51,6 +51,8 @@ class TestConfig:
         dict(rounds=2.0),
         dict(th=1),                                      # f colluders reconstruct
         dict(th=4),                                      # above n - f
+        dict(n=7, f=2, th=3, mode="baseline-vss+acumpa",
+             attackers=(3, 3)),                          # repeated id
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
@@ -177,8 +179,10 @@ class ShortCommitments(dpml.WorkflowParticipant):
 class ShortAggShare(dpml.WorkflowParticipant):
     """Participant 0 submits an aggregated share one element short."""
 
+    short = (0,)
+
     def broadcast_update(self, sq, req):
-        if self.rid == 0 and sq % 3 == 2:
+        if self.rid in self.short and sq % 3 == 2:
             bundle = decode_agg_request(req, self.eval_point)
             req = encode_agg_request(dataclasses.replace(bundle, values=bundle.values[:-1]))
         super().broadcast_update(sq, req)
@@ -205,6 +209,46 @@ class TestMalformedPeerInput:
         # the other three aggregated shares reconstruct the same sum
         assert all(np.array_equal(a, b) for a, b in
                    zip(honest.weights_history, result.weights_history, strict=True))
+
+
+class NoVotes(dpml.WorkflowParticipant):
+    """Every vote request names no dealer."""
+
+    def broadcast_update(self, sq, req):
+        super().broadcast_update(sq, encode_vote_request([]) if sq % 3 == 1 else req)
+
+
+class TwoShortAggShares(ShortAggShare):
+    """Participants 0 and 1 submit aggregated shares one element short."""
+
+    short = (0, 1)
+
+
+class StopsAfterRoundOne(dpml.WorkflowParticipant):
+    """Participant 1 trains no round after the first; its replica keeps
+    voting."""
+
+    def start_round(self, t):
+        if self.rid != 1 or t == 1:
+            super().start_round(t)
+
+
+class TestWorkflowFailure:
+    """A run either finishes every round at every honest participant, or it
+    raises WorkflowError where the fault is found."""
+
+    @pytest.mark.parametrize("participant, message, raised_in", [
+        (NoVotes, "round 1: no dealer reached 3 votes", "_vote_slot_done"),
+        (TwoShortAggShares, "round 1: only 2 aggregated shares committed, need 3",
+         "_agg_slot_done"),
+        (StopsAfterRoundOne, r"training stalled: participants \[1\] did not finish "
+         r"round 4", "run_defended"),
+    ], ids=["no-votes", "short-agg-shares", "stall"])
+    def test_raises_where_found(self, monkeypatch, participant, message, raised_in):
+        monkeypatch.setattr(dpml, "WorkflowParticipant", participant)
+        with pytest.raises(WorkflowError, match=message) as excinfo:
+            run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+        assert excinfo.traceback[-1].name == raised_in
 
 
 class Reflector(dpml.WorkflowParticipant):
