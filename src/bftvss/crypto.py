@@ -69,9 +69,12 @@ class HybridScheme:
     """Static Diffie-Hellman pair keys plus hash keystream plus integrity tag.
 
     The pair (i, j) shares K = sha256(pk_j^sk_i) = sha256(pk_i^sk_j).  It
-    costs one pow on first use and is then memoised on this instance, so a
-    run pays n - 1 pows per participant, all in its first round: no
-    participant seals a ciphertext to itself.  Each message draws a nonce,
+    costs one pow on first use and is then memoised on this instance under
+    the unordered pair of public keys, so a run pays n(n-1)/2 pows, one per
+    pair, whichever end asks first, all in its first round: no participant
+    seals a ciphertext to itself.  The memo is reached only through a
+    secret whose public key the scheme derives itself, so only the two ends
+    of a pair can use that pair's key.  Each message draws a nonce,
     keys the keystream and the tag with sha256(K || nonce), and is framed
     nonce || lp(body) || mac.
 
@@ -86,18 +89,23 @@ class HybridScheme:
 
     def __init__(self, params: GroupParams):
         self.params = params
+        self._publics: dict[int, int] = {}
         self._pair_keys: dict[tuple[int, int], bytes] = {}
 
     def keygen(self, rng: random.Random) -> KeyPair:
         sk = rng.randrange(1, self.params.q)
-        return KeyPair(public=self.params.exp(sk), secret=sk)
+        pk = self._publics[sk] = self.params.exp(sk)
+        return KeyPair(public=pk, secret=sk)
 
     def _message_key(self, secret: int, public: int, nonce: bytes) -> bytes:
-        pair = self._pair_keys.get((secret, public))
+        own = self._publics.get(secret)
+        if own is None:
+            own = self._publics[secret] = self.params.exp(secret)
+        ends = (own, public) if own <= public else (public, own)
+        pair = self._pair_keys.get(ends)
         if pair is None:
             shared = pow(public, secret, self.params.p)
-            pair = self._pair_keys[(secret, public)] = hashlib.sha256(
-                wire.big(shared)).digest()
+            pair = self._pair_keys[ends] = hashlib.sha256(wire.big(shared)).digest()
         return hashlib.sha256(pair + nonce).digest()
 
     def encrypt(self, secret: int, public: int, plaintext: bytes,

@@ -70,6 +70,46 @@ class TestHybridScheme:
         fresh = HybridScheme(scheme.params)  # no memoised pair key
         assert fresh.decrypt(b.secret, a.public, ct) == b"secret payload"
 
+    @pytest.mark.parametrize("first", ["a encrypts", "b decrypts"])
+    def test_other_end_costs_no_pow(self, parties, rng, monkeypatch, first):
+        # whichever end of the pair asks first pays the pair's one pow
+        scheme, a, b = parties
+        to_b = HybridScheme(scheme.params).encrypt(a.secret, b.public, b"to b", rng)
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+        if first == "a encrypts":
+            scheme.encrypt(a.secret, b.public, b"to b", rng)
+        else:
+            scheme.decrypt(b.secret, a.public, to_b)
+        assert len(calls) == 1
+        to_a = scheme.encrypt(b.secret, a.public, b"to a", rng)
+        assert scheme.decrypt(a.secret, b.public, to_a) == b"to a"
+        assert scheme.decrypt(b.secret, a.public, to_b) == b"to b"
+        assert len(calls) == 1
+
+    def test_memoised_pair_key_needs_a_pair_secret(self, parties, rng):
+        scheme, a, b = parties
+        ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
+        assert scheme.decrypt(b.secret, a.public, ct) == b"secret payload"
+        c = scheme.keygen(rng)  # the memo holds (a, b); c holds neither secret
+        for public in (a.public, b.public):
+            with pytest.raises(DecryptionError):
+                scheme.decrypt(c.secret, public, ct)
+
+    def test_secret_not_from_keygen_roundtrips(self, parties, rng):
+        scheme, a, _ = parties
+        secret = rng.randrange(1, scheme.params.q)
+        public = scheme.params.exp(secret)
+        ct = scheme.encrypt(secret, a.public, b"secret payload", rng)
+        assert scheme.decrypt(a.secret, public, ct) == b"secret payload"
+        ct = scheme.encrypt(a.secret, public, b"reply", rng)
+        assert HybridScheme(scheme.params).decrypt(secret, a.public, ct) == b"reply"
+
     def test_encryptions_differ(self, parties, rng):
         scheme, a, b = parties
         one = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
