@@ -183,7 +183,6 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
                  trace: bool = False) -> int:
     scenario = load_scenario(path)
     out_dir = out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     name = scenario["name"]
     asserts = scenario.get("assertions", {})
 
@@ -198,9 +197,6 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
         payload = _payload(result.to_dict(), name, "training",
                            _assertions(_TRAINING_ASSERTS, asserts, result))
         out_path = os.path.join(out_dir, f"{name}_{config.mode}_{config.seed}.json")
-        if trace:
-            result.trace.to_jsonl(os.path.join(
-                out_dir, f"{name}_{config.mode}_{config.seed}.trace.jsonl"))
     else:
         if mode is not None:
             raise ScenarioError("--mode applies only to training scenarios")
@@ -215,6 +211,10 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
         out_path = os.path.join(out_dir,
                                 f"{name}_{scenario['script']}_{run_seed}.json")
 
+    # only a run that passed every check above leaves a directory behind
+    os.makedirs(out_dir, exist_ok=True)
+    if trace:
+        result.trace.to_jsonl(os.path.splitext(out_path)[0] + ".trace.jsonl")
     _write_json(out_path, payload)
     print(out_path)
     for key, c in sorted(payload["assertions"].items()):
