@@ -195,6 +195,40 @@ class TestRejectionRules:
         assert rep._check_cert((0, 0, batch, tuple(prepares)))
         assert not rep._check_cert((0, 0, batch, (prepares[0], prepares[1], prepares[1])))
 
+    def test_certificate_prepares_name_the_batch_digest(self, keyring):
+        batch = (triple(keyring, 0, 0, b"a"),)
+        other = (triple(keyring, 0, 0, b"b"),)
+        prepares = tuple(signed(keyring, MsgKind.PREPARE, 0, 0, s, (batch_digest(batch),))
+                         for s in (1, 2, 3))
+        rep = Replica(0, 4, 1, keyring)
+        assert rep._check_cert((0, 0, batch, prepares))
+        assert not rep._check_cert((0, 0, other, prepares))
+
+    def test_pre_prepare_accepted_once_per_view_and_slot(self, keyring):
+        raw, batch = self.proposals(keyring, (0, 2, 3))
+        second = tuple((p, batch[:3]) for p in (0, 2, 3))
+        rep = Replica(1, 4, 1, keyring)
+        for proposals in (raw, second):
+            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (proposals,)))
+        assert rep._slot(0).at(0).accepted_digest == batch_digest(batch)
+        sends = [m for _, m in rep.drain()[0]]
+        assert {m.payload for m in sends if m.kind == MsgKind.PREPARE} == {
+            (batch_digest(batch),)}
+
+    def test_new_view_installs_the_highest_certificate(self, keyring):
+        batches = {view: (triple(keyring, 0, 0, b"v%d" % view),) for view in (0, 1)}
+        certs = {view: (0, view, batch, tuple(
+            signed(keyring, MsgKind.PREPARE, view, 0, s, (batch_digest(batch),))
+            for s in (0, 1, 3))) for view, batch in batches.items()}
+        for order in ((0, 1), (1, 0)):
+            vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s, (2, (certs[v],)))
+                        for s, v in zip((0, 1), order))
+            vcs += (signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 3, (2, ())),)
+            rep = Replica(3, 4, 1, keyring)
+            rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 2, 0, 2, (vcs,)))
+            assert rep.view == 2
+            assert rep._slot(0).at(2).accepted_digest == batch_digest(batches[1])
+
     def new_view(self, keyring, senders, targets=(1, 1, 1)):
         vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s, (t, ()))
                     for s, t in zip(senders, targets))
