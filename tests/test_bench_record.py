@@ -66,6 +66,14 @@ def test_compare_flags_rows_past_their_bound():
     assert "x0.700  better past bound 0.25" in lines[2]
 
 
+def test_compare_counts_pairs_won_when_recorded_together():
+    before = make("a" * 40, [1.0, 2.0, 3.0])
+    after = make("b" * 40, [0.5, 2.0, 4.0])
+    after["paired_with"] = before["rev"]
+    lines, _ = bench_record.compare(before, after, SPEC)
+    assert all("won 1/3 pairs" in line for line in lines[1:])
+
+
 def test_record_interleaves_checkouts(monkeypatch, tmp_path):
     calls = []
 

@@ -18,9 +18,10 @@ interquartile range, repeats, unit and every value), plus the git rev, a
 dirty flag, the Python version, the CPU count and the command.  A run whose
 output is not correct ends the recording with an error.
 
-``--compare A B`` prints B's median over A's for each row, and flags a row
-that moved past its bound in ``BENCHMARK.json``; it exits 1 if a row got
-worse by more than its bound.  ``--check`` validates a record's schema, not
+``--compare A B`` prints B's median over A's for each row, how many of
+the pairs B won when the two were recorded together, and flags a row that
+moved past its bound in ``BENCHMARK.json``; it exits 1 if a row got worse
+by more than its bound.  ``--check`` validates a record's schema, not
 its values.
 """
 
@@ -44,8 +45,8 @@ ROW_KEYS = {"workload": str, "metric": str, "unit": str, "median": (int, float),
             "iqr": (int, float), "repeats": int, "values": list}
 
 
-def load_spec(root: Path = ROOT) -> dict:
-    return json.loads((root / "BENCHMARK.json").read_text())
+def load_spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def git_state(checkout: Path) -> tuple[str, bool]:
@@ -144,6 +145,10 @@ def compare(before: dict, after: dict, spec: dict) -> tuple[list[str], bool]:
             flag, worse = f"  WORSE past bound {metric['bound']}", True
         elif loss < -metric["bound"]:
             flag = f"  better past bound {metric['bound']}"
+        if after["paired_with"] == before["rev"]:  # runs i of both were a pair
+            pairs = list(zip(old["values"], row["values"]))
+            won = sum(b < a if metric["better"] == "lower" else b > a for a, b in pairs)
+            flag = f"  won {won}/{len(pairs)} pairs{flag}"
         lines.append(f"{row['workload']:18s} {row['metric']:14s} "
                      f"{old['median']:.6g} -> {row['median']:.6g} {row['unit']}"
                      f"  x{ratio:.3f}{flag}")
