@@ -83,7 +83,8 @@ def parse_commitments(data: bytes, th: int) -> CommitmentVector:
 
 def eval_poly(coeffs: Sequence[int], x: int, q: int) -> int:
     """Evaluate a polynomial with the given coefficients (constant first) at x
-    over Z_q, by Horner's rule."""
+    over Z_q, by Horner's rule: the one-point reference for share, which
+    evaluates every polynomial at every point at once."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % q
@@ -108,16 +109,25 @@ def share(
         raise ValueError("threshold must satisfy 1 <= th <= n")
     q = params.q
     polys = [[s % q] + [rng.randrange(q) for _ in range(th - 1)] for s in encoded]
-    commitments = tuple(tuple(params.exp(a) for a in coeffs) for coeffs in polys)
-    bundles = [ShareBundle(j, tuple(eval_poly(coeffs, j, q) for coeffs in polys))
-               for j in range(1, n + 1)]
+    flat = params.exps([a for coeffs in polys for a in coeffs])
+    commitments = tuple(tuple(flat[i : i + th]) for i in range(0, len(flat), th))
+    # Horner's rule at each point over every polynomial at once:
+    # columns[k] holds every polynomial's coefficient of x^k
+    columns = [[coeffs[k] for coeffs in polys] for k in range(th)]
+    bundles = []
+    for j in range(1, n + 1):
+        values = columns[-1]
+        for column in columns[-2::-1]:
+            values = [(v * j + c) % q for v, c in zip(values, column)]
+        bundles.append(ShareBundle(j, tuple(values)))
     return bundles, commitments
 
 
 def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupParams) -> bool:
     """Check g^{s_j} == c_0 * c_1^j * c_2^{j^2} * ... per element.
 
-    The right-hand side is evaluated in Horner's form,
+    The left-hand sides come from one params.exps call.  The right-hand side
+    is evaluated in Horner's form,
     (...(c_{th-1}^j * c_{th-2})^j * ...)^j * c_0, so each commitment but the
     first costs one pow to the small exponent j.  It equals the product form
     with exponents j^k reduced mod q for every row inside the order-q
@@ -126,11 +136,11 @@ def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupPara
     if bundle.dimension != len(commitments):
         raise MalformedInputError("bundle and commitments disagree on dimension")
     p, j = params.p, bundle.eval_point
-    for value, row in zip(bundle.values, commitments):
+    for lhs, row in zip(params.exps(bundle.values), commitments):
         rhs = row[-1]
         for c in reversed(row[:-1]):
             rhs = pow(rhs, j, p) * c % p
-        if params.exp(value) != rhs:
+        if lhs != rhs:
             return False
     return True
 

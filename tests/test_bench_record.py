@@ -89,7 +89,33 @@ def test_record_interleaves_checkouts(monkeypatch, tmp_path):
     assert calls == [("a", WORKLOADS[0]), ("b", WORKLOADS[0]),
                      ("b", WORKLOADS[0]), ("a", WORKLOADS[0])]
     a, b = (json.loads(p.read_text()) for p in paths)
-    assert [p.name for p in paths] == ["BENCH_aaaaaaa.json", "BENCH_bbbbbbb.json"]
+    assert [p.name for p in paths] == ["BENCH_aaaaaaa.json", "BENCH_bbbbbbb-dirty.json"]
     assert (a["paired_with"], b["paired_with"], a["dirty"], b["dirty"]) == (
         "b" * 40, "a" * 40, False, True)
     assert bench_record.check_record(a) == bench_record.check_record(b) == []
+
+
+def test_dirty_checkout_of_the_same_rev_writes_its_own_record(monkeypatch, tmp_path):
+    # an uncommitted change recorded against a clean clone of its HEAD
+    monkeypatch.setattr(bench_record, "run_bench", lambda *args: fake_metrics(1.0))
+    monkeypatch.setattr(bench_record, "git_state", lambda c: ("a" * 40, c.name == "b"))
+    paths = bench_record.record([Path("b"), Path("a")], WORKLOADS[:1], 2, 1.0, 1,
+                                tmp_path)
+    assert [p.name for p in paths] == ["BENCH_aaaaaaa-dirty.json", "BENCH_aaaaaaa.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+    assert [json.loads(p.read_text())["dirty"] for p in paths] == [True, False]
+
+
+@pytest.mark.parametrize("dirty", [False, True])
+def test_checkouts_that_would_share_a_record_are_a_usage_error(monkeypatch, tmp_path,
+                                                               capsys, dirty):
+    def no_run(*args):
+        raise AssertionError("ran the benchmark")
+
+    monkeypatch.setattr(bench_record, "run_bench", no_run)
+    monkeypatch.setattr(bench_record, "git_state", lambda c: ("a" * 40, dirty))
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--against", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "would all write BENCH_aaaaaaa" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -245,6 +245,43 @@ class TestRejectionRules:
         rep = self.new_view(keyring, (0, 1, 3), targets=(1, 1, 2))
         assert rep.view == 0 and rep.vc_voted == 2
 
+    def test_new_view_only_from_the_new_primary(self, keyring):
+        vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s, (1, ())) for s in (0, 1, 3))
+        for sender, view in ((3, 0), (1, 1)):  # replica 1 is view 1's primary
+            rep = Replica(2, 4, 1, keyring)
+            rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 1, 0, sender, (vcs,)))
+            assert (rep.view, rep.vc_voted) == (view, view)
+
+    def test_stale_commits_are_not_amplified(self, keyring):
+        # f + 1 COMMITs of an old view still count towards its quorum, but
+        # have no prepared certificate behind them to join
+        for view, amplified in ((0, False), (1, True)):
+            rep = self.new_view(keyring, (0, 1, 3))
+            assert rep.view == 1
+            rep.drain()
+            for sender in (0, 1):
+                rep.on_message(signed(keyring, MsgKind.COMMIT, view, 0, sender,
+                                      (b"d" * 32,)))
+            sends = [m for _, m in rep.drain()[0]]
+            assert any(m.kind == MsgKind.COMMIT for m in sends) is amplified
+            assert len(rep._slot(0).at(view).commits[b"d" * 32]) == 2
+
+    def test_one_view_change_vote_per_target(self, keyring):
+        rep = Replica(0, 4, 1, keyring)
+        rep.broadcast_update(0, b"req")  # a waiting request arms the timer
+        rep.drain()
+        rep.on_timer(("progress", None))
+        first = {m for _, m in rep.drain()[0] if m.kind == MsgKind.VIEW_CHANGE}
+        # a later request re-arms the timer, which fires before the view changes
+        rep.on_message(signed(keyring, MsgKind.REQUEST, 0, 0, 1,
+                              (b"r", request_tag(keyring, 1, 0, b"r"))))
+        sends, timers = rep.drain()
+        assert ("set", ("progress", None), 12) in timers
+        rep.on_timer(("progress", None))
+        sends += rep.drain()[0]
+        assert [m.payload[0] for m in first] == [1]
+        assert not any(m.kind == MsgKind.VIEW_CHANGE for _, m in sends)
+
     def test_certificate_of_non_messages_is_dropped(self, keyring):
         rep = Replica(0, 4, 1, keyring)
         rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 1,

@@ -93,6 +93,18 @@ class TestFixedBaseExp:
             e = data.draw(exponents(params))
             assert params.exp(e) == pow(params.g, e, params.p)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vector_matches_pow(self, tiny_group, group, group_2048, data):
+        # the empty list, and lists that mix exponents below q, at least q
+        # and negative: exps walks every element, whatever its neighbours
+        for params in (tiny_group, group, group_2048):
+            es = data.draw(st.lists(exponents(params), max_size=6))
+            assert params.exps(es) == [pow(params.g, e, params.p) for e in es]
+
+    def test_vector_of_none(self, group):
+        assert group.exps([]) == [] == group.exps(iter(()))
+
     def test_table_stays_out_of_value_semantics(self, group):
         group.exp(5)
         clone = GroupParams(p=group.p, q=group.q, g=group.g)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bftvss import vss, wire
+from bftvss.field import FixedPointCodec
 from bftvss.vss import (
     InsufficientSharesError,
     MalformedInputError,
@@ -111,6 +112,20 @@ class TestHornerVerify:
                 tampered = row[:k] + (row[k] * params.g % params.p,) + row[k + 1:]
                 assert not vss.verify(bundle, (tampered,), params)
 
+    @pytest.mark.parametrize("name", ["group", "group_2048"])
+    def test_only_the_last_value_wrong_fails(self, request, name, rng):
+        # verify computes every left-hand side in one call before it compares;
+        # the last element must still be compared
+        params = request.getfixturevalue(name)
+        codec = FixedPointCodec(16, params.q, 4)
+        bundles, commits = vss.share([0.5, -1.0, 2.0] * codec.lanes, 3, 4, params,
+                                     codec, rng)
+        for b in bundles:
+            assert vss.verify(b, commits, params)
+            last = (b.values[-1] + 1) % params.q
+            assert not vss.verify(ShareBundle(b.eval_point, b.values[:-1] + (last,)),
+                                  commits, params)
+
     def test_element_of_order_two_passes_both_forms_at_even_points(self, group):
         # -1 = p - 1 lies outside the order-q subgroup; raised to j^k it is 1
         # at an even j, so both forms accept it in place of any c_k, k >= 1
@@ -124,6 +139,22 @@ class TestHornerVerify:
 
 
 class TestShareReconstruct:
+    @pytest.mark.parametrize("th, n", [(1, 1), (1, 4), (3, 4), (4, 7)])
+    def test_matches_the_pointwise_reference(self, group, codec, th, n):
+        # one polynomial per element: the secret, then th - 1 draws of the
+        # rng; commitments g^a and values at points 1..n, one at a time
+        secret = [1.25, -0.5, 3.0, 0.0]
+        rng, ref = random.Random(7), random.Random(7)
+        bundles, commits = vss.share(secret, th, n, group, codec, rng)
+        q = group.q
+        polys = [[s] + [ref.randrange(q) for _ in range(th - 1)]
+                 for s in codec.encode_vector(secret)]
+        assert rng.getstate() == ref.getstate()
+        assert commits == tuple(tuple(pow(group.g, a, group.p) for a in coeffs)
+                                for coeffs in polys)
+        assert bundles == [ShareBundle(j, tuple(eval_poly(coeffs, j, q) for coeffs in polys))
+                           for j in range(1, n + 1)]
+
     def test_roundtrip_every_subset(self, group, codec, rng):
         secret = [1.25, -0.5, 3.0]
         bundles, commits = vss.share(secret, 3, 4, group, codec, rng)

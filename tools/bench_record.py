@@ -12,7 +12,8 @@ Each repeat runs ``python3 bench/run.py --workload W --seed S --seconds T``
 as its own process, once for each workload W of ``BENCHMARK.json``, and reads the JSON object on the last
 line of its output.  With ``--against DIR`` every run of this checkout is
 paired with a run of the checkout at DIR (which side goes first alternates),
-and one record is written for each.  A record, ``BENCH_<rev>.json``, holds
+and one record is written for each.  A record, ``BENCH_<rev>.json`` (or
+``BENCH_<rev>-dirty.json`` when tracked files differ from the rev), holds
 one row per end-to-end metric of ``BENCHMARK.json`` and workload (median,
 interquartile range, repeats, unit and every value), plus the git rev, a
 dirty flag, the Python version, the CPU count and the command.  A run whose
@@ -47,6 +48,10 @@ ROW_KEYS = {"workload": str, "metric": str, "unit": str, "median": (int, float),
 
 def load_spec() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+class UsageError(Exception):
+    """Arguments that cannot make a sound recording."""
 
 
 def git_state(checkout: Path) -> tuple[str, bool]:
@@ -155,12 +160,21 @@ def compare(before: dict, after: dict, spec: dict) -> tuple[list[str], bool]:
     return lines, worse
 
 
+def record_name(rev: str, dirty: bool) -> str:
+    return f"BENCH_{rev[:7]}{'-dirty' if dirty else ''}.json"
+
+
 def record(checkouts: list[Path], workloads, seed: int, seconds: float,
            repeats: int, out_dir: Path) -> list[Path]:
     """Run every checkout repeats times per workload, interleaved, and
-    write one record per checkout."""
+    write one record per checkout.  Raises UsageError, before any run, if
+    two checkouts would write the same file."""
     spec = load_spec()
     states = [git_state(c) for c in checkouts]
+    names = [record_name(rev, dirty) for rev, dirty in states]
+    if len(set(names)) < len(names):
+        raise UsageError(f"the checkouts would all write {names[0]}: they hold the "
+                         f"same rev and are both clean or both dirty")
     runs = [{w: [] for w in workloads} for _ in checkouts]
     order = list(range(len(checkouts)))
     for r in range(repeats):
@@ -175,7 +189,7 @@ def record(checkouts: list[Path], workloads, seed: int, seconds: float,
         others = [s[0] for j, s in enumerate(states) if j != i]
         rec = make_record(rev, dirty, spec, runs[i], seed, seconds, repeats,
                           others[0] if others else None)
-        path = out_dir / f"BENCH_{rev[:7]}.json"
+        path = out_dir / names[i]
         path.write_text(json.dumps(rec, indent=1) + "\n")
         paths.append(path)
     return paths
@@ -207,8 +221,12 @@ def main(argv=None) -> int:
         parser.error("--repeats must be >= 1, --seconds > 0 and --seed >= 0")
     checkouts = [ROOT] + ([args.against.resolve()] if args.against else [])
     workloads = [w["name"] for w in spec["workloads"]]
-    for path in record(checkouts, workloads, args.seed, args.seconds, args.repeats,
-                       args.out_dir):
+    try:
+        paths = record(checkouts, workloads, args.seed, args.seconds, args.repeats,
+                       args.out_dir)
+    except UsageError as exc:
+        parser.error(str(exc))
+    for path in paths:
         print(path)
     return 0
 
