@@ -102,7 +102,7 @@ class TestFixedBaseExp:
             es = data.draw(st.lists(exponents(params), max_size=6))
             assert params.exps(es) == [pow(params.g, e, params.p) for e in es]
 
-    def test_vector_of_none(self, group):
+    def test_empty_input(self, group):
         assert group.exps([]) == [] == group.exps(iter(()))
 
     def test_table_stays_out_of_value_semantics(self, group):
