@@ -95,9 +95,10 @@ class AcumpaAttacker:
     Each round it tries the adaptive path: reconstruct every honest dealer's
     secret from observed shares, average them, and craft against that
     average.  When fewer than th shares per dealer are observable before the
-    submission deadline (share encryption in the defended workflow
-    guarantees this), it has nothing to craft against: it records the round
-    and hands back its own honest update.
+    submission deadline (in the defended workflow an attacker that reads
+    only its own shares never sees more than one per dealer), it has nothing
+    to craft against: it records the round and hands back its own honest
+    update.
     """
 
     def __init__(self, theta_cos: float, th: int, group: GroupParams,

@@ -1,14 +1,16 @@
-"""Simulator-grade authentication and encryption.
+"""Simulator-grade authentication and the share transport.
 
 Message authentication uses per-sender secret tags managed by a registry the
 simulator owns: inside a simulation nobody can forge another sender's tag,
-which models authenticated point-to-point channels.  Share transport uses a
-pluggable scheme; the default encrypts under static Diffie-Hellman pair keys
-over the same discrete-log group as the commitments, with a fresh nonce per
-message (the design of NaCl's crypto_box).  A ciphertext opens only for the
-two participants it was made between, so it also authenticates its sender to
-its recipient.  None of this is meant to resist side channels or real-world
-adversaries, and forward secrecy is not modelled: the pair keys are static.
+which models authenticated point-to-point channels.  Shares travel under one
+scheme, HybridScheme: static Diffie-Hellman pair keys over the same
+discrete-log group as the commitments, with a fresh nonce per message (the
+design of NaCl's crypto_box).  A ciphertext opens only under the secret key
+of one of the two participants it was made between, so it also authenticates
+its sender to its recipient; what an attacker reads depends only on the
+secret keys it holds.  None of this is meant to resist side channels or
+real-world adversaries, and forward secrecy is not modelled: the pair keys
+are static.
 """
 
 from __future__ import annotations
@@ -85,8 +87,6 @@ class HybridScheme:
     detectable inside the simulator.
     """
 
-    name = "hybrid"
-
     def __init__(self, params: GroupParams):
         self.params = params
         self._publics: dict[int, int] = {}
@@ -127,25 +127,3 @@ class HybridScheme:
         if hashlib.sha256(key + body).digest() != mac:
             raise DecryptionError("integrity check failed")
         return _xor(body, _stream(key, len(body)))
-
-
-class IdentityScheme:
-    """No-op scheme for fast scenarios that do not exercise privacy."""
-
-    name = "identity"
-
-    def __init__(self, params: GroupParams | None = None):
-        self.params = params
-
-    def keygen(self, rng: random.Random) -> KeyPair:
-        return KeyPair(public=0, secret=0)
-
-    def encrypt(self, secret: int, public: int, plaintext: bytes,
-                rng: random.Random) -> bytes:
-        return plaintext
-
-    def decrypt(self, secret: int, public: int, ciphertext: bytes) -> bytes:
-        return ciphertext
-
-
-SCHEMES = {"hybrid": HybridScheme, "identity": IdentityScheme}

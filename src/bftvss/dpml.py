@@ -20,13 +20,14 @@ trains for exactly config.rounds rounds.  Two drivers run the rounds:
   votes, then aggregated sum shares.  A request carries only what its
   receivers cannot derive: its dealer, voter or sender is its authenticated
   origin, the slot gives its kind, th splits the commitments into rows, and
-  a share's evaluation point is its holder's id + 1.  What defends against
-  the delaying dealer is share encryption: it opens only the shares dealt
-  to itself, never th of one honest dealer's, so it cannot reconstruct the
-  honest updates, and a dealer that has submitted nothing when the share
-  slot commits is left out of the round.  The commit deadline alone does not
-  defend: with encryption "identity" the attacker sees every share before
-  the slot commits, and its crafted update enters every round.
+  a share's evaluation point is its holder's id + 1.  Shares always travel
+  encrypted, and config.attacker_reads says which the delaying dealer can
+  open.  At "own-shares" it opens only the shares dealt to itself, never th
+  of one honest dealer's, so it cannot reconstruct the honest updates, and
+  a dealer that has submitted nothing when the share slot commits is left
+  out of the round.  At "every-share" it sees every share before the slot
+  commits, and its crafted update enters every round: the commit deadline
+  alone does not defend, keeping the shares from the attacker does.
 
 Division by the dealer count happens after reconstruction, in the real
 domain; the field only ever sees sums.
@@ -45,7 +46,7 @@ import numpy as np
 from . import training, vss, wire
 from .attack import AcumpaAttacker
 from .consensus import MsgKind, Replica
-from .crypto import SCHEMES, DecryptionError, KeyRing
+from .crypto import DecryptionError, HybridScheme, KeyRing
 from .field import GROUPS, EncodingRangeError, FixedPointCodec, generate_group
 from .netsim import AdversaryPolicy, SimConfig, Simulator, Trace
 
@@ -56,6 +57,10 @@ MODES = (
     "ebyftves",
     "ebyftves+acumpa",
 )
+
+# what the defended workflow's delaying dealer can decrypt: the shares dealt
+# to itself, or every share (it holds every participant's secret key)
+ATTACKER_READS = ("own-shares", "every-share")
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -89,7 +94,7 @@ class TrainingConfig:
     bits_p: int = 96
     bits_q: int = 48
     seed: int = 0
-    encryption: str = "hybrid"
+    attacker_reads: str = "own-shares"
     gst: int = 0
     delta: int = 1
     # fixed-point precision of the field codec; a constant, not a field
@@ -127,17 +132,19 @@ class TrainingConfig:
             raise ValueError("seed must be non-negative")
         if (self.bits_p, self.bits_q) not in GROUPS:
             raise ValueError(f"(bits_p, bits_q) must be one of {sorted(GROUPS)}")
-        if self.encryption not in SCHEMES:
-            raise ValueError(f"unknown encryption scheme {self.encryption!r}")
+        if self.attacker_reads not in ATTACKER_READS:
+            raise ValueError(f"attacker_reads must be one of {ATTACKER_READS}, "
+                             f"got {self.attacker_reads!r}")
 
 
 @dataclass(frozen=True)
 class RoundMetrics:
     """One round's outcome.  adaptive_engaged marks a round in which an
     attacker crafted against the observed honest average, whether or not its
-    crafted update entered the round: dealer_count tells that.  With
-    encryption "identity" at gst 100 and delta 2, seeds 15, 20 and 33 craft
-    and submit in round 1 but miss the batch, so dealer_count is 3 there."""
+    crafted update entered the round: dealer_count tells that.  With an
+    attacker that reads every share at gst 100 and delta 2, seeds 15, 20 and
+    33 craft and submit in round 1 but miss the batch, so dealer_count is 3
+    there."""
 
     t: int
     accuracy: float
@@ -474,17 +481,18 @@ class WorkflowParticipant(Replica):
 
 class DelayedDealerNode(WorkflowParticipant):
     """The ACuMPA attacker as a participant.  It withholds its shares,
-    eavesdrops share requests flowing past, decrypts whatever its own key
-    opens, and submits a crafted share request if the observations reach the
-    reconstruction threshold for every observed dealer before the slot
-    commits.  Under real encryption only its own shares decrypt, so that
-    never happens; it keeps waiting, the batch forms without it, and the
-    round is recorded as a fallback round.  What it observed for a slot is
-    dropped once the slot commits."""
+    eavesdrops share requests for undecided slots, opens ciphertext j with
+    read_keys[j], and submits a crafted share request if the observations
+    reach the reconstruction threshold for every observed dealer before the
+    slot commits.  With read_keys its own key n times ("own-shares") only
+    its own shares decrypt, so that never happens: the batch forms without
+    it, and the round is recorded as a fallback round.  What it observed for
+    a slot is dropped once the slot commits."""
 
     def __init__(self, rid, config, keyring, group, codec, *args):
         super().__init__(rid, config, keyring, group, codec, *args)
         self.attacker = AcumpaAttacker(THETA_COS, config.th, group, codec)
+        self.read_keys = (self.secret_key,) * config.n
         self.observed: dict[int, dict[int, list[vss.ShareBundle]]] = {}
         self.submitted: set[int] = set()
 
@@ -507,10 +515,11 @@ class DelayedDealerNode(WorkflowParticipant):
         except (ValueError, vss.MalformedInputError):
             return
         store = self.observed.setdefault(sq, defaultdict(list))
-        for j, ct in enumerate(ciphertexts):  # ciphertext j is the share at j + 1
+        # ciphertext j is the share at j + 1, and read_keys[j] tries to open it
+        for j, (key, ct) in enumerate(zip(self.read_keys, ciphertexts)):
             try:
                 store[dealer].append(vss.parse_bundle(
-                    self.scheme.decrypt(self.secret_key, self.publics[dealer], ct), j + 1))
+                    self.scheme.decrypt(key, self.publics[dealer], ct), j + 1))
             except (DecryptionError, vss.MalformedInputError):
                 continue
         self._maybe_submit(sq, store)
@@ -538,7 +547,7 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
     datasets, test, w0 = _task(config)
     group = generate_group(config.bits_p, config.bits_q)
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
-    scheme = SCHEMES[config.encryption](group)
+    scheme = HybridScheme(group)
     key_rng = random.Random(config.seed * 100003 + 11)
     keypairs = [scheme.keygen(key_rng) for _ in range(config.n)]
     publics = [kp.public for kp in keypairs]
@@ -552,6 +561,9 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
         for i in range(config.n)
     }
     attackers = {i: nodes[i].attacker for i in config.attackers}
+    if config.attacker_reads == "every-share":
+        for i in attackers:
+            nodes[i].read_keys = tuple(kp.secret for kp in keypairs)
 
     sim_config = SimConfig(n=config.n, f=config.f, gst=config.gst,
                            delta=config.delta, seed=config.seed)

@@ -92,8 +92,8 @@ UNRUNNABLE = {
                              "delta": None},
     "training-delta-0": {"kind": "training", "config": dict(FAST_CONFIG, delta=0)},
     "training-dim-str": {"kind": "training", "config": dict(FAST_CONFIG, dim="16")},
-    "training-encryption": {"kind": "training",
-                            "config": dict(FAST_CONFIG, encryption="rot13")},
+    "training-attacker_reads": {"kind": "training",
+                                "config": dict(FAST_CONFIG, attacker_reads="keys")},
     "training-fallback": {"kind": "training",
                           "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
                                          attackers=[3], fallback="wait")},
@@ -113,11 +113,13 @@ UNRUNNABLE = {
     "consensus-max_view-str": {"kind": "consensus", "n": 4, "script": "none",
                                "assertions": {"max_view": "3"}},
 }
-# settings that are constants now: a scenario that sets one, even to its
-# former default, is rejected as unknown before anything runs
+# settings that are constants now, and the share transport switch that
+# attacker_reads replaced: a scenario that sets one, even to its former
+# default, is rejected as unknown before anything runs
 REMOVED_CONFIG = {"error_threshold": 0.05, "learning_rate": 0.1, "samples": 400,
                   "test_samples": 1000, "flip_rate": 0.02, "theta_cos": 0.8,
-                  "tau": 0.9, "asdp_delta": 1.0, "fraction_bits": 16}
+                  "tau": 0.9, "asdp_delta": 1.0, "fraction_bits": 16,
+                  "encryption": "hybrid"}
 UNRUNNABLE.update({f"training-{key}-removed": {"kind": "training",
                                                "config": dict(FAST_CONFIG, **{key: value})}
                    for key, value in REMOVED_CONFIG.items()})

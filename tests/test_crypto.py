@@ -9,7 +9,6 @@ from bftvss.crypto import (
     NONCE_LEN,
     DecryptionError,
     HybridScheme,
-    IdentityScheme,
     KeyRing,
 )
 
@@ -157,11 +156,3 @@ class TestHybridScheme:
 def test_xor_matches_bytewise(data, seed):
     stream = random.Random(seed).randbytes(len(data))
     assert crypto._xor(data, stream) == bytes(a ^ b for a, b in zip(data, stream))
-
-
-class TestIdentityScheme:
-    def test_passthrough(self, rng):
-        scheme = IdentityScheme()
-        kp = scheme.keygen(rng)
-        ct = scheme.encrypt(kp.secret, kp.public, b"x", rng)
-        assert scheme.decrypt(kp.secret, kp.public, ct) == b"x"

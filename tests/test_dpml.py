@@ -53,6 +53,7 @@ class TestConfig:
         dict(th=4),                                      # above n - f
         dict(n=7, f=2, th=3, mode="baseline-vss+acumpa",
              attackers=(3, 3)),                          # repeated id
+        dict(attacker_reads="commitments"),              # not a knowledge level
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
@@ -465,8 +466,8 @@ def test_no_participant_checks_its_own_share(monkeypatch, mode):
             assert all(public != group.exp(secret) for secret, public in counts)
 
 
-@pytest.mark.parametrize("encryption", ["hybrid", "identity"])
-def test_attacker_forgets_committed_slots(monkeypatch, encryption):
+@pytest.mark.parametrize("attacker_reads", dpml.ATTACKER_READS)
+def test_attacker_forgets_committed_slots(monkeypatch, attacker_reads):
     """The delaying dealer drops what it eavesdropped for a share slot once
     that slot commits, and keeps nothing that arrives later: after a full
     run it holds no observations."""
@@ -483,11 +484,11 @@ def test_attacker_forgets_committed_slots(monkeypatch, encryption):
 
     monkeypatch.setattr(dpml, "DelayedDealerNode", Recording)
     result = run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,),
-                                encryption=encryption))
+                                attacker_reads=attacker_reads))
     assert len(result.metrics) == len(seen) == 30
     (node,) = nodes
     assert node.observed == {}
-    if encryption == "hybrid":  # its own key opens one share per honest dealer
+    if attacker_reads == "own-shares":  # its key opens one share per honest dealer
         assert seen == [3] * 30
     else:
         assert min(seen) > 3
@@ -575,21 +576,21 @@ def test_stray_request_cannot_stall_a_run(monkeypatch):
 
 
 class TestWhatDefends:
-    """Share encryption, not the commit deadline, stops the delaying dealer
-    (default config, seed 0, 30 rounds)."""
+    """Keeping the shares from the delaying dealer, not the commit deadline,
+    stops it (default config, seed 0, 30 rounds)."""
 
-    def run_attacked(self, encryption):
+    def run_attacked(self, attacker_reads):
         return run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,), seed=0,
-                                  encryption=encryption))
+                                  attacker_reads=attacker_reads))
 
-    def test_without_encryption_the_attack_fires_every_round(self):
-        result = self.run_attacked("identity")
+    def test_reading_every_share_the_attack_fires_every_round(self):
+        result = self.run_attacked("every-share")
         assert result.adaptive_rounds == list(range(1, 31))
         assert math.isinf(result.it)
         assert result.final_accuracy < 0.9
 
-    def test_with_encryption_it_never_fires(self):
-        result = self.run_attacked("hybrid")
+    def test_reading_its_own_shares_it_never_fires(self):
+        result = self.run_attacked("own-shares")
         assert len(result.metrics) == 30
         assert result.adaptive_rounds == []
         # the attacker never submits in time, so every round leaves it out
