@@ -494,6 +494,30 @@ def test_attacker_forgets_committed_slots(monkeypatch, attacker_reads):
         assert min(seen) > 3
 
 
+def test_attacker_ignores_share_requests_for_an_executed_slot(monkeypatch):
+    """An authentic share REQUEST for slot 0 that reaches the delaying dealer
+    after slot 0 executed is past the deadline: it leaves no observation."""
+    nodes, requests = [], []
+
+    class Recording(dpml.DelayedDealerNode):
+        def __init__(self, *args):
+            super().__init__(*args)
+            nodes.append(self)
+
+        def on_message(self, m, now=0):
+            if m.kind == MsgKind.REQUEST and m.sq == 0 and m.sender != self.rid:
+                requests.append(m)
+            super().on_message(m, now)
+
+    monkeypatch.setattr(dpml, "DelayedDealerNode", Recording)
+    run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,),
+                       attacker_reads="every-share", **FAST))
+    (node,) = nodes
+    assert node._decided(0) and node._authentic(requests[0])
+    node.on_message(requests[0])
+    assert node.observed == {}
+
+
 @pytest.mark.parametrize("payload", [(), (5,)], ids=["empty", "int"])
 def test_attacker_drops_share_request_without_request_bytes(payload):
     """A share-slot REQUEST that carries no (request, tag) pair cannot be
