@@ -74,6 +74,25 @@ def test_compare_counts_pairs_won_when_recorded_together():
     assert all("won 1/3 pairs" in line for line in lines[1:])
 
 
+def test_compare_names_inputs_that_differ(tmp_path, capsys):
+    before = make("a" * 40, [1.0, 1.0, 1.0])
+    before.update(python="3.11.7", cpu_count=2)
+    after = dict(before, rev="b" * 40)
+    lines, _ = bench_record.compare(before, after, SPEC)
+    assert not any("like for like" in line for line in lines)
+    after.update(seed=4, seconds=1.0, repeats=5, python="3.10.14", cpu_count=8)
+    lines, worse = bench_record.compare(before, after, SPEC)
+    assert lines[1] == ("not like for like: seed 2 -> 4, seconds 8.0 -> 1.0, "
+                        "repeats 3 -> 5, python 3.11.7 -> 3.10.14, cpu_count 2 -> 8")
+    assert not worse and len(lines) == 2 + len(after["rows"])
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, rec in zip(paths, (before, after)):
+        path.write_text(json.dumps(rec))
+    # differing inputs are reported, not failed: only a worse row exits 1
+    assert bench_record.main(["--compare", *map(str, paths)]) == 0
+    assert lines[1] in capsys.readouterr().out
+
+
 def test_record_interleaves_checkouts(monkeypatch, tmp_path):
     calls = []
 

@@ -22,7 +22,9 @@ output is not correct ends the recording with an error.
 ``--compare A B`` prints B's median over A's for each row, how many of
 the pairs B won when the two were recorded together, and flags a row that
 moved past its bound in ``BENCHMARK.json``; it exits 1 if a row got worse
-by more than its bound.  ``--check`` validates a record's schema, not
+by more than its bound.  A header line names each of the seed, seconds,
+repeats, Python version and CPU count in which the two records differ,
+since their rows then do not measure like for like.  ``--check`` validates a record's schema, not
 its values.
 """
 
@@ -42,6 +44,8 @@ SCHEMA_VERSION = 1
 RECORD_KEYS = {"schema_version": int, "rev": str, "dirty": bool, "python": str,
                "cpu_count": int, "command": str, "seed": int, "seconds": (int, float),
                "repeats": int, "paired_with": (str, type(None)), "rows": list}
+# a record's inputs that must match for its medians to compare like for like
+LIKE_FOR_LIKE = ("seed", "seconds", "repeats", "python", "cpu_count")
 ROW_KEYS = {"workload": str, "metric": str, "unit": str, "median": (int, float),
             "iqr": (int, float), "repeats": int, "values": list}
 
@@ -137,6 +141,10 @@ def compare(before: dict, after: dict, spec: dict) -> tuple[list[str], bool]:
     bounds = {m["name"]: m for m in spec["end_to_end"]}
     base = {(r["workload"], r["metric"]): r for r in before["rows"]}
     lines = [f"{before['rev'][:7]} -> {after['rev'][:7]}"]
+    differ = [f"{key} {before[key]} -> {after[key]}" for key in LIKE_FOR_LIKE
+              if before[key] != after[key]]
+    if differ:
+        lines.append("not like for like: " + ", ".join(differ))
     worse = False
     for row in after["rows"]:
         old = base.get((row["workload"], row["metric"]))
