@@ -470,13 +470,19 @@ def test_no_participant_checks_its_own_share(monkeypatch, mode):
 def test_attacker_forgets_committed_slots(monkeypatch, attacker_reads):
     """The delaying dealer drops what it eavesdropped for a share slot once
     that slot commits, and keeps nothing that arrives later: after a full
-    run it holds no observations."""
-    nodes, seen = [], []
+    run it holds no observations, even once an authentic share request for
+    slot 0 reaches it again."""
+    nodes, seen, slot_zero = [], [], []
 
     class Recording(dpml.DelayedDealerNode):
         def __init__(self, *args):
             super().__init__(*args)
             nodes.append(self)
+
+        def on_message(self, m, now=0):
+            if m.kind == MsgKind.REQUEST and m.sq == 0 and m.sender != self.rid:
+                slot_zero.append(m)
+            super().on_message(m, now)
 
         def _share_slot_done(self, sq):
             seen.append(sum(map(len, self.observed.get(sq, {}).values())))
@@ -488,34 +494,13 @@ def test_attacker_forgets_committed_slots(monkeypatch, attacker_reads):
     assert len(result.metrics) == len(seen) == 30
     (node,) = nodes
     assert node.observed == {}
+    assert node._decided(0) and node._authentic(slot_zero[0])
+    node.on_message(slot_zero[0])  # past the deadline: nothing is stored
+    assert node.observed == {}
     if attacker_reads == "own-shares":  # its key opens one share per honest dealer
         assert seen == [3] * 30
     else:
         assert min(seen) > 3
-
-
-def test_attacker_ignores_share_requests_for_an_executed_slot(monkeypatch):
-    """An authentic share REQUEST for slot 0 that reaches the delaying dealer
-    after slot 0 executed is past the deadline: it leaves no observation."""
-    nodes, requests = [], []
-
-    class Recording(dpml.DelayedDealerNode):
-        def __init__(self, *args):
-            super().__init__(*args)
-            nodes.append(self)
-
-        def on_message(self, m, now=0):
-            if m.kind == MsgKind.REQUEST and m.sq == 0 and m.sender != self.rid:
-                requests.append(m)
-            super().on_message(m, now)
-
-    monkeypatch.setattr(dpml, "DelayedDealerNode", Recording)
-    run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,),
-                       attacker_reads="every-share", **FAST))
-    (node,) = nodes
-    assert node._decided(0) and node._authentic(requests[0])
-    node.on_message(requests[0])
-    assert node.observed == {}
 
 
 @pytest.mark.parametrize("payload", [(), (5,)], ids=["empty", "int"])

@@ -24,8 +24,8 @@ the pairs B won when the two were recorded together, and flags a row that
 moved past its bound in ``BENCHMARK.json``; it exits 1 if a row got worse
 by more than its bound.  A header line names each of the seed, seconds,
 repeats, Python version and CPU count in which the two records differ,
-since their rows then do not measure like for like.  ``--check`` validates a record's schema, not
-its values.
+since their rows then do not measure like for like.  ``--check``
+validates a record's schema, not its values.
 """
 
 from __future__ import annotations
