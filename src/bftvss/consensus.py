@@ -18,7 +18,10 @@ whatever view the batch arrives in.
 
 Each replica is a pure state machine: one event in (message or timer fire),
 outbound messages and timer operations out.  The simulator owns time and
-transport; replicas never block or sleep.
+transport; replicas never block or sleep.  A send hands one Message object
+to all its receivers, and what they derive from it alike (its body bytes,
+its tag checks, a PRE_PREPARE's batch and digest) is memoised on it; what
+depends on the receiver's own state is not.
 
 An application is a Replica subclass: it submits with broadcast_update and
 overrides the two hooks that committed slots drive, in slot order:
@@ -98,20 +101,26 @@ class Message:
     payload: tuple
     tag: bytes = b""
 
+    def memo(self, key, compute):
+        """compute(), worked out once per message object and key.  A send
+        hands one object to all its receivers, so what they derive from it
+        alike is derived once; a key names whatever else the result depends
+        on, the KeyRing object itself for a tag check.  Kept outside the
+        fields, so eq, hash and repr ignore it; the payload holds only bytes,
+        ints and Messages, so no result can go stale."""
+        memos = self.__dict__.setdefault("_memos", {})
+        if key not in memos:
+            memos[key] = compute()
+        return memos[key]
+
     def body_bytes(self) -> bytes:
-        # memoised outside the fields, so eq, hash and repr ignore it; the
-        # payload holds only bytes, ints and Messages, so it cannot go stale
-        body = self.__dict__.get("_body")
-        if body is None:
-            body = (
-                wire.u8(int(self.kind))
-                + wire.u64(self.view)
-                + wire.u64(self.sq)
-                + wire.u32(self.sender)
-                + wire.lp(encode_payload(self.kind, self.payload))
-            )
-            object.__setattr__(self, "_body", body)
-        return body
+        return self.memo("body", lambda: (
+            wire.u8(int(self.kind))
+            + wire.u64(self.view)
+            + wire.u64(self.sq)
+            + wire.u32(self.sender)
+            + wire.lp(encode_payload(self.kind, self.payload))
+        ))
 
     def to_bytes(self) -> bytes:
         return self.body_bytes() + self.tag
@@ -122,8 +131,18 @@ def signed(keyring: KeyRing, kind: MsgKind, view: int, sq: int, sender: int,
     """A message tagged with its sender's key over its body bytes."""
     body = Message(kind, view, sq, sender, payload).body_bytes()
     m = Message(kind, view, sq, sender, payload, keyring.tag(sender, body))
-    object.__setattr__(m, "_body", body)  # the tag is not part of the body
+    m.memo("body", lambda: body)  # the tag is not part of the body
     return m
+
+
+def _tag_ok(keyring: KeyRing, m: Message) -> bool:
+    # a body that cannot be encoded has no tag to match; the sender needs no
+    # key to send one, so it is dropped, never raised
+    try:
+        body = m.body_bytes()
+    except (AttributeError, OverflowError, TypeError, ValueError):
+        return False
+    return keyring.check(m.sender, body, m.tag)
 
 
 def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
@@ -253,13 +272,7 @@ class Replica:
         return sq < self.next_exec or (slot is not None and slot.committed)
 
     def _authentic(self, m: Message) -> bool:
-        # a body that cannot be encoded has no tag to match; the sender
-        # needs no key to send one, so it is dropped, never raised
-        try:
-            body = m.body_bytes()
-        except (AttributeError, OverflowError, TypeError, ValueError):
-            return False
-        return self.keyring.check(m.sender, body, m.tag)
+        return m.memo(self.keyring, lambda: _tag_ok(self.keyring, m))
 
     def _requests_ok(self, slot: SlotState, sq: int, triples) -> bool:
         """Check each request tag that differs from the one this replica last
@@ -349,9 +362,13 @@ class Replica:
             return
         req, rtag = m.payload
         triple = (m.sender, req, rtag)
-        if not self._requests_ok(slot, sq, (triple,)):
-            self.dropped_count += 1
-            return
+        if slot.verified.get(m.sender) != triple:
+            # the request tag is checked once per send, like the message's
+            if not m.memo(("request", self.keyring),
+                          lambda: check_request_tag(self.keyring, sq, triple)):
+                self.dropped_count += 1
+                return
+            slot.verified[m.sender] = triple
         slot.pending[m.sender] = triple  # latest request per sender wins
         self._start_progress_timer()
         if slot.proposal_view == self.view:
@@ -427,11 +444,13 @@ class Replica:
                 or len(raw) <= 2 * self.f):
             self.dropped_count += 1
             return
-        self._accept(m.sq, m.view, aggregate(raw, self.f))
+        batch = m.memo(("batch", self.f), lambda: aggregate(raw, self.f))
+        self._accept(m.sq, m.view, batch,
+                     m.memo(("digest", self.f), lambda: batch_digest(batch)))
 
-    def _accept(self, sq: int, view: int, batch):
-        """Accept batch as the one proposal of (view, sq) and prepare it."""
-        digest = batch_digest(batch)
+    def _accept(self, sq: int, view: int, batch, digest: bytes):
+        """Accept batch, whose digest is digest, as the one proposal of
+        (view, sq) and prepare it."""
         slot = self._slot(sq)
         sv = slot.at(view)
         sv.accepted_digest = digest
@@ -621,7 +640,7 @@ class Replica:
         self._enter_view(target)
         for sq, (_, batch) in sorted(best.items()):
             if not self._decided(sq):
-                self._accept(sq, target, batch)
+                self._accept(sq, target, batch, batch_digest(batch))
 
     def _enter_view(self, target: int):
         self.view = target

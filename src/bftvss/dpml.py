@@ -59,7 +59,9 @@ MODES = (
 )
 
 # what the defended workflow's delaying dealer can decrypt: the shares dealt
-# to itself, or every share (it holds every participant's secret key)
+# to itself, or every share (it holds every participant's secret key); no
+# other mode reads the field, and baseline-vss+acumpa's attacker sees every
+# share whatever it says
 ATTACKER_READS = ("own-shares", "every-share")
 
 RESULT_SCHEMA_VERSION = 1
@@ -135,6 +137,10 @@ class TrainingConfig:
         if self.attacker_reads not in ATTACKER_READS:
             raise ValueError(f"attacker_reads must be one of {ATTACKER_READS}, "
                              f"got {self.attacker_reads!r}")
+        # only the defended attacker's reads are set by this field
+        if self.attacker_reads == "every-share" and self.mode != "ebyftves+acumpa":
+            raise ValueError("attacker_reads 'every-share' applies only to mode "
+                             f"'ebyftves+acumpa', not {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -214,14 +220,19 @@ def _task(config: TrainingConfig):
 
 class _Coordinator:
     """Experiment harness shared by every mode and participant: computes the
-    metrics once per round and checks that everyone arrived at bit-identical
-    weights."""
+    metrics once per round, checks that everyone arrived at bit-identical
+    weights, and holds the run's decoded committed requests."""
 
     def __init__(self, datasets, test):
         self.datasets = datasets
         self.test = test
         self.metrics: list[RoundMetrics] = []
         self.weights_history: list[np.ndarray] = []
+        # (sq, origin, req) -> the committed request decoded for its slot's
+        # kind, None if it does not decode: every participant executes the
+        # same batch, so a run decodes each request once.  Bounded by
+        # WorkflowParticipant._decoded to two rounds of requests, 6n entries.
+        self.decoded: dict = {}
 
     def round_complete(self, pid: int, t: int, w: np.ndarray, dealer_count: int):
         # rounds complete in order, so round t is recorded at its first completion
@@ -325,7 +336,7 @@ def encode_share_request(ciphertexts, commitments: vss.CommitmentVector) -> byte
 
 def decode_share_request(req: bytes, th: int):
     r = wire.Reader(req)
-    ciphertexts = r.blobs()
+    ciphertexts = tuple(r.blobs())
     return ciphertexts, vss.parse_commitments(req[r.off:], th)
 
 
@@ -410,29 +421,52 @@ class WorkflowParticipant(Replica):
         base = self.base_slot()
         if not base <= sq <= base + 2:
             return
+        decoded = self._decoded(sq, origin, req)
+        if decoded is None:
+            return  # malformed input from a faulty peer
         dim = self.codec.packed_length(self.config.dim)
-        try:
-            if sq == base:
-                ciphertexts, commits = decode_share_request(req, self.config.th)
-                if len(ciphertexts) != self.config.n or len(commits) != dim:
-                    return
-                self._commits[origin] = commits
-                if origin == self.rid:
-                    return  # submit_shares kept the share it dealt itself
+        if sq == base:
+            ciphertexts, commits = decoded
+            if len(ciphertexts) != self.config.n or len(commits) != dim:
+                return
+            self._commits[origin] = commits
+            if origin == self.rid:
+                return  # submit_shares kept the share it dealt itself
+            try:
                 plain = self.scheme.decrypt(self.secret_key, self.publics[origin],
                                             ciphertexts[self.rid])
                 bundle = vss.parse_bundle(plain, self.eval_point)
-                if bundle.dimension == dim:
-                    self._own_shares[origin] = bundle
-            elif sq == base + 1:
-                for d in decode_vote_request(req):
-                    self._votes[d].add(origin)
-            else:
-                bundle = decode_agg_request(req, origin + 1)
-                if bundle.dimension == dim:
-                    self._agg[origin] = bundle
-        except (ValueError, DecryptionError, vss.MalformedInputError):
-            return  # malformed or undecryptable input from a faulty peer
+            except (DecryptionError, vss.MalformedInputError):
+                return  # undecryptable or malformed share from a faulty peer
+            if bundle.dimension == dim:
+                self._own_shares[origin] = bundle
+        elif sq == base + 1:
+            for d in decoded:
+                self._votes[d].add(origin)
+        elif decoded.dimension == dim:
+            self._agg[origin] = decoded
+
+    def _decoded(self, sq: int, origin: int, req: bytes):
+        """origin's committed request in slot sq decoded for the slot's kind,
+        or None if it does not decode, from the run's shared table.  The key
+        holds sq and origin as well as req: a peer may commit the same bytes
+        in two slots, and an aggregated share's point is its origin's."""
+        table = self.coordinator.decoded
+        key = (sq, origin, req)
+        if key not in table:
+            try:
+                if sq % 3 == 0:
+                    value = decode_share_request(req, self.config.th)
+                elif sq % 3 == 1:
+                    value = decode_vote_request(req)
+                else:
+                    value = decode_agg_request(req, origin + 1)
+            except (ValueError, vss.MalformedInputError):
+                value = None
+            if len(table) >= 6 * self.config.n:
+                del table[next(iter(table))]  # the oldest entry
+            table[key] = value
+        return table[key]
 
     def on_slot_committed(self, sq: int, batch):
         base = self.base_slot()

@@ -94,6 +94,9 @@ UNRUNNABLE = {
     "training-dim-str": {"kind": "training", "config": dict(FAST_CONFIG, dim="16")},
     "training-attacker_reads": {"kind": "training",
                                 "config": dict(FAST_CONFIG, attacker_reads="keys")},
+    "training-attacker_reads-baseline": {
+        "kind": "training", "config": dict(FAST_CONFIG, mode="baseline-vss+acumpa",
+                                           attackers=[3], attacker_reads="every-share")},
     "training-fallback": {"kind": "training",
                           "config": dict(FAST_CONFIG, mode="ebyftves+acumpa",
                                          attackers=[3], fallback="wait")},

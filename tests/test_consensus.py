@@ -160,6 +160,42 @@ class TestEncodedOnce:
             b.body_bytes()  # second pass: a and b encoded, c not
 
 
+class TestCheckedOncePerSend:
+    """A send hands one Message to all its receivers, and each tag check on
+    it runs once per key ring: a forgery is still dropped at every receiver,
+    and a message checked under one ring is checked afresh under another."""
+
+    @pytest.mark.parametrize("kind, payload, tag, dropped, checks", [
+        (MsgKind.REQUEST, (b"r", b"t" * 32), b"x" * 32, 1, 1),
+        (MsgKind.PREPARE, (b"d" * 32,), b"x" * 32, 1, 1),
+        (MsgKind.REQUEST, (b"r", b"t" * 32), None, 1, 2),  # only the request tag is bad
+        (MsgKind.PREPARE, (b"d" * 32,), None, 0, 1),       # control: genuine
+    ], ids=["request-tag", "prepare-tag", "request-request-tag", "genuine"])
+    def test_every_receiver_drops_a_forgery_after_one_check(
+            self, keyring, monkeypatch, kind, payload, tag, dropped, checks):
+        calls = []
+        check = KeyRing.check
+        monkeypatch.setattr(KeyRing, "check",
+                            lambda ring, *args: calls.append(args) or check(ring, *args))
+        m = signed(keyring, kind, 0, 0, 1, payload)
+        if tag is not None:
+            m = dataclasses.replace(m, tag=tag)
+        reps = [Replica(rid, 4, 1, keyring) for rid in range(4)]
+        for rep in reps:
+            rep.on_message(m)
+        assert [rep.dropped_count for rep in reps] == [dropped] * 4
+        assert len(calls) == checks
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_checked_again_under_another_key_ring(self, keyring, first):
+        rings = (keyring, KeyRing(range(4), random.Random(1)))
+        m = signed(rings[0], MsgKind.PREPARE, 0, 0, 1, (b"d" * 32,))
+        reps = [Replica(0, 4, 1, ring) for ring in rings]
+        for rep in (reps[first], reps[1 - first]):
+            rep.on_message(m)
+        assert [rep.dropped_count for rep in reps] == [0, 1]
+
+
 class TestRejectionRules:
     """Each check a receiver applies to what it cannot derive: every test
     sends one message that breaks exactly one rule, next to a control that
@@ -186,6 +222,36 @@ class TestRejectionRules:
             assert rep.dropped_count == (0 if accepted else 1)
             assert rep._slot(0).at(0).accepted_digest == (
                 batch_digest(batch) if accepted else None)
+
+    def test_primary_pre_prepares_only_on_more_than_2f_proposals(self, keyring):
+        _, batch = self.proposals(keyring, ())
+        for proposers, emits in (((1, 2), False), ((1, 2, 3), True)):
+            rep = Replica(0, 4, 1, keyring)
+            for proposer in proposers:
+                rep.on_message(signed(keyring, MsgKind.PRE_PROPOSE, 0, 0, proposer, batch))
+            sends, timers = rep.drain()
+            assert (("set", ("prop", 0), 2) in timers) == emits
+            rep.on_timer(("prop", 0))  # the timer fires, or would have
+            sends += rep.drain()[0]
+            assert any(m.kind == MsgKind.PRE_PREPARE for _, m in sends) == emits
+
+    def test_one_request_per_origin_executes(self, keyring):
+        executed = []
+
+        class Executor(Replica):
+            def receiving_update(self, sq, origin, req):
+                executed.append((origin, req))
+
+        batch = tuple(triple(keyring, o, 0, req)
+                      for o, req in ((0, b"a"), (1, b"b"), (1, b"c"), (2, b"d")))
+        rep = Executor(1, 4, 1, keyring)
+        raw = tuple((p, batch) for p in (0, 2, 3))
+        rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (raw,)))
+        for sender in (0, 2, 3):
+            rep.on_message(signed(keyring, MsgKind.COMMIT, 0, 0, sender,
+                                  (batch_digest(batch),)))
+        assert rep.next_exec == 1
+        assert executed == [(0, b"a"), (1, b"b"), (2, b"d")]
 
     def test_certificate_counts_distinct_senders(self, keyring):
         batch = (triple(keyring, 0, 0, b"a"),)

@@ -54,6 +54,10 @@ class TestConfig:
         dict(n=7, f=2, th=3, mode="baseline-vss+acumpa",
              attackers=(3, 3)),                          # repeated id
         dict(attacker_reads="commitments"),              # not a knowledge level
+        dict(attacker_reads="every-share"),              # no attacker reads it
+        dict(mode="ebyftves", attacker_reads="every-share"),
+        dict(mode="baseline-vss+acumpa", attackers=(3,),
+             attacker_reads="every-share"),              # sees every share anyway
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
@@ -84,7 +88,7 @@ class TestRequestCodecs:
         cts = [b.to_bytes() for b in bundles]
         req = encode_share_request(cts, commits)
         out_cts, out_commits = decode_share_request(req, 3)
-        assert out_cts == cts and out_commits == commits
+        assert out_cts == tuple(cts) and out_commits == commits
         with pytest.raises(vss.MalformedInputError):
             decode_share_request(req + b"\x00", 3)
 
@@ -277,8 +281,7 @@ class Reflector(dpml.WorkflowParticipant):
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 0:
             cts, commits = decode_share_request(req, self.config.th)
-            cts[1] = self._theirs
-            req = encode_share_request(cts, commits)
+            req = encode_share_request(cts[:1] + (self._theirs,) + cts[2:], commits)
         super().broadcast_update(sq, req)
 
     def _share_slot_done(self, sq):
@@ -514,31 +517,69 @@ def test_attacker_drops_share_request_without_request_bytes(payload):
     assert node.observed == {}
 
 
-def test_each_request_tag_checked_once_per_replica(monkeypatch):
-    """A replica checks a request's tag once per slot, whether the request
-    reaches it in a REQUEST, a PRE_PROPOSE or a PRE_PREPARE: at most n^2
-    checks per slot in a fault-free run."""
-    receiver = []
+def test_each_request_tag_checked_once_per_send(monkeypatch):
+    """A request's tag is checked once per run in a fault-free run: its
+    REQUEST's receivers share one check, and a replica that verified it in
+    the slot skips it in a PRE_PROPOSE or a PRE_PREPARE."""
     calls = collections.Counter()
-    on_message, check = consensus.Replica.on_message, consensus.check_request_tag
-
-    def tracking_on_message(self, m, now=0):
-        receiver.append(self.rid)
-        try:
-            return on_message(self, m, now)
-        finally:
-            receiver.pop()
+    check = consensus.check_request_tag
 
     def counting_check(keyring, sq, triple):
-        calls[receiver[-1], sq, triple[0]] += 1
+        calls[sq, triple[0]] += 1
         return check(keyring, sq, triple)
 
-    monkeypatch.setattr(consensus.Replica, "on_message", tracking_on_message)
     monkeypatch.setattr(consensus, "check_request_tag", counting_check)
     result = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
     assert len(result.metrics) == FAST["rounds"]
-    assert len(calls) == 4 * 4 * 3 * FAST["rounds"]  # replica, origin, 3 slots a round
+    assert len(calls) == 4 * 3 * FAST["rounds"]  # origin, 3 slots a round
     assert max(calls.values()) == 1
+
+
+def test_no_shared_result_outlives_its_run(monkeypatch):
+    """Two identical runs check as many tags and parse as many commitments:
+    what a send's receivers share dies with the run.  A committed share
+    request is parsed once per run, not once per participant, and the run's
+    table of decoded requests keeps two rounds of them."""
+    calls = collections.Counter()
+    coordinators = []
+
+    class Recorded(dpml._Coordinator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            coordinators.append(self)
+
+    monkeypatch.setattr(dpml, "_Coordinator", Recorded)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(crypto.KeyRing, "check", counting("check", crypto.KeyRing.check))
+    monkeypatch.setattr(vss, "parse_commitments", counting("parse", vss.parse_commitments))
+    per_run = []
+    for _ in range(2):
+        calls.clear()
+        run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+        per_run.append(dict(calls))
+    assert per_run[0] == per_run[1]
+    assert per_run[0]["parse"] == 4 * FAST["rounds"]
+    assert [len(c.decoded) for c in coordinators] == [2 * 3 * 4] * 2
+
+
+def test_identical_aggregated_shares_keep_their_origins_points():
+    """Two receivers, sharing their run's decoded requests, each read every
+    origin's aggregated share at that origin's point, though all four
+    origins committed the same bytes."""
+    participant, (_, _, aggs), _ = round_one()
+    for receiver in (participant(1), participant(2)):
+        for origin in range(4):
+            receiver.receiving_update(2, origin, aggs[0])
+        assert {o: b.eval_point for o, b in receiver._agg.items()} == {
+            o: o + 1 for o in range(4)}
+        assert {b.values for b in receiver._agg.values()} == {
+            decode_agg_request(aggs[0], 1).values}
 
 
 class TestPreGstTraining:
