@@ -463,8 +463,8 @@ class WorkflowParticipant(Replica):
                     value = decode_agg_request(req, origin + 1)
             except (ValueError, vss.MalformedInputError):
                 value = None
-            if len(table) >= 6 * self.config.n:
-                del table[next(iter(table))]  # the oldest entry
+            if len(table) >= 6 * self.config.n:  # two rounds of requests
+                del table[next(iter(table))]  # the oldest goes first
             table[key] = value
         return table[key]
 
