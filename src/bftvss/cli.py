@@ -26,11 +26,11 @@ import os
 import re
 import statistics
 import sys
-from dataclasses import fields
 from itertools import product
+from typing import Optional
 
 from . import dpml, scenarios
-from .dpml import MODES, TrainingConfig
+from .dpml import MODES, TrainingConfig, of_type
 from .netsim import SimConfig
 
 GRID_GST = 100
@@ -38,17 +38,13 @@ GRID_DELTA = 2
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-_TRAINING_KEYS = {"name", "kind", "config", "assertions"}
-_CONSENSUS_KEYS = {"name", "kind", "n", "script", "gst", "delta", "assertions"}
-_CONFIG_KEYS = {f.name for f in fields(TrainingConfig)}
-
 # assertion key -> (value type, actual value, whether it holds), for a
 # training RunResult r and a consensus outcome o
 _TRAINING_ASSERTS = {
     "completes": (bool, lambda r: True, lambda want, r: True is want),
     "max_it": (int, lambda r: None if math.isinf(r.it) else int(r.it),
                lambda want, r: r.it <= want),
-    "min_final_accuracy": ((int, float), lambda r: r.final_accuracy,
+    "min_final_accuracy": (float, lambda r: r.final_accuracy,
                            lambda want, r: r.final_accuracy >= want),
     "adaptive_never": (bool, lambda r: sorted(r.adaptive_rounds),
                        lambda want, r: (len(r.adaptive_rounds) == 0) is want),
@@ -67,32 +63,48 @@ _CONSENSUS_ASSERTS = {
     "max_view": (int, lambda o: o["max_view"],
                  lambda want, o: o["max_view"] <= want),
 }
+# the keys a scenario file of each kind may hold, and their types; a nested
+# table is an object's
+_SCENARIO_KEYS = {
+    "training": {"name": str, "kind": str, "config": dpml.CONFIG_TYPES,
+                 "assertions": {k: a[0] for k, a in _TRAINING_ASSERTS.items()}},
+    "consensus": {"name": str, "kind": str, "n": int, "script": str, "gst": int,
+                  "delta": int,
+                  "assertions": {k: a[0] for k, a in _CONSENSUS_ASSERTS.items()}},
+}
 
 
 class ScenarioError(Exception):
     pass
 
 
-def _reject_unknown(given: dict, allowed, where: str):
-    unknown = sorted(set(given) - set(allowed))
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {unknown}")
+def _kind_table(tables: dict, data: dict, where: str) -> dict:
+    """The table of data's kind, which must name one of tables."""
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in tables:
+        raise ScenarioError(f"{where}: 'kind' must be one of {sorted(tables)}, "
+                            f"got {kind!r}")
+    return tables[kind]
 
 
-def _of_type(value, kind) -> bool:
-    # a bool is an int to isinstance, but never a count, a bound or a metric
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
-def _check_assertions(asserts, table: dict, where: str):
-    if not isinstance(asserts, dict):
+def _check_keys(data, table: dict, where: str, closed: bool = True):
+    """Check data, read from a JSON file, against table, {key: type or nested
+    table}.  A scenario's objects are closed: each key of table is optional
+    and no other key is allowed.  A result's are open: each key of table is
+    required, and other keys are ignored."""
+    if not isinstance(data, dict):
         raise ScenarioError(f"{where}: must be an object")
-    _reject_unknown(asserts, table, where)
-    for key, want in asserts.items():
-        kind = table[key][0]
-        if not _of_type(want, kind):
-            raise ScenarioError(f"{where}: {key} must be of type "
-                                f"{getattr(kind, '__name__', 'number')}, got {want!r}")
+    odd = set(data) - set(table) if closed else set(table) - set(data)
+    if odd:
+        raise ScenarioError(f"{where}: {'unknown' if closed else 'missing'} keys "
+                            f"{sorted(odd)}")
+    for key, kind in table.items():
+        if key in data and isinstance(kind, dict):
+            _check_keys(data[key], kind, f"{where}: {key}", closed)
+        elif key in data and not of_type(data[key], kind):
+            name = kind.__name__ if isinstance(kind, type) else kind
+            raise ScenarioError(f"{where}: {key} must be of type {name}, "
+                                f"got {data[key]!r}")
 
 
 def load_scenario(path: str) -> dict:
@@ -105,46 +117,24 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    name = data.get("name")
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    _check_keys(data, _kind_table(_SCENARIO_KEYS, data, path), path)
+    if not _NAME_RE.match(data.get("name", "")):
         raise ScenarioError(f"{path}: 'name' must match {_NAME_RE.pattern}")
-    kind = data.get("kind")
-    if kind == "training":
-        _reject_unknown(data, _TRAINING_KEYS, path)
-        config = data.get("config", {})
-        if not isinstance(config, dict):
-            raise ScenarioError(f"{path}: 'config' must be an object")
-        _reject_unknown(config, _CONFIG_KEYS, f"{path}: config")
-        _check_assertions(data.get("assertions", {}), _TRAINING_ASSERTS,
-                          f"{path}: assertions")
-        try:
-            _build_config(config)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}: config: {exc}") from exc
-    elif kind == "consensus":
-        _reject_unknown(data, _CONSENSUS_KEYS, path)
-        if data.get("script") not in scenarios.CONSENSUS_SCRIPTS:
-            raise ScenarioError(
-                f"{path}: 'script' must be one of {scenarios.CONSENSUS_SCRIPTS}")
-        n = data.get("n")
-        if not isinstance(n, int) or n != 3 * ((n - 1) // 3) + 1 or n < 4:
-            raise ScenarioError(f"{path}: 'n' must satisfy n = 3f + 1, n >= 4")
-        timing = {k: data[k] for k in ("gst", "delta") if k in data}
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in timing.values()):
-            raise ScenarioError(f"{path}: 'gst' and 'delta' must be integers")
-        try:
-            SimConfig(n=n, f=(n - 1) // 3, gst=timing.get("gst", 0),
-                      delta=timing.get("delta", 1))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-        _check_assertions(data.get("assertions", {}), _CONSENSUS_ASSERTS,
-                          f"{path}: assertions")
-    else:
-        raise ScenarioError(f"{path}: 'kind' must be 'training' or 'consensus'")
+    if data["kind"] == "training":
+        _build_config(data.get("config", {}), path)
+        return data
+    if "n" not in data or data.get("script") not in scenarios.CONSENSUS_SCRIPTS:
+        raise ScenarioError(f"{path}: needs 'n' and a 'script' of "
+                            f"{scenarios.CONSENSUS_SCRIPTS}")
+    try:
+        SimConfig(n=data["n"], f=(data["n"] - 1) // 3, gst=data.get("gst", 0),
+                  delta=data.get("delta", 1))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     return data
 
 
-def _build_config(raw: dict, seed=None, mode=None) -> TrainingConfig:
+def _build_config(raw: dict, path: str, seed=None, mode=None) -> TrainingConfig:
     cfg = dict(raw)
     if "attackers" in cfg:
         cfg["attackers"] = tuple(cfg["attackers"])
@@ -152,8 +142,11 @@ def _build_config(raw: dict, seed=None, mode=None) -> TrainingConfig:
         cfg["seed"] = seed
     if mode is not None:
         cfg["mode"] = mode
-    config = TrainingConfig(**cfg)
-    config.validate()
+    try:
+        config = TrainingConfig(**cfg)
+        config.validate()
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: config: {exc}") from exc
     return config
 
 
@@ -187,10 +180,7 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
     asserts = scenario.get("assertions", {})
 
     if scenario["kind"] == "training":
-        try:
-            config = _build_config(scenario.get("config", {}), seed=seed, mode=mode)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}: config: {exc}") from exc
+        config = _build_config(scenario.get("config", {}), path, seed, mode)
         if trace and not config.mode.startswith("ebyftves"):
             raise ScenarioError(f"--trace applies only to ebyftves runs, not {config.mode}")
         result = dpml.run(config, collect_trace=trace)
@@ -266,14 +256,14 @@ def grid(seeds: int = 5, out_dir=None) -> int:
 
 # -- report -------------------------------------------------------------------
 
-_COMPAT_KEYS = ("n", "f", "th", "rounds", "dim")  # ints in a training config
-_OPTIONAL_INT = (int, type(None))
+_COMPAT_KEYS = ("n", "f", "th", "rounds", "dim")  # of a training config
 # the keys each table reads from a result file of that kind, and their types
 _RESULT_KEYS = {
-    "training": {"scenario": str, "mode": str, "seed": int, "config": dict,
-                 "final_accuracy": (int, float), "it": _OPTIONAL_INT},
+    "training": {"scenario": str, "mode": str, "seed": int,
+                 "config": {k: dpml.CONFIG_TYPES[k] for k in _COMPAT_KEYS},
+                 "final_accuracy": float, "it": Optional[int]},
     "consensus": {"n": int, "script": str, "safety_ok": bool,
-                  "all_committed": bool, "commit_span": _OPTIONAL_INT,
+                  "all_committed": bool, "commit_span": Optional[int],
                   "max_view": int},
 }
 
@@ -286,24 +276,6 @@ def _fmt_it(values) -> str:
     std = statistics.stdev(finite) if len(finite) > 1 else 0.0
     tail = f" (+{len(values) - len(finite)} inf)" if len(finite) < len(values) else ""
     return f"{mean:.1f} +/- {std:.1f}{tail}"
-
-
-def _check_result(result: dict, where: str):
-    """Reject a result that lacks a key report's tables read, or holds one of
-    a type they cannot read."""
-    kind = result.get("kind")
-    # (name, the object holding it, its key there, its accepted types)
-    checks = [(k, result, k, t) for k, t in _RESULT_KEYS.get(kind, {}).items()]
-    config = result.get("config")
-    if kind == "training" and isinstance(config, dict):
-        checks += [(f"config.{k}", config, k, int) for k in _COMPAT_KEYS]
-    missing = [name for name, holder, key, _ in checks if key not in holder]
-    if missing:
-        raise ScenarioError(f"{where}: result lacks {missing}")
-    for name, holder, key, types in checks:
-        if not _of_type(holder[key], types):
-            raise ScenarioError(f"{where}: {name} has the wrong type: "
-                                f"{holder[key]!r}")
 
 
 def report(paths, csv_path=None) -> int:
@@ -323,7 +295,7 @@ def report(paths, csv_path=None) -> int:
                     or result.get("schema_version") != dpml.RESULT_SCHEMA_VERSION):
                 raise ScenarioError(f"{p}: not a result file of schema version "
                                     f"{dpml.RESULT_SCHEMA_VERSION}")
-            _check_result(result, p)
+            _check_keys(result, _kind_table(_RESULT_KEYS, result, p), p, closed=False)
             results.append(result)
     training = [r for r in results if r.get("kind") == "training"]
     if csv_path and not training:

@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import asdict, dataclass, fields, replace
-from typing import ClassVar, Optional
+from dataclasses import asdict, dataclass, replace
+from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -75,8 +75,20 @@ TEST_SAMPLES = 1000
 TAU = 0.90
 THETA_COS = 0.8
 
-# accepted value types per TrainingConfig field annotation (attackers: per id)
-_FIELD_TYPES = {"int": int, "str": str, "tuple[int, ...]": int}
+
+def of_type(value, annotation) -> bool:
+    """Whether value has the annotated type: int, float (an int is one too),
+    str, bool, dict, Optional[X] or tuple[X, ...] (a JSON list is one too).
+    A bool is an int to isinstance, but never a count, a bound or a metric."""
+    if isinstance(annotation, type):
+        if isinstance(value, bool):
+            return annotation is bool
+        return isinstance(value, (int, float) if annotation is float else annotation)
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple:
+        return (isinstance(value, (tuple, list))
+                and all(of_type(v, args[0]) for v in value))
+    return any(of_type(value, a) for a in args)  # Optional[X]
 
 
 class WorkflowError(Exception):
@@ -103,13 +115,12 @@ class TrainingConfig:
     fraction_bits: ClassVar[int] = 16
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            items = value if f.name == "attackers" else (value,)
-            if not all(isinstance(v, _FIELD_TYPES[f.type]) and not isinstance(v, bool)
-                       for v in items):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-        # n = 3f + 1, gst >= 0, delta >= 1: the simulator's own checks
+        for name, kind in CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if not of_type(value, kind):
+                raise ValueError(f"{name} must be of type "
+                                 f"{TrainingConfig.__annotations__[name]}, got {value!r}")
+        # n = 3f + 1 with f >= 1, gst >= 0, delta >= 1: the simulator's own checks
         SimConfig(n=self.n, f=self.f, gst=self.gst, delta=self.delta)
         # th <= f would let f colluders reconstruct a secret on their own;
         # th > n - f would leave the n - f honest aggregated shares short
@@ -141,6 +152,11 @@ class TrainingConfig:
         if self.attacker_reads == "every-share" and self.mode != "ebyftves+acumpa":
             raise ValueError("attacker_reads 'every-share' applies only to mode "
                              f"'ebyftves+acumpa', not {self.mode!r}")
+
+
+# each TrainingConfig field's type, read once from the class's annotations
+CONFIG_TYPES = {name: kind for name, kind in get_type_hints(TrainingConfig).items()
+                if get_origin(kind) is not ClassVar}
 
 
 @dataclass(frozen=True)
@@ -486,10 +502,9 @@ class WorkflowParticipant(Replica):
         self.broadcast_update(sq + 1, encode_vote_request(self._verified))
 
     def _vote_slot_done(self, sq: int):
-        dealer_set = sorted(
-            d for d, voters in self._votes.items()
-            if len(voters) >= self.config.th and d in self._commits
-        )
+        # th > f votes include an honest one, which names only committed dealers
+        dealer_set = sorted(d for d, voters in self._votes.items()
+                            if len(voters) >= self.config.th)
         if not dealer_set:
             raise WorkflowError(f"round {self.t}: no dealer reached {self.config.th} votes")
         self._dealer_set = dealer_set

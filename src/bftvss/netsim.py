@@ -35,8 +35,8 @@ class SimConfig:
     max_events: int = 2_000_000
 
     def __post_init__(self):
-        if self.n != 3 * self.f + 1:
-            raise ValueError("requires n = 3f + 1")
+        if self.f < 1 or self.n != 3 * self.f + 1:
+            raise ValueError("requires n = 3f + 1 with f >= 1")
         if self.gst < 0 or self.delta < 1:
             raise ValueError("gst must be >= 0 and delta >= 1")
 

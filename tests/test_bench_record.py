@@ -43,6 +43,9 @@ def test_single_repeat_has_no_spread():
     (lambda r: r.pop("rev"), "record: missing 'rev'"),
     (lambda r: r.update(dirty="no"), "record: 'dirty' is str"),
     (lambda r: r.update(repeats=True), "record: 'repeats' is bool"),
+    (lambda r: r.update(seconds=False), "record: 'seconds' is bool"),
+    (lambda r: r["rows"][0].update(median=True), "row 0: 'median' is bool"),
+    (lambda r: r["rows"][2].update(iqr=False), "row 2: 'iqr' is bool"),
     (lambda r: r.update(rows=[]), "record: no rows"),
     (lambda r: r["rows"][0].pop("median"), "row 0: missing 'median'"),
     (lambda r: r["rows"][1]["values"].pop(), "row 1: 4 values for 5 repeats"),

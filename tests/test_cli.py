@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -290,10 +292,17 @@ class TestReport:
     @pytest.mark.parametrize("bad", ["directory", "not-json", "training-scenario",
                                      "consensus-scenario", "training-incomplete",
                                      "consensus-incomplete", "training-str-accuracy",
-                                     "consensus-str-n"])
+                                     "consensus-str-n", "unknown-kind", "list-kind",
+                                     "no-kind"])
     def test_unreadable_input(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
-        if bad == "training-str-accuracy":
+        if bad.endswith("-kind"):
+            result = dict(READABLE_RESULTS["training"],
+                          kind=["training"] if bad == "list-kind" else "trainng")
+            if bad == "no-kind":
+                del result["kind"]
+            path.write_text(json.dumps(result))
+        elif bad == "training-str-accuracy":
             path.write_text(json.dumps(dict(READABLE_RESULTS["training"],
                                             final_accuracy="high")))
         elif bad == "consensus-str-n":
@@ -310,8 +319,13 @@ class TestReport:
         else:
             path.write_text(json.dumps({"name": "c", "kind": "consensus", "n": 4,
                                         "script": "none"}))
-        assert main(["report", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # a readable result beside it is not reported alone
+        readable = tmp_path / "good.json"
+        readable.write_text(json.dumps(READABLE_RESULTS["training"]))
+        assert main(["report", str(readable), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert not captured.out
 
 
 def test_compare_output_is_readable_by_report(tmp_path, capsys):
@@ -343,3 +357,42 @@ def test_report_reads_consensus_scenario_result(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(out / "*.json")]) == 0
     assert "silent-primary" in capsys.readouterr().out
+
+
+
+# a scenario of each kind with every key and assertion set: with the readable
+# results, the files the no-crash sweep starts from
+FULL_SCENARIOS = {
+    "training": {"name": "sweep", "kind": "training",
+                 "config": dataclasses.asdict(dpml.TrainingConfig(**FAST_CONFIG)),
+                 "assertions": {"completes": True, "max_it": 3, "min_final_accuracy": 0.5,
+                                "adaptive_never": True, "adaptive_every_round": False}},
+    "consensus": {"name": "sweep", "kind": "consensus", "n": 4, "script": "none",
+                  "gst": 0, "delta": 1,
+                  "assertions": {"safety": True, "all_committed": True,
+                                 "commit_within": 40, "max_view": 0}},
+}
+SWEEP_VALUES = [None, True, 0, -1, 2.5, "x", [], [3], {}, 10**30]
+
+
+def test_no_input_crashes_validate_or_report(tmp_path):
+    """Each key of each start file, top-level, config or assertion, set in
+    turn to each of SWEEP_VALUES: validate reads the scenarios and report the
+    results, and each exits 0 or 2 without raising."""
+    path = tmp_path / "f.json"
+    crashes = []
+    for verb, doc in ([("validate", d) for d in FULL_SCENARIOS.values()]
+                      + [("report", d) for d in READABLE_RESULTS.values()]):
+        keys = [(k,) for k in doc] + [(k, sub) for k in ("config", "assertions")
+                                      if k in doc for sub in doc[k]]
+        for key, value in product(keys, SWEEP_VALUES):
+            changed = json.loads(json.dumps(doc))
+            (changed[key[0]] if len(key) == 2 else changed)[key[-1]] = value
+            path.write_text(json.dumps(changed))
+            try:
+                status = main([verb, str(path)])
+            except Exception as exc:  # any raise is a crash
+                status = repr(exc)
+            if status not in (0, 2):
+                crashes.append((verb, doc["kind"], key, value, status))
+    assert not crashes

@@ -270,6 +270,17 @@ class TestRejectionRules:
         assert rep._check_cert((0, 0, batch, prepares))
         assert not rep._check_cert((0, 0, other, prepares))
 
+    def test_certificate_prepares_name_its_view(self, keyring):
+        batch = (triple(keyring, 0, 0, b"a"),)
+        prepares = tuple(signed(keyring, MsgKind.PREPARE, 0, 0, s, (batch_digest(batch),))
+                         for s in (1, 2, 3))
+        for view, accepted in ((1, False), (0, True)):
+            rep = Replica(0, 4, 1, keyring)
+            rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 1,
+                                  (2, ((0, view, batch, prepares),))))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert (1 in rep.view_changes[2]) == accepted
+
     def test_pre_prepare_accepted_once_per_view_and_slot(self, keyring):
         raw, batch = self.proposals(keyring, (0, 2, 3))
         second = tuple((p, batch[:3]) for p in (0, 2, 3))
@@ -294,6 +305,59 @@ class TestRejectionRules:
             rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 2, 0, 2, (vcs,)))
             assert rep.view == 2
             assert rep._slot(0).at(2).accepted_digest == batch_digest(batches[1])
+
+    def test_new_view_leaves_executed_slots_alone(self, keyring):
+        # slot 0 executes in view 0; a NEW_VIEW into view 2 then certifies
+        # both it and the undecided slot 1, and only slot 1 is prepared again
+        raw, batch = self.proposals(keyring, (0, 2, 3))
+        rep = Replica(3, 4, 1, keyring)
+        rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (raw,)))
+        for sender in (0, 1, 2):
+            rep.on_message(signed(keyring, MsgKind.COMMIT, 0, 0, sender,
+                                  (batch_digest(batch),)))
+        assert rep.next_exec == 1 and not rep.slots
+        rep.drain()
+        later = (triple(keyring, 0, 1, b"later"),)
+        certs = tuple((sq, 0, b, tuple(
+            signed(keyring, MsgKind.PREPARE, 0, sq, s, (batch_digest(b),))
+            for s in (0, 1, 2))) for sq, b in ((0, batch), (1, later)))
+        vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s,
+                           (2, certs if s == 0 else ())) for s in (0, 1, 2))
+        rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 2, 0, 2, (vcs,)))
+        assert rep.view == 2
+        prepares = [m for _, m in rep.drain()[0] if m.kind == MsgKind.PREPARE]
+        assert {(m.sq, m.payload) for m in prepares} == {(1, (batch_digest(later),))}
+        assert all(sq >= rep.next_exec for sq in rep.slots)
+
+    def test_stale_view_pre_prepare_is_dropped(self, keyring):
+        raw, batch = self.proposals(keyring, (0, 2, 3))
+        for view, sender, accepted in ((0, 0, False), (1, 1, True)):
+            rep = self.new_view(keyring, (0, 1, 3))
+            assert rep.view == 1
+            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, view, 0, sender, (raw,)))
+            assert rep.dropped_count == (0 if accepted else 1)
+            sends = [m for _, m in rep.drain()[0] if m.kind == MsgKind.PREPARE]
+            assert bool(sends) == accepted
+
+    def test_primary_keeps_a_certificate_backed_digest(self, keyring):
+        # replica 1 becomes view 1's primary; when a VIEW_CHANGE certifies a
+        # batch for slot 0 it holds that digest, and pre-prepares nothing new
+        # for the slot on n proposals
+        _, batch = self.proposals(keyring, ())
+        cert = (0, 0, batch, tuple(
+            signed(keyring, MsgKind.PREPARE, 0, 0, s, (batch_digest(batch),))
+            for s in (0, 2, 3)))
+        for certs, emits in (((cert,), False), ((), True)):
+            rep = Replica(1, 4, 1, keyring)
+            for sender in (0, 2, 3):
+                rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, sender,
+                                      (1, certs if sender == 0 else ())))
+            assert rep.view == 1
+            rep.drain()
+            for proposer in range(4):
+                rep.on_message(signed(keyring, MsgKind.PRE_PROPOSE, 1, 0, proposer, batch))
+            sends = [m for _, m in rep.drain()[0]]
+            assert any(m.kind == MsgKind.PRE_PREPARE for m in sends) == emits
 
     def new_view(self, keyring, senders, targets=(1, 1, 1)):
         vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s, (t, ()))

@@ -58,6 +58,7 @@ class TestConfig:
         dict(mode="ebyftves", attacker_reads="every-share"),
         dict(mode="baseline-vss+acumpa", attackers=(3,),
              attacker_reads="every-share"),              # sees every share anyway
+        dict(n=1, f=0, th=1),                            # n = 3f + 1 needs f >= 1
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):

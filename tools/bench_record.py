@@ -116,7 +116,9 @@ def check_record(record: dict) -> list[str]:
         for key, kind in keys.items():
             if key not in obj:
                 problems.append(f"{where}: missing {key!r}")
-            elif not isinstance(obj[key], kind) or (kind is int and isinstance(obj[key], bool)):
+            # a bool is an int to isinstance, but never a count or a time
+            elif (not isinstance(obj[key], kind)
+                  or isinstance(obj[key], bool) and kind is not bool):
                 problems.append(f"{where}: {key!r} is {type(obj[key]).__name__}")
 
     check(record, RECORD_KEYS, "record")
