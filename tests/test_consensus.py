@@ -330,7 +330,7 @@ class TestRejectionRules:
         assert all(sq >= rep.next_exec for sq in rep.slots)
 
     def test_stale_view_pre_prepare_is_dropped(self, keyring):
-        raw, batch = self.proposals(keyring, (0, 2, 3))
+        raw, _ = self.proposals(keyring, (0, 2, 3))
         for view, sender, accepted in ((0, 0, False), (1, 1, True)):
             rep = self.new_view(keyring, (0, 1, 3))
             assert rep.view == 1
