@@ -27,7 +27,7 @@ import re
 import statistics
 import sys
 from itertools import product
-from typing import Optional
+from typing import Optional, get_origin
 
 from . import dpml, scenarios
 from .dpml import MODES, TrainingConfig, of_type
@@ -102,7 +102,7 @@ def _check_keys(data, table: dict, where: str, closed: bool = True):
         if key in data and isinstance(kind, dict):
             _check_keys(data[key], kind, f"{where}: {key}", closed)
         elif key in data and not of_type(data[key], kind):
-            name = kind.__name__ if isinstance(kind, type) else kind
+            name = kind if get_origin(kind) else kind.__name__
             raise ScenarioError(f"{where}: {key} must be of type {name}, "
                                 f"got {data[key]!r}")
 

@@ -80,15 +80,16 @@ def of_type(value, annotation) -> bool:
     """Whether value has the annotated type: int, float (an int is one too),
     str, bool, dict, Optional[X] or tuple[X, ...] (a JSON list is one too).
     A bool is an int to isinstance, but never a count, a bound or a metric."""
-    if isinstance(annotation, type):
-        if isinstance(value, bool):
-            return annotation is bool
-        return isinstance(value, (int, float) if annotation is float else annotation)
-    args = get_args(annotation)
-    if get_origin(annotation) is tuple:
+    # the origin comes first: Python 3.10 counts tuple[int, ...] as a type
+    origin = get_origin(annotation)
+    if origin is tuple:
         return (isinstance(value, (tuple, list))
-                and all(of_type(v, args[0]) for v in value))
-    return any(of_type(value, a) for a in args)  # Optional[X]
+                and all(of_type(v, get_args(annotation)[0]) for v in value))
+    if origin is not None:
+        return any(of_type(value, a) for a in get_args(annotation))  # Optional[X]
+    if isinstance(value, bool):
+        return annotation is bool
+    return isinstance(value, (int, float) if annotation is float else annotation)
 
 
 class WorkflowError(Exception):

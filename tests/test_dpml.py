@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import random
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ class TestConfig:
         dict(mode="baseline-vss+acumpa", attackers=(3,),
              attacker_reads="every-share"),              # sees every share anyway
         dict(n=1, f=0, th=1),                            # n = 3f + 1 needs f >= 1
+        dict(attackers="1"),                             # not a list of ids
+        dict(mode="ebyftves+acumpa", attackers=(True,)),  # a bool is no id
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
@@ -70,6 +73,19 @@ class TestConfig:
         for th in (3, 8):
             with pytest.raises(ValueError, match="f < th <= n - f"):
                 TrainingConfig(n=10, f=3, th=th).validate()
+
+
+    @pytest.mark.parametrize("value, annotation, ok", [
+        (3, int, True), (True, int, False), (True, bool, True), (3, bool, False),
+        (3, float, True), (2.5, float, True), (False, float, False),
+        ("x", str, True), ({}, dict, True), ([], dict, False),
+        ((), tuple[int, ...], True), ([1, 2], tuple[int, ...], True),
+        ((1, True), tuple[int, ...], False), ("12", tuple[int, ...], False),
+        (None, Optional[int], True), (4, Optional[int], True),
+        (False, Optional[int], False), (2.5, Optional[int], False),
+    ])
+    def test_of_type(self, value, annotation, ok):
+        assert dpml.of_type(value, annotation) is ok
 
 
 class TestInferenceTime:
