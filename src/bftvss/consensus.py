@@ -14,7 +14,8 @@ takes the highest prepared certificate of each slot they name.
 Each replica runs one progress timer, only while requests wait at its
 execution watermark; its timeouts double per view change, up to 2^_MAX_BACKOFF
 times the first.  A 2f+1 COMMIT quorum in any view commits its digest,
-whatever view the batch arrives in.
+whatever view the batch arrives in; any other message of a view that is not
+the replica's own is dropped, as in PBFT.
 
 Each replica is a pure state machine: one event in (message or timer fire),
 outbound messages and timer operations out.  The simulator owns time and
@@ -231,7 +232,6 @@ class Replica:
         self.next_exec = 0  # execution watermark: every slot below it is done
         self.vc_round = 0  # progress timeouts since next_exec last moved
         self.timer_running = False  # the one progress timer
-        self.future: list[Message] = []
         self.dropped_count = 0
 
         self._out: list[tuple[int, Message]] = []
@@ -274,15 +274,29 @@ class Replica:
     def _authentic(self, m: Message) -> bool:
         return m.memo(self.keyring, lambda: _tag_ok(self.keyring, m))
 
-    def _requests_ok(self, slot: SlotState, sq: int, triples) -> bool:
-        """Check each request tag that differs from the one this replica last
-        verified for its origin in this slot."""
+    def _requests_ok(self, m: Message, slot: SlotState, triples) -> bool:
+        """Check each request tag in m that differs from the one this replica
+        last verified for its origin in the slot; a check is memoised on m,
+        so a send's receivers share it."""
         for t in triples:
             if slot.verified.get(t[0]) != t:
-                if not check_request_tag(self.keyring, sq, t):
+                if not m.memo(("request", self.keyring, t),
+                              lambda: check_request_tag(self.keyring, m.sq, t)):
                     return False
                 slot.verified[t[0]] = t
         return True
+
+    def _quorum(self, msgs, kind: MsgKind, ok) -> bool:
+        """2f+1 distinct senders' authentic messages of kind, each passing ok,
+        which is checked before the tag; an entry that is not a Message fails
+        the quorum."""
+        senders = set()
+        for x in msgs:
+            if (not isinstance(x, Message) or x.kind != kind or not ok(x)
+                    or not self._authentic(x)):
+                return False
+            senders.add(x.sender)
+        return len(senders) >= 2 * self.f + 1
 
     def primary(self, view: Optional[int] = None) -> int:
         return (self.view if view is None else view) % self.n
@@ -324,12 +338,9 @@ class Replica:
         if m.sq < self.next_exec:
             return  # the slot is executed and gone; nothing here is a fault
         # stale COMMITs still count: a commit quorum in any view proves the
-        # slot committed
-        if m.view < self.view and m.kind != MsgKind.COMMIT:
+        # slot committed; a later view's message is dropped, as in PBFT
+        if m.view > self.view or (m.view < self.view and m.kind != MsgKind.COMMIT):
             self.dropped_count += 1
-            return
-        if m.view > self.view:
-            self.future.append(m)
             return
         handler = {
             MsgKind.REQUEST: self._on_request,
@@ -362,13 +373,9 @@ class Replica:
             return
         req, rtag = m.payload
         triple = (m.sender, req, rtag)
-        if slot.verified.get(m.sender) != triple:
-            # the request tag is checked once per send, like the message's
-            if not m.memo(("request", self.keyring),
-                          lambda: check_request_tag(self.keyring, sq, triple)):
-                self.dropped_count += 1
-                return
-            slot.verified[m.sender] = triple
+        if not self._requests_ok(m, slot, (triple,)):
+            self.dropped_count += 1
+            return
         slot.pending[m.sender] = triple  # latest request per sender wins
         self._start_progress_timer()
         if slot.proposal_view == self.view:
@@ -404,7 +411,7 @@ class Replica:
         if slot.committed or slot.emitted_view == self.view:
             return
         proposal = tuple(m.payload)
-        if not self._requests_ok(slot, sq, proposal):
+        if not self._requests_ok(m, slot, proposal):
             self.dropped_count += 1
             return
         slot.proposals[m.sender] = proposal
@@ -440,7 +447,7 @@ class Replica:
         if slot.at(m.view).accepted_digest is not None:
             return  # single acceptance per (view, sq)
         raw = dict(m.payload[0])
-        if (not self._requests_ok(slot, m.sq, dict.fromkeys(t for p in raw.values() for t in p))
+        if (not self._requests_ok(m, slot, dict.fromkeys(t for p in raw.values() for t in p))
                 or len(raw) <= 2 * self.f):
             self.dropped_count += 1
             return
@@ -571,18 +578,11 @@ class Replica:
                         6 * self.delta * (1 << min(target - self.view, _MAX_BACKOFF)))
 
     def _check_cert(self, cert) -> bool:
-        """2f+1 distinct senders' authentic PREPAREs of the batch's digest;
-        an entry that is not a Message fails the certificate."""
+        """A quorum of PREPAREs of the batch's digest in the cert's view and slot."""
         sq, view, batch, prepares = cert
         payload = (batch_digest(tuple(batch)),)
-        senders = set()
-        for pm in prepares:
-            if (not isinstance(pm, Message) or pm.kind != MsgKind.PREPARE
-                    or pm.view != view or pm.sq != sq
-                    or pm.payload != payload or not self._authentic(pm)):
-                return False
-            senders.add(pm.sender)
-        return len(senders) >= 2 * self.f + 1
+        return self._quorum(prepares, MsgKind.PREPARE, lambda pm: (
+            pm.view == view and pm.sq == sq and pm.payload == payload))
 
     def _on_view_change(self, m: Message):
         target, certs = m.payload
@@ -605,18 +605,11 @@ class Replica:
         self._install_view(target, vcs)
 
     def _check_new_view(self, m: Message) -> bool:
-        """2f+1 distinct senders' authentic VIEW_CHANGEs into the NEW_VIEW's
-        view, each carrying only valid certificates; an entry that is not a
-        Message fails the NEW_VIEW."""
+        """A quorum of VIEW_CHANGEs into the NEW_VIEW's view, each carrying
+        only valid certificates."""
         (vcs,) = m.payload
-        senders = set()
-        for vc in vcs:
-            if (not isinstance(vc, Message) or vc.kind != MsgKind.VIEW_CHANGE
-                    or vc.payload[0] != m.view or not self._authentic(vc)
-                    or not all(self._check_cert(c) for c in vc.payload[1])):
-                return False
-            senders.add(vc.sender)
-        return len(senders) >= 2 * self.f + 1
+        return (self._quorum(vcs, MsgKind.VIEW_CHANGE, lambda vc: vc.payload[0] == m.view)
+                and all(self._check_cert(c) for vc in vcs for c in vc.payload[1]))
 
     def _on_new_view(self, m: Message):
         target = m.view
@@ -664,9 +657,3 @@ class Replica:
         for sq, slot in sorted(self.slots.items()):
             if slot.own_request is not None and not slot.committed:
                 self._send_request(sq, slot.own_request)
-        # a subclass's on_message already saw these on arrival; replay them
-        # into the protocol only
-        buffered, self.future = self.future, []
-        for bm in buffered:
-            if bm.view >= self.view:
-                Replica.on_message(self, bm)

@@ -42,8 +42,8 @@ class KeyRing:
         return self.tag(sender, body) == tag
 
 
-class DecryptionError(Exception):
-    pass
+class DecryptionError(wire.MalformedInputError):
+    """A ciphertext that does not parse or fails its integrity check."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class HybridScheme:
             r = wire.Reader(ciphertext)
             nonce, body, mac = r.take(NONCE_LEN), r.lp(), r.take(TAG_LEN)
             r.expect_end()
-        except ValueError as exc:
+        except wire.MalformedInputError as exc:
             raise DecryptionError("malformed ciphertext") from exc
         key = self._message_key(secret, public, nonce)
         if hashlib.sha256(key + body).digest() != mac:

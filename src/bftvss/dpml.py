@@ -46,7 +46,7 @@ import numpy as np
 from . import training, vss, wire
 from .attack import AcumpaAttacker
 from .consensus import MsgKind, Replica
-from .crypto import DecryptionError, HybridScheme, KeyRing
+from .crypto import HybridScheme, KeyRing
 from .field import GROUPS, EncodingRangeError, FixedPointCodec, generate_group
 from .netsim import AdversaryPolicy, SimConfig, Simulator, Trace
 
@@ -129,7 +129,7 @@ class TrainingConfig:
             raise ValueError("threshold must satisfy f < th <= n - f")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not set(self.attackers) <= set(range(self.n)):
+        if not all(0 <= a < self.n for a in self.attackers):
             raise ValueError("attacker ids must be participant ids")
         if len(set(self.attackers)) != len(self.attackers):
             raise ValueError("attacker ids must be distinct")
@@ -245,9 +245,10 @@ class _Coordinator:
         self.test = test
         self.metrics: list[RoundMetrics] = []
         self.weights_history: list[np.ndarray] = []
-        # (sq, origin, req) -> the committed request decoded for its slot's
-        # kind, None if it does not decode: every participant executes the
-        # same batch, so a run decodes each request once.  Bounded by
+        # (sq, origin, req) -> the request decoded for its slot's kind, None
+        # if it does not decode: every participant executes the same batch,
+        # and the delaying dealer reads share requests from the same table,
+        # so a run decodes each request once.  Bounded by
         # WorkflowParticipant._decoded to two rounds of requests, 6n entries.
         self.decoded: dict = {}
 
@@ -447,25 +448,29 @@ class WorkflowParticipant(Replica):
             if len(ciphertexts) != self.config.n or len(commits) != dim:
                 return
             self._commits[origin] = commits
-            if origin == self.rid:
-                return  # submit_shares kept the share it dealt itself
-            try:
-                plain = self.scheme.decrypt(self.secret_key, self.publics[origin],
-                                            ciphertexts[self.rid])
-                bundle = vss.parse_bundle(plain, self.eval_point)
-            except (DecryptionError, vss.MalformedInputError):
-                return  # undecryptable or malformed share from a faulty peer
-            if bundle.dimension == dim:
-                self._own_shares[origin] = bundle
+            if origin != self.rid:  # submit_shares kept the share it dealt itself
+                bundle = self._open(self.secret_key, origin, ciphertexts, self.rid)
+                if bundle is not None:
+                    self._own_shares[origin] = bundle
         elif sq == base + 1:
             for d in decoded:
                 self._votes[d].add(origin)
         elif decoded.dimension == dim:
             self._agg[origin] = decoded
 
+    def _open(self, key: int, origin: int, ciphertexts, j: int):
+        """origin's share for participant j, at point j + 1, or None unless
+        ciphertext j opens under key to values of the packed dimension."""
+        try:
+            bundle = vss.parse_bundle(
+                self.scheme.decrypt(key, self.publics[origin], ciphertexts[j]), j + 1)
+        except wire.MalformedInputError:
+            return None  # undecryptable or malformed share from a faulty peer
+        return bundle if bundle.dimension == self.codec.packed_length(self.config.dim) else None
+
     def _decoded(self, sq: int, origin: int, req: bytes):
-        """origin's committed request in slot sq decoded for the slot's kind,
-        or None if it does not decode, from the run's shared table.  The key
+        """origin's request in slot sq decoded for the slot's kind, or None
+        if it does not decode, from the run's shared table.  The key
         holds sq and origin as well as req: a peer may commit the same bytes
         in two slots, and an aggregated share's point is its origin's."""
         table = self.coordinator.decoded
@@ -478,7 +483,7 @@ class WorkflowParticipant(Replica):
                     value = decode_vote_request(req)
                 else:
                     value = decode_agg_request(req, origin + 1)
-            except (ValueError, vss.MalformedInputError):
+            except wire.MalformedInputError:
                 value = None
             if len(table) >= 6 * self.config.n:  # two rounds of requests
                 del table[next(iter(table))]  # the oldest goes first
@@ -558,20 +563,14 @@ class DelayedDealerNode(WorkflowParticipant):
         super().on_message(m, now)
 
     def _eavesdrop(self, sq: int, dealer: int, req: bytes):
-        if self._decided(sq):
-            return  # deadline already passed
-        try:
-            ciphertexts, _ = decode_share_request(req, self.config.th)
-        except (ValueError, vss.MalformedInputError):
-            return
+        if self._decided(sq) or (decoded := self._decoded(sq, dealer, req)) is None:
+            return  # deadline already passed, or malformed input
         store = self.observed.setdefault(sq, defaultdict(list))
-        # ciphertext j is the share at j + 1, and read_keys[j] tries to open it
-        for j, (key, ct) in enumerate(zip(self.read_keys, ciphertexts)):
-            try:
-                store[dealer].append(vss.parse_bundle(
-                    self.scheme.decrypt(key, self.publics[dealer], ct), j + 1))
-            except (DecryptionError, vss.MalformedInputError):
-                continue
+        # read_keys[j] tries to open ciphertext j, the share at j + 1
+        for j, key in enumerate(self.read_keys[:len(decoded[0])]):
+            bundle = self._open(key, dealer, decoded[0], j)
+            if bundle is not None:
+                store[dealer].append(bundle)
         self._maybe_submit(sq, store)
 
     def _maybe_submit(self, sq: int, store):

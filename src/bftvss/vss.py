@@ -21,15 +21,11 @@ from typing import Iterable, Sequence
 
 from . import wire
 from .field import FixedPointCodec, GroupParams
+from .wire import MalformedInputError
 
 
 class InsufficientSharesError(Exception):
     """Fewer than th usable shares were supplied to reconstruct."""
-
-
-class MalformedInputError(Exception):
-    """Bundles/commitments that cannot belong together (dimension and
-    eval-point mismatches, duplicates) or bytes that do not parse."""
 
 
 @dataclass(frozen=True)
@@ -55,16 +51,9 @@ class ShareBundle:
 CommitmentVector = tuple[tuple[int, ...], ...]
 
 
-def _unpack(data: bytes) -> tuple[int, ...]:
-    try:
-        return wire.unpack_fixed(data)
-    except ValueError as exc:
-        raise MalformedInputError(str(exc)) from exc
-
-
 def parse_bundle(data: bytes, eval_point: int) -> ShareBundle:
     """Inverse of ShareBundle.to_bytes, for the share at eval_point."""
-    return ShareBundle(eval_point, _unpack(data))
+    return ShareBundle(eval_point, wire.unpack_fixed(data))
 
 
 def commitments_to_bytes(commitments: CommitmentVector) -> bytes:
@@ -75,7 +64,7 @@ def commitments_to_bytes(commitments: CommitmentVector) -> bytes:
 
 def parse_commitments(data: bytes, th: int) -> CommitmentVector:
     """Inverse of commitments_to_bytes: the values split into rows of th."""
-    values = _unpack(data)
+    values = wire.unpack_fixed(data)
     if len(values) % th:
         raise MalformedInputError("commitments do not split into rows of th")
     return tuple(values[i : i + th] for i in range(0, len(values), th))

@@ -47,8 +47,15 @@ def pack_blobs(bs) -> bytes:
     return b"".join(out)
 
 
+class MalformedInputError(ValueError):
+    """Bytes that do not parse, or parts that cannot belong together
+    (dimension and eval-point mismatches, duplicates): the one error a
+    receiver catches for input from a faulty peer."""
+
+
 class Reader:
-    """Cursor over canonical bytes; raises ValueError on truncation."""
+    """Cursor over canonical bytes; raises MalformedInputError on bytes that
+    do not parse."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -56,7 +63,7 @@ class Reader:
 
     def take(self, n: int) -> bytes:
         if n < 0 or self.off + n > len(self.data):
-            raise ValueError("truncated encoding")
+            raise MalformedInputError("truncated encoding")
         chunk = self.data[self.off : self.off + n]
         self.off += n
         return chunk
@@ -77,7 +84,7 @@ class Reader:
         """Inverse of pack_fixed: one take for all the values, then slices."""
         count, width = self.u32(), self.u32()
         if not width:
-            raise ValueError("zero width")
+            raise MalformedInputError("zero width")
         data = self.take(count * width)  # bounds-checked before any slicing
         return tuple([int.from_bytes(data[i : i + width], "big")
                       for i in range(0, len(data), width)])
@@ -88,7 +95,7 @@ class Reader:
 
     def expect_end(self):
         if self.off != len(self.data):
-            raise ValueError("trailing bytes in encoding")
+            raise MalformedInputError("trailing bytes in encoding")
 
 
 def unpack_fixed(data: bytes) -> tuple:

@@ -339,6 +339,25 @@ class TestRejectionRules:
             sends = [m for _, m in rep.drain()[0] if m.kind == MsgKind.PREPARE]
             assert bool(sends) == accepted
 
+    def test_later_view_pre_prepare_is_dropped(self, keyring):
+        # a replica in view 0 drops view 1's PRE_PREPARE and keeps nothing of
+        # it to take in once it enters view 1; the control arrives after
+        raw, batch = self.proposals(keyring, (0, 2, 3))
+        pre_prepare = signed(keyring, MsgKind.PRE_PREPARE, 1, 0, 1, (raw,))
+        vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s, (1, ())) for s in (0, 1, 3))
+        new_view = signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, (vcs,))
+        for order, accepted in (((pre_prepare, new_view), False),
+                                ((new_view, pre_prepare), True)):
+            rep = Replica(2, 4, 1, keyring)
+            for m in order:
+                rep.on_message(m)
+            assert rep.view == 1
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert rep._slot(0).at(1).accepted_digest == (
+                batch_digest(batch) if accepted else None)
+            sends = [m for _, m in rep.drain()[0] if m.kind == MsgKind.PREPARE]
+            assert bool(sends) == accepted
+
     def test_primary_keeps_a_certificate_backed_digest(self, keyring):
         # replica 1 becomes view 1's primary; when a VIEW_CHANGE certifies a
         # batch for slot 0 it holds that digest, and pre-prepares nothing new
@@ -550,7 +569,7 @@ class TestPreGstRequests:
     @pytest.mark.parametrize("n", [4, 7])
     def test_sweep_safe_and_live(self, n):
         for script in CONSENSUS_SCRIPTS:
-            for seed in range(1000000, 1000010):
+            for seed in range(1000000, 1000040):
                 out = run_consensus(n, script, seed, gst=100, delta=2,
                                     request_time=0)
                 assert out["safety_ok"], (script, seed)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -43,6 +44,7 @@ class TestConfig:
         dict(mode="ebyftves+acumpa"),                    # attackers missing
         dict(mode="fedavg-plain", attackers=(1,)),       # attackers forbidden
         dict(mode="ebyftves+acumpa", attackers=(9,)),    # not a participant
+        dict(mode="ebyftves+acumpa", attackers=(-1,)),
         dict(mode="ebyftves+acumpa", attackers=(1, 2)),  # more than f
         dict(rounds=0),
         dict(dim=0),
@@ -66,6 +68,17 @@ class TestConfig:
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
             TrainingConfig(**bad).validate()
+
+    def test_attacker_ids_checked_without_a_set_of_n(self):
+        # one bound check per attacker id: nothing of size n is built
+        config = TrainingConfig(n=300_001, f=100_000, th=100_001)
+        tracemalloc.start()
+        try:
+            config.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_threshold_between_f_and_n_minus_f(self):
         TrainingConfig(n=10, f=3, th=4).validate()
@@ -198,6 +211,14 @@ class ShortCommitments(dpml.WorkflowParticipant):
         super().broadcast_update(sq, req)
 
 
+class ShortDealer(dpml.WorkflowParticipant):
+    """Participant 0 deals a vector one coordinate short: its shares and
+    commitments are one element short."""
+
+    def submit_shares(self, vector):
+        super().submit_shares(vector[:-1] if self.rid == 0 else vector)
+
+
 class ShortAggShare(dpml.WorkflowParticipant):
     """Participant 0 submits an aggregated share one element short."""
 
@@ -223,6 +244,17 @@ class TestMalformedPeerInput:
         result = self.run_with(monkeypatch, ShortCommitments)
         assert len(result.metrics) == FAST["rounds"]
         assert all(m.dealer_count == 3 for m in result.metrics)
+
+    def test_eavesdropper_drops_a_short_dealer(self, monkeypatch):
+        # the delaying dealer opens every share with the participants' own
+        # check of the packed dimension: it crafts against the five full
+        # dealers, and the short one is left out like at every participant
+        monkeypatch.setattr(dpml, "WorkflowParticipant", ShortDealer)
+        result = run(TrainingConfig(mode="ebyftves+acumpa", n=7, f=2, th=3,
+                                    attackers=(6,), attacker_reads="every-share",
+                                    rounds=3))
+        assert [m.dealer_count for m in result.metrics] == [6, 6, 6]
+        assert result.adaptive_rounds == [1, 2, 3]
 
     def test_short_aggregated_share_is_dropped(self, monkeypatch):
         honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
@@ -255,6 +287,18 @@ class StopsAfterRoundOne(dpml.WorkflowParticipant):
             super().start_round(t)
 
 
+class AltersAggShare(dpml.WorkflowParticipant):
+    """Participant 1 alters one value of origin 0's aggregated share in its
+    own copy before it reconstructs."""
+
+    def _agg_slot_done(self):
+        if self.rid == 1:
+            b = self._agg[0]
+            self._agg[0] = dataclasses.replace(
+                b, values=((b.values[0] + 1) % self.group.q,) + b.values[1:])
+        super()._agg_slot_done()
+
+
 class TestWorkflowFailure:
     """A run either finishes every round at every honest participant, or it
     raises WorkflowError where the fault is found."""
@@ -265,7 +309,9 @@ class TestWorkflowFailure:
          "_agg_slot_done"),
         (StopsAfterRoundOne, r"training stalled: participants \[1\] did not finish "
          r"round 4", "run_defended"),
-    ], ids=["no-votes", "short-agg-shares", "stall"])
+        (AltersAggShare, r"round 1: participant \d+ reconstructed divergent weights",
+         "round_complete"),
+    ], ids=["no-votes", "short-agg-shares", "stall", "divergent-weights"])
     def test_raises_where_found(self, monkeypatch, participant, message, raised_in):
         monkeypatch.setattr(dpml, "WorkflowParticipant", participant)
         with pytest.raises(WorkflowError, match=message) as excinfo:
@@ -273,14 +319,21 @@ class TestWorkflowFailure:
         assert excinfo.traceback[-1].name == raised_in
 
 
-class Reflector(dpml.WorkflowParticipant):
-    """Participant 0 waits for dealer 1's share request, then submits its own
-    with dealer 1's ciphertext for 0 in the place meant for 1.  The pair key
-    of (0, 1) is the same both ways, so participant 1 decrypts it.  Every
-    participant records which dealers it verified when the share slot
-    commits."""
+class RecordsVerified(dpml.WorkflowParticipant):
+    """Every participant records which dealers it verified when the share
+    slot commits."""
 
     verified: dict = {}
+
+    def _share_slot_done(self, sq):
+        super()._share_slot_done(sq)
+        self.verified[self.rid, self.t] = set(self._verified)
+
+
+class Reflector(RecordsVerified):
+    """Participant 0 waits for dealer 1's share request, then submits its own
+    with dealer 1's ciphertext for 0 in the place meant for 1.  The pair key
+    of (0, 1) is the same both ways, so participant 1 decrypts it."""
 
     def submit_shares(self, vector):
         if self.rid != 0:
@@ -301,28 +354,44 @@ class Reflector(dpml.WorkflowParticipant):
             req = encode_share_request(cts[:1] + (self._theirs,) + cts[2:], commits)
         super().broadcast_update(sq, req)
 
-    def _share_slot_done(self, sq):
-        super()._share_slot_done(sq)
-        self.verified[self.rid, self.t] = set(self._verified)
+
+class FlipsCiphertext(RecordsVerified):
+    """Dealer 0 flips one byte of its ciphertext for participant 1."""
+
+    def broadcast_update(self, sq, req):
+        if self.rid == 0 and sq % 3 == 0:
+            cts, commits = decode_share_request(req, self.config.th)
+            flipped = cts[1][:-1] + bytes([cts[1][-1] ^ 1])
+            req = encode_share_request(cts[:1] + (flipped,) + cts[2:], commits)
+        super().broadcast_update(sq, req)
+
+
+def assert_share_for_1_dropped(monkeypatch, participant):
+    """Participant 1 does not verify dealer 0, every other participant does;
+    dealer 0 still has th votes, and the three other aggregated shares
+    reconstruct the fault-free sum."""
+    honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+    monkeypatch.setattr(participant, "verified", {})
+    monkeypatch.setattr(dpml, "WorkflowParticipant", participant)
+    result = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+    rounds = range(1, FAST["rounds"] + 1)
+    assert all(0 not in participant.verified[1, t] for t in rounds)
+    assert all(0 in participant.verified[j, t] for j in (2, 3) for t in rounds)
+    assert all(m.dealer_count == 4 for m in result.metrics)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(honest.weights_history, result.weights_history, strict=True))
 
 
 class TestReflectedCiphertext:
     def test_reflected_share_is_dropped(self, monkeypatch):
-        honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
-        monkeypatch.setattr(Reflector, "verified", {})
-        monkeypatch.setattr(dpml, "WorkflowParticipant", Reflector)
-        result = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
-        rounds = range(1, FAST["rounds"] + 1)
         # the reflected ciphertext opens under K_01 to dealer 1's share for
         # participant 0, a share of another polynomial at another point: it
         # fails verification at participant 1's point against 0's commitments
-        assert all(0 not in Reflector.verified[1, t] for t in rounds)
-        assert all(0 in Reflector.verified[j, t] for j in (2, 3) for t in rounds)
-        # dealer 0 still has th votes; the three other aggregated shares
-        # reconstruct the fault-free sum
-        assert all(m.dealer_count == 4 for m in result.metrics)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(honest.weights_history, result.weights_history, strict=True))
+        assert_share_for_1_dropped(monkeypatch, Reflector)
+
+    def test_undecryptable_share_is_dropped(self, monkeypatch):
+        # the flipped byte fails the ciphertext's integrity check
+        assert_share_for_1_dropped(monkeypatch, FlipsCiphertext)
 
 
 @functools.cache
