@@ -14,8 +14,8 @@ takes the highest prepared certificate of each slot they name.
 Each replica runs one progress timer, only while requests wait at its
 execution watermark; its timeouts double per view change, up to 2^_MAX_BACKOFF
 times the first.  A 2f+1 COMMIT quorum in any view commits its digest,
-whatever view the batch arrives in; any other message of a view that is not
-the replica's own is dropped, as in PBFT.
+whatever view the batch arrives in; any other normal-case message of a view
+that is not the replica's own is dropped, as in PBFT.
 
 Each replica is a pure state machine: one event in (message or timer fire),
 outbound messages and timer operations out.  The simulator owns time and

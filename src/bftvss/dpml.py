@@ -565,10 +565,11 @@ class DelayedDealerNode(WorkflowParticipant):
     def _eavesdrop(self, sq: int, dealer: int, req: bytes):
         if self._decided(sq) or (decoded := self._decoded(sq, dealer, req)) is None:
             return  # deadline already passed, or malformed input
+        ciphertexts, _ = decoded
         store = self.observed.setdefault(sq, defaultdict(list))
         # read_keys[j] tries to open ciphertext j, the share at j + 1
-        for j, key in enumerate(self.read_keys[:len(decoded[0])]):
-            bundle = self._open(key, dealer, decoded[0], j)
+        for j, key in enumerate(self.read_keys[:len(ciphertexts)]):
+            bundle = self._open(key, dealer, ciphertexts, j)
             if bundle is not None:
                 store[dealer].append(bundle)
         self._maybe_submit(sq, store)
