@@ -32,6 +32,7 @@ receiving_update once per origin of the batch, then on_slot_committed.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
@@ -70,11 +71,22 @@ def check_request_tag(keyring: KeyRing, sq: int, triple: ReqTriple) -> bool:
     return keyring.check(origin, b"REQ" + wire.u64(sq) + wire.lp(req), rtag)
 
 
+_U32, _U32_PAIR = struct.Struct(">I"), struct.Struct(">II")
+# a message body: u8 kind, u64 view, u64 sq, u32 sender, then lp(payload)
+_HEADER = struct.Struct(">BQQII")
+
+
 def _pack_triples(triples) -> bytes:
-    out = [wire.u32(len(triples))]
-    for origin, req, rtag in triples:
-        out.append(wire.u32(origin) + wire.lp(req) + wire.lp(rtag))
-    return b"".join(out)
+    """u32 count, then per triple u32 origin, lp(req), lp(rtag).  Only a
+    tuple (int, bytes, bytes) is a triple, which receivers hash and execute:
+    nothing else has an encoding, so no tag matches a message carrying it."""
+    parts = [_U32.pack(len(triples))]
+    for t in triples:
+        origin, req, rtag = t
+        if type(t) is not tuple or (type(origin), type(req), type(rtag)) != (int, bytes, bytes):
+            raise TypeError("a request triple is a tuple (int, bytes, bytes)")
+        parts += (_U32_PAIR.pack(origin, len(req)), req, _U32.pack(len(rtag)), rtag)
+    return b"".join(parts)
 
 
 def batch_digest(batch: tuple[ReqTriple, ...]) -> bytes:
@@ -101,27 +113,24 @@ class Message:
     sender: int
     payload: tuple
     tag: bytes = b""
+    # what memo worked out: eq, hash and repr ignore it; dataclasses.replace starts afresh
+    _memos: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def memo(self, key, compute):
-        """compute(), worked out once per message object and key.  A send
-        hands one object to all its receivers, so what they derive from it
-        alike is derived once; a key names whatever else the result depends
-        on, the KeyRing object itself for a tag check.  Kept outside the
-        fields, so eq, hash and repr ignore it; the payload holds only bytes,
-        ints and Messages, so no result can go stale."""
-        memos = self.__dict__.setdefault("_memos", {})
-        if key not in memos:
-            memos[key] = compute()
-        return memos[key]
+    def memo(self, key, compute, *args):
+        """compute(*args), worked out once per message object and key.  A
+        send hands one object to all its receivers, so what they derive from
+        it alike is derived once; a key names whatever else the result
+        depends on, the KeyRing object itself for a tag check.  The payload
+        holds only bytes, ints and Messages, so no result can go stale."""
+        memos = self._memos
+        if key in memos:
+            return memos[key]
+        value = memos[key] = compute(*args)
+        return value
 
     def body_bytes(self) -> bytes:
-        return self.memo("body", lambda: (
-            wire.u8(int(self.kind))
-            + wire.u64(self.view)
-            + wire.u64(self.sq)
-            + wire.u32(self.sender)
-            + wire.lp(encode_payload(self.kind, self.payload))
-        ))
+        return self.memo("body", _encode_body, self.kind, self.view, self.sq,
+                         self.sender, self.payload)
 
     def to_bytes(self) -> bytes:
         return self.body_bytes() + self.tag
@@ -130,9 +139,9 @@ class Message:
 def signed(keyring: KeyRing, kind: MsgKind, view: int, sq: int, sender: int,
            payload: tuple) -> Message:
     """A message tagged with its sender's key over its body bytes."""
-    body = Message(kind, view, sq, sender, payload).body_bytes()
+    body = _encode_body(kind, view, sq, sender, payload)
     m = Message(kind, view, sq, sender, payload, keyring.tag(sender, body))
-    m.memo("body", lambda: body)  # the tag is not part of the body
+    m._memos["body"] = body  # the tag is not part of the body
     return m
 
 
@@ -141,22 +150,27 @@ def _tag_ok(keyring: KeyRing, m: Message) -> bool:
     # key to send one, so it is dropped, never raised
     try:
         body = m.body_bytes()
-    except (AttributeError, OverflowError, TypeError, ValueError):
+    except (AttributeError, OverflowError, TypeError, ValueError, struct.error):
         return False
     return keyring.check(m.sender, body, m.tag)
 
 
+def _encode_body(kind: MsgKind, view: int, sq: int, sender: int, payload: tuple) -> bytes:
+    data = encode_payload(kind, payload)
+    return _HEADER.pack(kind, view, sq, sender, len(data)) + data
+
+
 def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
     if kind == MsgKind.REQUEST:
-        req, rtag = payload
-        return wire.lp(req) + wire.lp(rtag)
+        # the encoding of the triple (origin, req, rtag) past its count and origin
+        return _pack_triples(((0, *payload),))[8:]
     if kind == MsgKind.PRE_PROPOSE:
         return _pack_triples(payload)
     if kind == MsgKind.PRE_PREPARE:
         (raw,) = payload
-        parts = [wire.u32(len(raw))]
+        parts = [_U32.pack(len(raw))]
         for proposer, prop in raw:
-            parts.append(wire.u32(proposer) + _pack_triples(prop))
+            parts += (_U32.pack(proposer), _pack_triples(prop))
         return b"".join(parts)
     if kind in (MsgKind.PREPARE, MsgKind.COMMIT):
         (digest,) = payload
@@ -272,7 +286,7 @@ class Replica:
         return sq < self.next_exec or (slot is not None and slot.committed)
 
     def _authentic(self, m: Message) -> bool:
-        return m.memo(self.keyring, lambda: _tag_ok(self.keyring, m))
+        return m.memo(self.keyring, _tag_ok, self.keyring, m)
 
     def _requests_ok(self, m: Message, slot: SlotState, triples) -> bool:
         """Check each request tag in m that differs from the one this replica
@@ -280,8 +294,8 @@ class Replica:
         so a send's receivers share it."""
         for t in triples:
             if slot.verified.get(t[0]) != t:
-                if not m.memo(("request", self.keyring, t),
-                              lambda: check_request_tag(self.keyring, m.sq, t)):
+                if not m.memo(("request", self.keyring, t), check_request_tag,
+                              self.keyring, m.sq, t):
                     return False
                 slot.verified[t[0]] = t
         return True
@@ -329,27 +343,15 @@ class Replica:
         if not self._authentic(m):
             self.dropped_count += 1
             return
-        if m.kind == MsgKind.VIEW_CHANGE:
-            self._on_view_change(m)
-            return
-        if m.kind == MsgKind.NEW_VIEW:
-            self._on_new_view(m)
-            return
-        if m.sq < self.next_exec:
-            return  # the slot is executed and gone; nothing here is a fault
-        # stale COMMITs still count: a commit quorum in any view proves the
-        # slot committed; a later view's message is dropped, as in PBFT
-        if m.view > self.view or (m.view < self.view and m.kind != MsgKind.COMMIT):
-            self.dropped_count += 1
-            return
-        handler = {
-            MsgKind.REQUEST: self._on_request,
-            MsgKind.PRE_PROPOSE: self._on_pre_propose,
-            MsgKind.PRE_PREPARE: self._on_pre_prepare,
-            MsgKind.PREPARE: self._on_prepare,
-            MsgKind.COMMIT: self._on_commit,
-        }[m.kind]
-        handler(m)
+        if m.kind in _NORMAL_CASE:
+            if m.sq < self.next_exec:
+                return  # the slot is executed and gone; nothing here is a fault
+            # stale COMMITs still count: a commit quorum in any view proves the
+            # slot committed; a later view's message is dropped, as in PBFT
+            if m.view != self.view and (m.view > self.view or m.kind != MsgKind.COMMIT):
+                self.dropped_count += 1
+                return
+        _HANDLERS[m.kind](self, m)
 
     def on_timer(self, name, now: int = 0):
         kind, arg = name  # arg: the target view of "vc", the slot of "batch" and "prop"
@@ -451,9 +453,8 @@ class Replica:
                 or len(raw) <= 2 * self.f):
             self.dropped_count += 1
             return
-        batch = m.memo(("batch", self.f), lambda: aggregate(raw, self.f))
-        self._accept(m.sq, m.view, batch,
-                     m.memo(("digest", self.f), lambda: batch_digest(batch)))
+        batch = m.memo(("batch", self.f), aggregate, raw, self.f)
+        self._accept(m.sq, m.view, batch, m.memo(("digest", self.f), batch_digest, batch))
 
     def _accept(self, sq: int, view: int, batch, digest: bytes):
         """Accept batch, whose digest is digest, as the one proposal of
@@ -657,3 +658,9 @@ class Replica:
         for sq, slot in sorted(self.slots.items()):
             if slot.own_request is not None and not slot.committed:
                 self._send_request(sq, slot.own_request)
+
+
+# on_message's dispatch, built once: Replica._on_request handles REQUEST,
+# and so on; the normal-case kinds have their view and slot checked first
+_HANDLERS = {kind: getattr(Replica, "_on_" + kind.name.lower()) for kind in MsgKind}
+_NORMAL_CASE = frozenset(MsgKind) - {MsgKind.VIEW_CHANGE, MsgKind.NEW_VIEW}

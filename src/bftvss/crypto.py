@@ -37,9 +37,8 @@ class KeyRing:
         return hashlib.sha256(key + body).digest()
 
     def check(self, sender: int, body: bytes, tag: bytes) -> bool:
-        if sender not in self._keys:
-            return False
-        return self.tag(sender, body) == tag
+        key = self._keys.get(sender)
+        return key is not None and hashlib.sha256(key + body).digest() == tag
 
 
 class DecryptionError(wire.MalformedInputError):

@@ -57,15 +57,17 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
     sim = Simulator(config, nodes, AdversaryPolicy(corrupt=corrupt))
 
     commits: dict[int, dict] = {}
+    honest = [i for i in range(n) if i != byzantine]
+    waiting = set(honest)  # honest replicas yet to commit slot 0
 
     def listen(rid, sq, view, digest):
         if sq == 0 and rid not in commits:
             commits[rid] = {"view": view, "digest": digest.hex(), "time": sim.clock}
+            waiting.discard(rid)
 
     for node in nodes.values():
         node.commit_listener = listen  # a SilentNode never calls it
 
-    honest = [i for i in range(n) if i != byzantine]
     # an inconsistent dealer's fault lives in its own requests
     submitters = [i for i in range(n)
                   if i != byzantine or behaviour is InconsistentSender]
@@ -80,7 +82,7 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
     else:
         sim.schedule_call(submit_at, submit)
 
-    sim.run(until=lambda: all(i in commits for i in honest))
+    sim.run(until=lambda: not waiting)
 
     honest_digests = {commits[i]["digest"] for i in honest if i in commits}
     all_committed = all(i in commits for i in honest)

@@ -77,6 +77,23 @@ def test_compare_counts_pairs_won_when_recorded_together():
     assert all("won 1/3 pairs" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize("before, after, label", [
+    ([1.0] * 9 + [1.1], [0.8] * 9 + [1.2], "gain"),  # 9 of 10 won, the IQR is 0
+    ([1.0] * 8 + [1.1] * 2, [0.8] * 8 + [1.2] * 2, None),  # 8 of 10 won
+    ([1.0, 1.5, 2.0, 2.5, 3.0], [0.9, 1.4, 1.9, 2.4, 3.5], "unresolved"),  # IQR 1.0, 4 of 5
+    ([1.0, 1.5, 2.0, 2.5, 3.0], [0.4, 0.6, 0.8, 1.0, 1.2], "gain"),  # IQR 1.0, all won
+    ([1.0, 1.5, 2.0, 2.5, 3.0], [0.5, 0.8, 1.1, 1.4, 1.7], None),  # gap 0.9 < IQR 1.0
+], ids=["gain", "too-few-pairs-won", "unresolved", "spread-but-every-pair-won",
+        "gap-within-the-iqr"])
+def test_compare_labels_paired_rows(before, after, label):
+    a, b = make("a" * 40, before), make("b" * 40, after)
+    b["paired_with"] = a["rev"]
+    lines, _ = bench_record.compare(a, b, SPEC)
+    for line in lines[1:]:
+        labels = [word for word in ("gain", "unresolved") if f"pairs  {word}" in line]
+        assert labels == ([label] if label else []), line
+
+
 def test_compare_names_inputs_that_differ(tmp_path, capsys):
     before = make("a" * 40, [1.0, 1.0, 1.0])
     before.update(python="3.11.7", cpu_count=2)

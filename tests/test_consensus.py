@@ -3,8 +3,10 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bftvss import scenarios
+from bftvss import scenarios, wire
 from bftvss.consensus import (
     Message,
     MsgKind,
@@ -27,6 +29,86 @@ def keyring():
 
 def triple(keyring, origin, sq, req):
     return (origin, req, request_tag(keyring, origin, sq, req))
+
+
+# A reference encoder, built from the wire helpers alone.  It takes anything
+# that iterates and has a length where the canonical encoding wants a tuple
+# of bytes, as a lax encoder would.
+
+
+def ref_triples(triples) -> bytes:
+    return wire.u32(len(triples)) + b"".join(
+        wire.u32(origin) + wire.lp(req) + wire.lp(rtag) for origin, req, rtag in triples)
+
+
+def ref_payload(kind, payload) -> bytes:
+    if kind == MsgKind.REQUEST:
+        return b"".join(wire.lp(x) for x in payload)
+    if kind == MsgKind.PRE_PROPOSE:
+        return ref_triples(payload)
+    if kind == MsgKind.PRE_PREPARE:
+        (raw,) = payload
+        return wire.u32(len(raw)) + b"".join(wire.u32(p) + ref_triples(prop) for p, prop in raw)
+    if kind in (MsgKind.PREPARE, MsgKind.COMMIT):
+        return wire.lp(payload[0])
+    if kind == MsgKind.VIEW_CHANGE:
+        target, certs = payload
+        return wire.u64(target) + wire.u32(len(certs)) + b"".join(
+            wire.u64(sq) + wire.u64(view) + ref_triples(batch)
+            + wire.pack_blobs([ref_body(m) + m.tag for m in prepares])
+            for sq, view, batch, prepares in certs)
+    (vcs,) = payload
+    return wire.pack_blobs([ref_body(m) + m.tag for m in vcs])
+
+
+def ref_body(m) -> bytes:
+    return (wire.u8(m.kind) + wire.u64(m.view) + wire.u64(m.sq) + wire.u32(m.sender)
+            + wire.lp(ref_payload(m.kind, m.payload)))
+
+
+def lax_signed(keyring, kind, view, sq, sender, payload):
+    """A message tagged over the bytes the reference encoder gives it, so
+    that a payload with no canonical encoding still carries its sender's tag."""
+    m = Message(kind, view, sq, sender, payload)
+    return dataclasses.replace(m, tag=keyring.tag(sender, ref_body(m)))
+
+
+U32 = st.integers(0, 2**32 - 1)
+U64 = st.integers(0, 2**64 - 1)
+SENDERS = (0, 1, 2**32 - 1)
+RING = KeyRing(SENDERS, random.Random(5))
+TRIPLES = st.lists(st.tuples(U32, st.binary(max_size=12), st.binary(max_size=33)),
+                   max_size=4).map(tuple)
+
+
+def signed_messages(kind, payloads):
+    return st.builds(functools.partial(signed, RING, kind), U64, U64,
+                     st.sampled_from(SENDERS), payloads)
+
+
+PAYLOADS = {
+    MsgKind.REQUEST: st.tuples(st.binary(max_size=12), st.binary(max_size=33)),
+    MsgKind.PRE_PROPOSE: TRIPLES,
+    MsgKind.PRE_PREPARE: st.tuples(st.lists(st.tuples(U32, TRIPLES), max_size=4).map(tuple)),
+    MsgKind.PREPARE: st.tuples(st.binary(max_size=33)),
+    MsgKind.COMMIT: st.tuples(st.binary(max_size=33)),
+}
+PAYLOADS[MsgKind.VIEW_CHANGE] = st.tuples(U64, st.lists(st.tuples(
+    U64, U64, TRIPLES,
+    st.lists(signed_messages(MsgKind.PREPARE, PAYLOADS[MsgKind.PREPARE]), max_size=3).map(tuple),
+), max_size=3).map(tuple))
+PAYLOADS[MsgKind.NEW_VIEW] = st.tuples(st.lists(
+    signed_messages(MsgKind.VIEW_CHANGE, PAYLOADS[MsgKind.VIEW_CHANGE]), max_size=3).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MsgKind).flatmap(lambda kind: signed_messages(kind, PAYLOADS[kind])))
+def test_signed_encodes_as_the_reference_encoder(m):
+    body = ref_body(m)
+    assert m.body_bytes() == body
+    assert m.tag == RING.tag(m.sender, body)
+    # encoded afresh, not from what signed memoised
+    assert dataclasses.replace(m).to_bytes() == body + m.tag
 
 
 class TestAggregate:
@@ -444,21 +526,56 @@ class TestRejectionRules:
         rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, ((0, 1, 3),)))
         assert rep.view == 0 and rep.vc_voted == 2
 
-    @pytest.mark.parametrize("kind, view, payload", [
-        (MsgKind.VIEW_CHANGE, 0, (1, (5,))),
-        (MsgKind.PREPARE, -1, (b"d" * 32,)),
-        (MsgKind.PREPARE, 0, (7,)),
-        (MsgKind.REQUEST, 0, (b"r",)),
-        (MsgKind.PRE_PREPARE, 0, ((1,),)),
-        (MsgKind.NEW_VIEW, 0, (("a",),)),
+    @pytest.mark.parametrize("kind, view, sq, sender, payload", [
+        (MsgKind.VIEW_CHANGE, 0, 0, 1, (1, (5,))),
+        (MsgKind.PREPARE, -1, 0, 1, (b"d" * 32,)),
+        (MsgKind.PREPARE, 0, 0, 1, (7,)),
+        (MsgKind.REQUEST, 0, 0, 1, (b"r",)),
+        (MsgKind.PRE_PREPARE, 0, 0, 1, ((1,),)),
+        (MsgKind.NEW_VIEW, 0, 0, 1, (("a",),)),
+        (MsgKind.PREPARE, 0, -1, 1, (b"d" * 32,)),
+        (MsgKind.PREPARE, 2**64, 0, 1, (b"d" * 32,)),
+        (MsgKind.PREPARE, 0, 2**64, 1, (b"d" * 32,)),
+        (MsgKind.PREPARE, 0, 0, 2**32, (b"d" * 32,)),
     ], ids=["view-change-int-certificate", "prepare-negative-view",
             "prepare-int-digest", "request-without-tag", "pre-prepare-int-proposal",
-            "new-view-str-entry"])
-    def test_unencodable_body_is_dropped(self, keyring, kind, view, payload):
+            "new-view-str-entry", "prepare-negative-sq", "prepare-view-2^64",
+            "prepare-sq-2^64", "prepare-sender-2^32"])
+    def test_unencodable_body_is_dropped(self, keyring, kind, view, sq, sender, payload):
         # the body cannot be encoded, so no key could have tagged it
         rep = Replica(0, 4, 1, keyring)
-        rep.on_message(Message(kind, view, 0, 1, payload, b"x" * 32))
+        rep.on_message(Message(kind, view, sq, sender, payload, b"x" * 32))
         assert rep.dropped_count == 1
+
+    # A request triple that is not a tuple (int, bytes, bytes) cannot be
+    # hashed or executed; each message below carries one under its sender's
+    # tag over the reference encoding, next to a control of tuples of bytes.
+
+    def test_pre_propose_of_a_list_triple_is_dropped(self, keyring):
+        t = triple(keyring, 1, 0, b"r")
+        for entry, accepted in ((list(t), False), (t, True)):
+            rep = Replica(0, 4, 1, keyring)  # the primary
+            rep.on_message(lax_signed(keyring, MsgKind.PRE_PROPOSE, 0, 0, 1, (entry,)))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert (1 in rep._slot(0).proposals) == accepted
+
+    def test_pre_prepare_of_list_triples_is_dropped(self, keyring):
+        raw, batch = self.proposals(keyring, (0, 2, 3))
+        lists = tuple((p, tuple(list(t) for t in prop)) for p, prop in raw)
+        for proposals, accepted in ((lists, False), (raw, True)):
+            rep = Replica(1, 4, 1, keyring)
+            rep.on_message(lax_signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (proposals,)))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert rep._slot(0).at(0).accepted_digest == (
+                batch_digest(batch) if accepted else None)
+
+    def test_request_of_a_bytearray_is_dropped(self, keyring):
+        rtag = request_tag(keyring, 1, 0, b"r")
+        for req, accepted in ((bytearray(b"r"), False), (b"r", True)):
+            rep = Replica(0, 4, 1, keyring)
+            rep.on_message(lax_signed(keyring, MsgKind.REQUEST, 0, 0, 1, (req, rtag)))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert (1 in rep._slot(0).pending) == accepted
 
 
 class TestPreparedOnAcceptedBatch:

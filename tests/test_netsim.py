@@ -90,6 +90,18 @@ class TestDeliveryModel:
         drops = [r for r in sim.trace.records if r["kind"] == "drop"]
         assert drops, "messages touching participant 0 should be dropped pre-GST"
 
+    @pytest.mark.parametrize("delta", range(1, 13))
+    @pytest.mark.parametrize("now", [0, 10], ids=["before-gst", "after-gst"])
+    def test_delay_draw_is_randint(self, delta, now):
+        # the draw, and the rng state it leaves, are random.Random.randint's
+        # over 1..delta after GST (10) and 1..4*delta before it
+        config = SimConfig(n=4, f=1, gst=10, delta=delta)
+        width = delta if now >= config.gst else 4 * delta
+        ours, ref = random.Random(delta), random.Random(delta)
+        for _ in range(200):
+            assert AdversaryPolicy().schedule(0, 1, now, config, ours) == ref.randint(1, width)
+        assert ours.getstate() == ref.getstate()
+
     def test_schedule_call_runs_at_time(self):
         sim, replicas = build_sim()
         fired = []

@@ -22,7 +22,10 @@ output is not correct ends the recording with an error.
 ``--compare A B`` prints B's median over A's for each row, how many of
 the pairs B won when the two were recorded together, and flags a row that
 moved past its bound in ``BENCHMARK.json``; it exits 1 if a row got worse
-by more than its bound.  A header line names each of the seed, seconds,
+by more than its bound.  A paired row is labelled ``unresolved`` when A's
+interquartile range exceeds the row's bound (relative to A's median) and B
+did not win every pair, and else ``gain`` when B won at least 9 in 10 pairs
+and its median is better than A's by more than A's interquartile range.  A header line names each of the seed, seconds,
 repeats, Python version and CPU count in which the two records differ,
 since their rows then do not measure like for like.  ``--check``
 validates a record's schema, not its values.
@@ -161,9 +164,16 @@ def compare(before: dict, after: dict, spec: dict) -> tuple[list[str], bool]:
         elif loss < -metric["bound"]:
             flag = f"  better past bound {metric['bound']}"
         if after["paired_with"] == before["rev"]:  # runs i of both were a pair
+            lower = metric["better"] == "lower"
             pairs = list(zip(old["values"], row["values"]))
-            won = sum(b < a if metric["better"] == "lower" else b > a for a, b in pairs)
-            flag = f"  won {won}/{len(pairs)} pairs{flag}"
+            won = sum(b < a if lower else b > a for a, b in pairs)
+            gap = (old["median"] - row["median"]) * (1 if lower else -1)
+            label = ""
+            if old["iqr"] > metric["bound"] * old["median"] and won < len(pairs):
+                label = "  unresolved"
+            elif 10 * won >= 9 * len(pairs) and gap > old["iqr"]:
+                label = "  gain"
+            flag = f"  won {won}/{len(pairs)} pairs{label}{flag}"
         lines.append(f"{row['workload']:18s} {row['metric']:14s} "
                      f"{old['median']:.6g} -> {row['median']:.6g} {row['unit']}"
                      f"  x{ratio:.3f}{flag}")
