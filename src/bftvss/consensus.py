@@ -660,7 +660,8 @@ class Replica:
                 self._send_request(sq, slot.own_request)
 
 
-# on_message's dispatch, built once: Replica._on_request handles REQUEST,
-# and so on; the normal-case kinds have their view and slot checked first
+# on_message's dispatch, built once (so a subclass that wants another handler
+# overrides on_message): Replica._on_request handles REQUEST, and so on; the
+# normal-case kinds have their view and slot checked first
 _HANDLERS = {kind: getattr(Replica, "_on_" + kind.name.lower()) for kind in MsgKind}
 _NORMAL_CASE = frozenset(MsgKind) - {MsgKind.VIEW_CHANGE, MsgKind.NEW_VIEW}
