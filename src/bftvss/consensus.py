@@ -160,6 +160,15 @@ def _encode_body(kind: MsgKind, view: int, sq: int, sender: int, payload: tuple)
     return _HEADER.pack(kind, view, sq, sender, len(data)) + data
 
 
+def _pack_messages(ms) -> bytes:
+    """pack_blobs of each message's bytes.  Only a Message has an encoding
+    here: an int's to_bytes() would encode one on Python 3.11 and raise on
+    3.10, so anything else raises TypeError on every interpreter."""
+    if any(type(m) is not Message for m in ms):
+        raise TypeError("a certificate or NEW_VIEW entry is a Message")
+    return wire.pack_blobs([m.to_bytes() for m in ms])
+
+
 def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
     if kind == MsgKind.REQUEST:
         # the encoding of the triple (origin, req, rtag) past its count and origin
@@ -180,11 +189,11 @@ def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
         parts = [wire.u64(target), wire.u32(len(certs))]
         for sq, view, batch, prepares in certs:
             parts.append(wire.u64(sq) + wire.u64(view) + _pack_triples(batch))
-            parts.append(wire.pack_blobs([m.to_bytes() for m in prepares]))
+            parts.append(_pack_messages(prepares))
         return b"".join(parts)
     if kind == MsgKind.NEW_VIEW:
         (vcs,) = payload
-        return wire.pack_blobs([m.to_bytes() for m in vcs])
+        return _pack_messages(vcs)
     raise ValueError(f"unknown kind {kind}")
 
 

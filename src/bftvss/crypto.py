@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from . import wire
-from .field import GroupParams
+from .field import Comb, GroupParams
 
 TAG_LEN = 32
 NONCE_LEN = 16
@@ -69,15 +69,18 @@ def _xor(data: bytes, stream: bytes) -> bytes:
 class HybridScheme:
     """Static Diffie-Hellman pair keys plus hash keystream plus integrity tag.
 
-    The pair (i, j) shares K = sha256(pk_j^sk_i) = sha256(pk_i^sk_j).  It
-    costs one pow on first use and is then memoised on this instance under
-    the unordered pair of public keys, so a run pays n(n-1)/2 pows, one per
-    pair, whichever end asks first, all in its first round: no participant
-    seals a ciphertext to itself.  The memo is reached only through a
-    secret whose public key the scheme derives itself, so only the two ends
-    of a pair can use that pair's key.  Each message draws a nonce,
-    keys the keystream and the tag with sha256(K || nonce), and is framed
-    nonce || lp(body) || mac.
+    The pair (i, j) shares K = sha256(pk_j^sk_i) = sha256(pk_i^sk_j).  It is
+    computed on first use and is then memoised on this instance under the
+    unordered pair of public keys, so a run computes n(n-1)/2 pair keys, one
+    per pair, whichever end asks first, all in its first round: no
+    participant seals a ciphertext to itself.  The power of the other end's
+    public key is evaluated on a field.Comb of that key, built the first
+    time the key is a base and memoised here under the key alone; a secret
+    the comb cannot hold raises ValueError.  The pair-key memo is reached
+    only through a secret whose public key the scheme derives itself, so
+    only the two ends of a pair can use that pair's key.  Each message
+    draws a nonce, keys the keystream and the tag with sha256(K || nonce),
+    and is framed nonce || lp(body) || mac.
 
     Because K_ij = K_ji, j can reflect i's ciphertext for j back to i as
     its own.  It opens to i's share for j, which fails verification at i's
@@ -90,6 +93,7 @@ class HybridScheme:
         self.params = params
         self._publics: dict[int, int] = {}
         self._pair_keys: dict[tuple[int, int], bytes] = {}
+        self._combs: dict[int, Comb] = {}
 
     def keygen(self, rng: random.Random) -> KeyPair:
         sk = rng.randrange(1, self.params.q)
@@ -103,7 +107,10 @@ class HybridScheme:
         ends = (own, public) if own <= public else (public, own)
         pair = self._pair_keys.get(ends)
         if pair is None:
-            shared = pow(public, secret, self.params.p)
+            comb = self._combs.get(public)
+            if comb is None:
+                comb = self._combs[public] = Comb(self.params, public)
+            shared = comb.pow(secret)
             pair = self._pair_keys[ends] = hashlib.sha256(wire.big(shared)).digest()
         return hashlib.sha256(pair + nonce).digest()
 

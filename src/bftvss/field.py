@@ -9,6 +9,7 @@ enough.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -34,6 +35,14 @@ _TABLE_ENTRIES = 1 << 14
 # of two rows (4,096 bits) costs more than the reduction it saves, 0.54-0.63
 # ms per exponent, so it reduces at every row.
 _PRODUCT_BITS = 512
+
+# Teeth of a Comb: the rows an exponent is cut into.  On the same VM, the six
+# pair keys of an n = 4 run at 2048/256 (three combs, built on first use) take
+# a median 20.2 ms on 4-tooth combs, against 27.3 ms for pow; 2, 3, 5 and 6
+# teeth take 26.8, 22.4, 19.6 and 20.3 ms.  The 45 pair keys of an n = 10 run
+# at 96/48 (nine combs) take 0.85 ms on 4 teeth, against 0.89 ms for pow and
+# 0.88-1.08 ms on 2, 3, 5 or 6 teeth.
+_COMB_TEETH = 4
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,49 @@ class GroupParams:
     def exp(self, e: int) -> int:
         """g^(e mod q) mod p: exps of one exponent."""
         return self.exps((e,))[0]
+
+
+class Comb:
+    """The fixed-base comb of Lim and Lee (CRYPTO 1994) for one base of Z_p*:
+    base^e mod p for any 0 <= e < 2^(_COMB_TEETH * span), where span is
+    bits(q) / _COMB_TEETH rounded up, so every exponent below q fits.
+
+    An exponent is cut into _COMB_TEETH rows of span bits, row t holding
+    bits span*t up to span*(t+1).  The table maps each column of binary
+    digits, the top row's first, to the product of base^(2^(span*t)) over
+    the rows t whose digit is 1.  Building it costs
+    (_COMB_TEETH - 1) * span squarings; each exponent then costs span
+    squarings and span multiplications, one per column, where pow pays about
+    bits(e) squarings.  Built once per base and reused, as the pair keys of
+    crypto.HybridScheme reuse each public key."""
+
+    def __init__(self, params: GroupParams, base: int):
+        p = self.p = params.p
+        span = self.span = -(-params.q.bit_length() // _COMB_TEETH)
+        table = [1]
+        for tooth in range(_COMB_TEETH):
+            if tooth:
+                for _ in range(span):
+                    base = base * base % p
+            table += [t * base % p for t in table]
+        # entry i holds the rows of the set bits of i; product yields the
+        # digits of each i in turn, the top bit first
+        self.table = dict(zip(itertools.product("01", repeat=_COMB_TEETH), table))
+
+    def pow(self, e: int) -> int:
+        """base^e mod p, equal to pow(base, e, p).  Raises ValueError for an
+        e the rows cannot hold: negative, or of more than _COMB_TEETH * span
+        bits."""
+        p, span, table = self.p, self.span, self.table
+        width = _COMB_TEETH * span
+        if e < 0 or e >> width:
+            raise ValueError(f"exponent outside [0, 2^{width}) of this comb")
+        digits = format(e, f"0{width}b")
+        rows = [digits[i : i + span] for i in range(0, width, span)]
+        acc = 1
+        for column in zip(*rows):
+            acc = acc * acc % p * table[column] % p
+        return acc
 
 
 # The committed groups, by (bits_p, bits_q); 96/48 is the test default.  The

@@ -1,7 +1,9 @@
+import collections
 import random
 
 import pytest
 
+from bftvss import field
 from bftvss.dpml import TrainingConfig, run
 from bftvss.field import FixedPointCodec, GroupParams, generate_group
 from group_check import validate
@@ -35,6 +37,27 @@ def codec(group) -> FixedPointCodec:
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(12345)
+
+
+@pytest.fixture()
+def comb_counts(monkeypatch):
+    """(built, evaluated): Counters, by base, of the field.Comb tables built
+    and of the powers evaluated on them from here to the test's end."""
+    built, evaluated = collections.Counter(), collections.Counter()
+    init, power = field.Comb.__init__, field.Comb.pow
+
+    def counting_init(comb, params, base):
+        built[base] += 1
+        init(comb, params, base)
+        comb.base = base
+
+    def counting_pow(comb, e):
+        evaluated[comb.base] += 1
+        return power(comb, e)
+
+    monkeypatch.setattr(field.Comb, "__init__", counting_init)
+    monkeypatch.setattr(field.Comb, "pow", counting_pow)
+    return built, evaluated
 
 
 # -- the default five-seed training matrix -----------------------------------

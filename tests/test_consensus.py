@@ -33,7 +33,7 @@ def triple(keyring, origin, sq, req):
 
 # A reference encoder, built from the wire helpers alone.  It takes anything
 # that iterates and has a length where the canonical encoding wants a tuple
-# of bytes, as a lax encoder would.
+# of bytes, and an int where it wants a Message, as a lax encoder would.
 
 
 def ref_triples(triples) -> bytes:
@@ -55,10 +55,15 @@ def ref_payload(kind, payload) -> bytes:
         target, certs = payload
         return wire.u64(target) + wire.u32(len(certs)) + b"".join(
             wire.u64(sq) + wire.u64(view) + ref_triples(batch)
-            + wire.pack_blobs([ref_body(m) + m.tag for m in prepares])
+            + wire.pack_blobs([ref_entry(m) for m in prepares])
             for sq, view, batch, prepares in certs)
     (vcs,) = payload
-    return wire.pack_blobs([ref_body(m) + m.tag for m in vcs])
+    return wire.pack_blobs([ref_entry(m) for m in vcs])
+
+
+def ref_entry(m) -> bytes:
+    # an int as the one byte its to_bytes() gives from Python 3.11 on
+    return m.to_bytes(1, "big") if type(m) is int else ref_body(m) + m.tag
 
 
 def ref_body(m) -> bytes:
@@ -515,16 +520,39 @@ class TestRejectionRules:
         assert [m.payload[0] for m in first] == [1]
         assert not any(m.kind == MsgKind.VIEW_CHANGE for _, m in sends)
 
-    def test_certificate_of_non_messages_is_dropped(self, keyring):
-        rep = Replica(0, 4, 1, keyring)
-        rep.on_message(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 1,
-                              (1, ((0, 0, (), (1, 2, 3)),))))
-        assert rep.dropped_count == 1 and 1 not in rep.view_changes
+    # A certificate PREPARE or NEW_VIEW entry that is not a Message has no
+    # encoding; each message below carries one under its sender's tag over
+    # the reference encoding, next to a control of authentic Messages.
 
-    def test_new_view_of_non_messages_pushes_for_the_next_view(self, keyring):
-        rep = Replica(2, 4, 1, keyring)
-        rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, ((0, 1, 3),)))
-        assert rep.view == 0 and rep.vc_voted == 2
+    def test_certificate_of_non_messages_is_dropped(self, keyring):
+        digest = batch_digest(())
+        prepares = tuple(signed(keyring, MsgKind.PREPARE, 0, 0, s, (digest,))
+                         for s in (0, 2, 3))
+        for entries, accepted in (((1, 2, 3), False), (prepares, True)):
+            rep = Replica(0, 4, 1, keyring)
+            rep.on_message(lax_signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, 1,
+                                      (1, ((0, 0, (), entries),))))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert (1 in rep.view_changes) == accepted
+
+    def test_new_view_of_non_messages_is_dropped(self, keyring):
+        vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s, (1, ()))
+                    for s in (0, 1, 3))
+        for entries, accepted in (((0, 1, 3), False), (vcs, True)):
+            rep = Replica(2, 4, 1, keyring)
+            rep.on_message(lax_signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, (entries,)))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert (rep.view, rep.vc_voted) == ((1, 1) if accepted else (0, 0))
+
+    def test_new_view_of_the_wrong_kind_pushes_for_the_next_view(self, keyring):
+        # authentic Messages, but PREPAREs where the VIEW_CHANGEs belong
+        for kind, payload, accepted in ((MsgKind.PREPARE, (b"d" * 32,), False),
+                                        (MsgKind.VIEW_CHANGE, (1, ()), True)):
+            entries = tuple(signed(keyring, kind, 0, 0, s, payload) for s in (0, 1, 3))
+            rep = Replica(2, 4, 1, keyring)
+            rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, (entries,)))
+            assert rep.dropped_count == 0
+            assert (rep.view, rep.vc_voted) == ((1, 1) if accepted else (0, 2))
 
     @pytest.mark.parametrize("kind, view, sq, sender, payload", [
         (MsgKind.VIEW_CHANGE, 0, 0, 1, (1, (5,))),

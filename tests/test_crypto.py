@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftvss import crypto
+from bftvss import crypto, field
 from bftvss.crypto import (
     NONCE_LEN,
     DecryptionError,
@@ -70,26 +70,41 @@ class TestHybridScheme:
         assert fresh.decrypt(b.secret, a.public, ct) == b"secret payload"
 
     @pytest.mark.parametrize("first", ["a encrypts", "b decrypts"])
-    def test_other_end_costs_no_pow(self, parties, rng, monkeypatch, first):
-        # whichever end of the pair asks first pays the pair's one pow
+    def test_other_end_costs_no_pow(self, parties, rng, comb_counts, first):
+        # whichever end of the pair asks first pays the pair's one power, on
+        # a comb of the other end's public key
         scheme, a, b = parties
         to_b = HybridScheme(scheme.params).encrypt(a.secret, b.public, b"to b", rng)
-        calls = []
-
-        def counting_pow(*args):
-            calls.append(args)
-            return pow(*args)
-
-        monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+        built, evaluated = comb_counts
+        built.clear()
+        evaluated.clear()
         if first == "a encrypts":
             scheme.encrypt(a.secret, b.public, b"to b", rng)
         else:
             scheme.decrypt(b.secret, a.public, to_b)
-        assert len(calls) == 1
+        base = b.public if first == "a encrypts" else a.public
+        assert built == evaluated == {base: 1}
         to_a = scheme.encrypt(b.secret, a.public, b"to a", rng)
         assert scheme.decrypt(a.secret, b.public, to_a) == b"to a"
         assert scheme.decrypt(b.secret, a.public, to_b) == b"to b"
-        assert len(calls) == 1
+        assert built == evaluated == {base: 1}
+
+    def test_fresh_scheme_builds_its_own_combs(self, parties, rng, comb_counts):
+        scheme, a, b = parties
+        c = scheme.keygen(rng)
+        built, evaluated = comb_counts
+        for s in (scheme, HybridScheme(scheme.params)):
+            s.encrypt(a.secret, c.public, b"to c", rng)
+            s.encrypt(b.secret, c.public, b"to c", rng)
+        # one comb of c's key per scheme, each serving both of its pairs
+        assert built == {c.public: 2} and evaluated == {c.public: 4}
+
+    def test_secret_the_comb_cannot_hold_raises(self, parties, rng):
+        scheme, a, _ = parties
+        wide = 1 << (field._COMB_TEETH * field.Comb(scheme.params, a.public).span)
+        for secret in (-1, wide, wide + scheme.params.q):
+            with pytest.raises(ValueError):
+                scheme.encrypt(secret, a.public, b"secret payload", rng)
 
     def test_memoised_pair_key_needs_a_pair_secret(self, parties, rng):
         scheme, a, b = parties

@@ -505,21 +505,23 @@ def test_dealer_needs_th_votes(voters, admitted):
 
 
 @pytest.mark.parametrize("rounds", [1, 3])
-def test_pair_keys_cost_one_pow_per_pair(monkeypatch, rounds):
+def test_pair_keys_cost_one_pow_per_pair(comb_counts, rounds):
     """The KEM computes each of the n(n-1)/2 keys between two participants
-    with one variable-base pow, once per run, whichever end asks first: the
-    count of crypto's pow does not grow with the number of rounds.  Each
-    participant's own public key comes from the fixed-base table."""
-    calls = []
-
-    def counting_pow(*args):
-        calls.append(args)
-        return pow(*args)
-
-    monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
-    result = run(TrainingConfig(mode="ebyftves", seed=0, **dict(FAST, rounds=rounds)))
-    assert len(result.metrics) == rounds
-    assert len(calls) == 4 * 3 // 2
+    with one power, once per run, whichever end asks first, on at most one
+    comb per public key: neither count grows with the number of rounds.
+    Each participant's own public key comes from the fixed-base table.  A
+    run builds its own combs, so a second identical run counts the same."""
+    built, evaluated = comb_counts
+    counts = []
+    for _ in range(2):
+        result = run(TrainingConfig(mode="ebyftves", seed=0, **dict(FAST, rounds=rounds)))
+        assert len(result.metrics) == rounds
+        assert sum(evaluated.values()) == 4 * 3 // 2
+        assert len(built) <= 4 and set(built.values()) == {1}
+        counts.append((dict(built), dict(evaluated)))
+        built.clear()
+        evaluated.clear()
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("mode", ["baseline-vss", "ebyftves"])

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftvss import vss
+from bftvss import field, vss
 from bftvss.field import (
     GROUPS,
+    Comb,
     EncodingRangeError,
     FixedPointCodec,
     GroupParams,
@@ -119,6 +120,45 @@ class TestFixedBaseExp:
         assert bad.exp(bad.q) == 1 != pow(5, 23, 47)
         with pytest.raises(ValueError):
             validate(bad)
+
+
+class TestComb:
+    GROUPS = ["tiny_group", "group", "group_2048"]
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_edges(self, request, name):
+        params = request.getfixturevalue(name)
+        p, q = params.p, params.q
+        for base in (1, 2, params.g, p - 1):
+            comb = Comb(params, base)
+            span = comb.span
+            for e in (0, 1, (1 << span) - 1, 1 << span, q - 1):
+                assert comb.pow(e) == pow(base, e, p), (base, e)
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_rows_cover_every_exponent_below_q(self, request, name):
+        params = request.getfixturevalue(name)
+        span = Comb(params, params.g).span
+        assert field._COMB_TEETH * (span - 1) < params.q.bit_length() <= field._COMB_TEETH * span
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pow(self, tiny_group, group, group_2048, data):
+        for params in (tiny_group, group, group_2048):
+            base = data.draw(st.integers(1, params.p - 1))
+            es = data.draw(st.lists(st.integers(0, params.q - 1), min_size=1, max_size=3))
+            comb = Comb(params, base)
+            assert [comb.pow(e) for e in es] == [pow(base, e, params.p) for e in es]
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_exponent_the_rows_cannot_hold_raises(self, request, name):
+        params = request.getfixturevalue(name)
+        comb = Comb(params, params.g)
+        wide = 1 << (field._COMB_TEETH * comb.span)
+        assert comb.pow(wide - 1) == pow(params.g, wide - 1, params.p)
+        for e in (-1, -params.q, wide, wide + 1, wide << 64):
+            with pytest.raises(ValueError):
+                comb.pow(e)
 
 
 class TestFixedPointCodec:
