@@ -22,18 +22,15 @@ class EncodingRangeError(Exception):
 # Entries of a fixed-base table.  Each group takes the widest window whose
 # table stays within this, so exps costs one multiplication per window of q:
 # 12-bit windows (4 rows) at 96/48 and 9-bit windows (29 rows) at 2048/256.
-# On a 2-core x86-64 VM (CPython 3.11) the 2048/256 table builds in about
-# 0.24-0.30 s, once per process, and exps takes about 0.44-0.55 ms per
-# exponent, as the one-exponent walk it replaced did; the 96/48 table builds
-# in about 4-7 ms, and exps over 768 exponents takes about 0.9-1.5 us per
-# exponent, against 1.3-2.3 us for that walk timed beside it.
+# On a 2-core x86-64 VM (CPython 3.11.7) the tables build in about 4 ms and
+# 0.2 s, once per process.
 _TABLE_ENTRIES = 1 << 14
 
 # Bits an unreduced product of table entries may reach before exps takes it
-# mod p.  On the same VM, 96/48 reducing once per exponent (4 rows, 384 bits)
-# beats reducing at every row, 1.2-2.1 us per exponent; at 2048/256 a product
-# of two rows (4,096 bits) costs more than the reduction it saves, 0.54-0.63
-# ms per exponent, so it reduces at every row.
+# mod p.  On the same VM, exps over 768 exponents at 96/48 takes 0.7-0.8 us
+# per exponent reducing once (4 rows, 384 bits), 0.8-0.9 us reducing at every
+# row; at 2048/256 a product of two rows (4,096 bits) costs more than the
+# reduction it saves, 0.44 against 0.37-0.39 ms, so it reduces at every row.
 _PRODUCT_BITS = 512
 
 # Teeth of a Comb: the rows an exponent is cut into.  On the same VM, the six
@@ -79,25 +76,23 @@ class GroupParams:
         return tuple(rows)
 
     def exps(self, es: Iterable[int]) -> list[int]:
-        """[g^(e mod q) mod p for e in es] from the fixed-base table: one
-        multiplication per row, a window of 0 picking row[0] = 1, so no
-        window branches.  Rows are multiplied in runs of
-        _PRODUCT_BITS // bits(p), at least one, and each run's product is
-        taken mod p once: all 4 rows at 96/48, each row at 2048/256.  Equal
-        to pow(g, e, p) whenever g has order q, as in every committed group."""
+        """[g^(e mod q) mod p for e in es] from the fixed-base table, row by
+        row over every exponent at once: one multiplication per row, a
+        window of 0 picking row[0] = 1.  Rows are multiplied in runs of
+        _PRODUCT_BITS // bits(p), at least one, and the products are taken
+        mod p at each run's end: once at 96/48, at every row at 2048/256.
+        Equal to pow(g, e, p) whenever g has order q, as in every committed
+        group."""
         p, q, w, rows = self.p, self.q, self._window, self._g_table
         mask, run = (1 << w) - 1, max(1, _PRODUCT_BITS // p.bit_length())
-        runs = [rows[i : i + run] for i in range(0, len(rows), run)]
-        out = []
-        for e in es:
-            e %= q
-            acc = 1
-            for rows_of_run in runs:
-                for row in rows_of_run:
-                    acc *= row[e & mask]
-                    e >>= w
-                acc %= p
-            out.append(acc)
+        es = [e % q for e in es]
+        out = [rows[0][e & mask] for e in es]
+        for i in range(1, len(rows)):
+            row, s = rows[i], w * i
+            if (i + 1) % run and i + 1 < len(rows):
+                out = [a * row[e >> s & mask] for a, e in zip(out, es)]
+            else:
+                out = [a * row[e >> s & mask] % p for a, e in zip(out, es)]
         return out
 
     def exp(self, e: int) -> int:

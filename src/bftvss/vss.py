@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import wire
@@ -96,42 +97,49 @@ def share(
     encoded = codec.encode_vector(secret)
     if not (1 <= th <= n):
         raise ValueError("threshold must satisfy 1 <= th <= n")
-    q = params.q
-    polys = [[s % q] + [rng.randrange(q) for _ in range(th - 1)] for s in encoded]
-    flat = params.exps([a for coeffs in polys for a in coeffs])
-    commitments = tuple(tuple(flat[i : i + th]) for i in range(0, len(flat), th))
-    # Horner's rule at each point over every polynomial at once:
+    q, d = params.q, len(encoded)
+    # rng.randrange(q) per coefficient, drawn as CPython draws it: bits(q)
+    # random bits, retried while >= q, so the same values and rng state
+    bits, draws, more = q.bit_length(), [], (th - 1) * d
+    while more:
+        draws += filter(q.__gt__, [rng.getrandbits(bits) for _ in range(more)])
+        more = (th - 1) * d - len(draws)
     # columns[k] holds every polynomial's coefficient of x^k
-    columns = [[coeffs[k] for coeffs in polys] for k in range(th)]
+    columns = [[s % q for s in encoded]] + [draws[k :: th - 1] for k in range(th - 1)]
+    flat = params.exps([a for column in columns for a in column])
+    commitments = tuple(zip(*(flat[k * d : (k + 1) * d] for k in range(th))))
+    # Horner's rule at each point over every polynomial at once, reduced once
     bundles = []
     for j in range(1, n + 1):
         values = columns[-1]
         for column in columns[-2::-1]:
-            values = [(v * j + c) % q for v, c in zip(values, column)]
-        bundles.append(ShareBundle(j, tuple(values)))
+            values = [v * j + c for v, c in zip(values, column)]
+        bundles.append(ShareBundle(j, tuple([v % q for v in values])))
     return bundles, commitments
 
 
 def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupParams) -> bool:
     """Check g^{s_j} == c_0 * c_1^j * c_2^{j^2} * ... per element.
 
-    The left-hand sides come from one params.exps call.  The right-hand side
-    is evaluated in Horner's form,
-    (...(c_{th-1}^j * c_{th-2})^j * ...)^j * c_0, so each commitment but the
-    first costs one pow to the small exponent j.  It equals the product form
-    with exponents j^k reduced mod q for every row inside the order-q
-    subgroup, and for any row at all while j^(th-1) < q.
+    The left-hand sides come from one params.exps call.  The right-hand
+    sides are evaluated column by column over every element, in Horner's
+    form (...(c_{th-1}^j * c_{th-2})^j * ...)^j * c_0, so each commitment
+    but the first costs one pow to the small exponent j.  That equals the
+    product form with exponents j^k reduced mod q for every row inside the
+    order-q subgroup, and for any row at all while j^(th-1) < q.  Rows of
+    unequal length have no columns, so each is checked on its own.
     """
     if bundle.dimension != len(commitments):
         raise MalformedInputError("bundle and commitments disagree on dimension")
     p, j = params.p, bundle.eval_point
-    for lhs, row in zip(params.exps(bundle.values), commitments):
-        rhs = row[-1]
-        for c in reversed(row[:-1]):
-            rhs = pow(rhs, j, p) * c % p
-        if lhs != rhs:
-            return False
-    return True
+    if len(set(map(len, commitments))) > 1:
+        return all(verify(ShareBundle(j, (v,)), (row,), params)
+                   for v, row in zip(bundle.values, commitments))
+    columns = list(zip(*commitments)) if commitments else [()]
+    rhs = columns[-1]
+    for column in columns[-2::-1]:
+        rhs = [pow(r, j, p) * c % p for r, c in zip(rhs, column)]
+    return params.exps(bundle.values) == list(rhs)
 
 
 def _select_bundles(bundles: Iterable[ShareBundle], th: int) -> list[ShareBundle]:
@@ -168,13 +176,9 @@ def reconstruct_encoded(
             num = (num * (-xj)) % q
             den = (den * (xi - xj)) % q
         lambdas.append((num * pow(den, -1, q)) % q)
-    out = []
-    for k in range(chosen[0].dimension):
-        acc = 0
-        for b, lam in zip(chosen, lambdas):
-            acc = (acc + b.values[k] * lam) % q
-        out.append(acc)
-    return tuple(out)
+    # chosen[0] raises IndexError when th < 1 leaves no bundle to take
+    columns = zip(chosen[0].values, *(b.values for b in chosen[1:]))
+    return tuple(sum(map(mul, column, lambdas)) % q for column in columns)
 
 
 def reconstruct(
@@ -189,18 +193,18 @@ def reconstruct(
 
 
 def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBundle:
-    """Element-wise field sum of one shareholder's bundles, one per dealer.
-    Reconstructing th such sums yields the sum of the secrets."""
+    """Element-wise field sum of one shareholder's bundles, one per dealer,
+    or a lone bundle's values as they are.  Reconstructing th such sums
+    yields the sum of the secrets."""
     if not bundles:
         raise MalformedInputError("no bundles to sum")
-    first = bundles[0]
+    point, dimension = bundles[0].eval_point, bundles[0].dimension
+    if any(b.eval_point != point for b in bundles):
+        raise MalformedInputError("eval_point mismatch in sum")
+    if any(b.dimension != dimension for b in bundles):
+        raise MalformedInputError("dimension mismatch in sum")
+    if len(bundles) == 1:
+        return ShareBundle(point, tuple(bundles[0].values))
     q = params.q
-    acc = list(first.values)
-    for b in bundles[1:]:
-        if b.eval_point != first.eval_point:
-            raise MalformedInputError("eval_point mismatch in sum")
-        if b.dimension != first.dimension:
-            raise MalformedInputError("dimension mismatch in sum")
-        for i, v in enumerate(b.values):
-            acc[i] = (acc[i] + v) % q
-    return ShareBundle(first.eval_point, tuple(acc))
+    return ShareBundle(point, tuple([sum(column) % q for column in
+                                     zip(*(b.values for b in bundles))]))

@@ -60,6 +60,25 @@ def exponents(params: GroupParams):
                      st.integers(-top, -1))
 
 
+def per_exponent_exps(params: GroupParams, es):
+    """exps one exponent at a time, each product of a run of rows taken mod
+    p at the run's end: the reference for the row-by-row kernel."""
+    p, q, w, rows = params.p, params.q, params._window, params._g_table
+    mask, run = (1 << w) - 1, max(1, field._PRODUCT_BITS // p.bit_length())
+    runs = [rows[i : i + run] for i in range(0, len(rows), run)]
+    out = []
+    for e in es:
+        e %= q
+        acc = 1
+        for rows_of_run in runs:
+            for row in rows_of_run:
+                acc *= row[e & mask]
+                e >>= w
+            acc %= p
+        out.append(acc)
+    return out
+
+
 class TestFixedBaseExp:
     @pytest.mark.parametrize("name", ["tiny_group", "group", "group_2048"])
     def test_edges(self, request, name):
@@ -102,6 +121,19 @@ class TestFixedBaseExp:
         for params in (tiny_group, group, group_2048):
             es = data.draw(st.lists(exponents(params), max_size=6))
             assert params.exps(es) == [pow(params.g, e, params.p) for e in es]
+
+    # the committed runs (one of 4 rows at 96/48, one row each at 2048/256),
+    # and runs that end inside the 96/48 table, after 2 and after 3 rows
+    @pytest.mark.parametrize("product_bits", [field._PRODUCT_BITS, 192, 288])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_exponent_loop(self, tiny_group, group, group_2048, data,
+                                           product_bits):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(field, "_PRODUCT_BITS", product_bits)
+            for params in (tiny_group, group, group_2048):
+                es = data.draw(st.lists(exponents(params), max_size=6))
+                assert params.exps(iter(es)) == per_exponent_exps(params, es)
 
     def test_empty_input(self, group):
         assert group.exps([]) == [] == group.exps(iter(()))

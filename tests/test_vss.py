@@ -65,6 +65,170 @@ def product_form_verify(bundle, commitments, params):
     return True
 
 
+# The per-element loops that share, verify, sum_shares and
+# reconstruct_encoded replaced with whole-vector passes, kept as references:
+# each new kernel must give the same result, or raise the same type, on any
+# input.
+
+def per_element_share(secret, th, n, params, codec, rng):
+    encoded = codec.encode_vector(secret)
+    if not (1 <= th <= n):
+        raise ValueError("threshold must satisfy 1 <= th <= n")
+    q = params.q
+    polys = [[s % q] + [rng.randrange(q) for _ in range(th - 1)] for s in encoded]
+    commitments = tuple(tuple(params.exp(a) for a in coeffs) for coeffs in polys)
+    return ([ShareBundle(j, tuple(eval_poly(coeffs, j, q) for coeffs in polys))
+             for j in range(1, n + 1)], commitments)
+
+
+def per_element_verify(bundle, commitments, params):
+    if bundle.dimension != len(commitments):
+        raise MalformedInputError("bundle and commitments disagree on dimension")
+    p, j = params.p, bundle.eval_point
+    for lhs, row in zip(params.exps(bundle.values), commitments):
+        rhs = row[-1]
+        for c in reversed(row[:-1]):
+            rhs = pow(rhs, j, p) * c % p
+        if lhs != rhs:
+            return False
+    return True
+
+
+def per_element_sum_shares(bundles, params):
+    if not bundles:
+        raise MalformedInputError("no bundles to sum")
+    first, q = bundles[0], params.q
+    acc = list(first.values)
+    for b in bundles[1:]:
+        if b.eval_point != first.eval_point or b.dimension != first.dimension:
+            raise MalformedInputError("mismatch in sum")
+        for i, v in enumerate(b.values):
+            acc[i] = (acc[i] + v) % q
+    return ShareBundle(first.eval_point, tuple(acc))
+
+
+def per_element_reconstruct_encoded(bundles, th, params):
+    chosen = vss._select_bundles(bundles, th)
+    q, xs = params.q, [b.eval_point for b in chosen]
+    lambdas = []
+    for i, xi in enumerate(xs):
+        num, den = 1, 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                num, den = num * -xj % q, den * (xi - xj) % q
+        lambdas.append(num * pow(den, -1, q) % q)
+    out = []
+    for k in range(chosen[0].dimension):
+        acc = 0
+        for b, lam in zip(chosen, lambdas):
+            acc = (acc + b.values[k] * lam) % q
+        out.append(acc)
+    return tuple(out)
+
+
+def outcome(kernel, *args):
+    """What a call returns, or the type of what it raises."""
+    try:
+        return "returns", kernel(*args)
+    except Exception as exc:  # compared by type with the reference's
+        return "raises", type(exc)
+
+
+def any_values(params, dim):
+    """dim ints below q, at least q, up past p, or negative."""
+    return st.lists(st.integers(-params.p, 2 * params.p), min_size=dim, max_size=dim)
+
+
+class TestWholeVectorKernels:
+    """share, verify, sum_shares and reconstruct_encoded agree with the
+    per-element references above, at every group, on values at least q and
+    negative, a single bundle, dimension-0 bundles, and commitment rows of
+    unequal or zero length."""
+
+    GROUPS = ["tiny_group", "group", "group_2048"]
+
+    @pytest.mark.parametrize("name", GROUPS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_share(self, request, name, data):
+        params = request.getfixturevalue(name)
+        tiny = params.q.bit_length() < 8
+        codec = FixedPointCodec(0 if tiny else 16, params.q, 1 if tiny else 4)
+        bound = int(codec.max_abs) - 1 if tiny else 8
+        secret = data.draw(st.lists(st.integers(-bound, bound), max_size=5), label="secret")
+        th, n = data.draw(st.integers(0, 5), label="th"), data.draw(st.integers(1, 6), label="n")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert outcome(vss.share, secret, th, n, params, codec, rng) == outcome(
+            per_element_share, secret, th, n, params, codec, ref)
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("name", GROUPS)
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_verify(self, request, name, data):
+        params = request.getfixturevalue(name)
+        dim = data.draw(st.integers(0, 4), label="dim")
+        values = data.draw(any_values(params, dim), label="values")
+        widths = data.draw(st.one_of(
+            st.lists(st.integers(0, 4), min_size=dim, max_size=dim),
+            st.integers(0, 4).map(lambda th: [th] * dim)), label="row lengths")
+        if data.draw(st.booleans(), label="honest rows"):
+            # rows of polynomials whose values at j are the shares, so that
+            # the elements after the first are reached
+            rows, j = [], data.draw(st.integers(1, 13), label="j")
+            for e, width in enumerate(widths):
+                coeffs = data.draw(st.lists(st.integers(0, params.q - 1),
+                                            min_size=width, max_size=width))
+                rows.append(tuple(params.exp(a) for a in coeffs))
+                values[e] = eval_poly(coeffs, j, params.q)
+        else:
+            j = data.draw(st.integers(0, 13), label="j")
+            rows = [tuple(data.draw(any_values(params, width))) for width in widths]
+        if data.draw(st.booleans(), label="spoil one element") and dim:
+            e = data.draw(st.integers(0, dim - 1))
+            values[e] += 1
+        if data.draw(st.booleans(), label="lift one commitment by p") and any(rows):
+            e = data.draw(st.sampled_from([e for e, row in enumerate(rows) if row]))
+            rows[e] = (rows[e][0] + params.p,) + rows[e][1:]
+        if data.draw(st.booleans(), label="drop a row"):
+            rows = rows[1:]
+        bundle, commitments = ShareBundle(j, tuple(values)), tuple(rows)
+        assert outcome(vss.verify, bundle, commitments, params) == outcome(
+            per_element_verify, bundle, commitments, params)
+
+    @pytest.mark.parametrize("name", GROUPS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sum_shares(self, request, name, data):
+        params = request.getfixturevalue(name)
+        dim = data.draw(st.integers(0, 4), label="dim")
+        count = data.draw(st.integers(0, 4), label="bundles")
+        bundles = [ShareBundle(2, tuple(data.draw(any_values(params, dim))))
+                   for _ in range(count)]
+        if count and data.draw(st.booleans(), label="mismatch one bundle"):
+            i = data.draw(st.integers(0, count - 1))
+            point, extra = data.draw(st.sampled_from([(3, ()), (2, (5,))]))
+            bundles[i] = ShareBundle(point, bundles[i].values + extra)
+        assert outcome(vss.sum_shares, bundles, params) == outcome(
+            per_element_sum_shares, bundles, params)
+
+    @pytest.mark.parametrize("name", GROUPS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reconstruct_encoded(self, request, name, data):
+        params = request.getfixturevalue(name)
+        dim = data.draw(st.integers(0, 4), label="dim")
+        points = data.draw(st.lists(st.integers(1, 9), max_size=5), label="points")
+        bundles = [ShareBundle(x, tuple(data.draw(any_values(params, dim))))
+                   for x in points]
+        if bundles and data.draw(st.booleans(), label="one longer bundle"):
+            bundles[0] = ShareBundle(points[0], bundles[0].values + (1,))
+        th = data.draw(st.integers(-1, 5), label="th")
+        assert outcome(vss.reconstruct_encoded, bundles, th, params) == outcome(
+            per_element_reconstruct_encoded, bundles, th, params)
+
+
 class TestHornerVerify:
     """verify agrees with the product form for j and th up to 13 at both
     committed groups: on honest rows, on rows with elements outside the
@@ -139,18 +303,25 @@ class TestHornerVerify:
 
 
 class TestShareReconstruct:
-    @pytest.mark.parametrize("th, n", [(1, 1), (1, 4), (3, 4), (4, 7)])
-    def test_matches_the_pointwise_reference(self, group, codec, th, n):
+    @pytest.mark.parametrize("name, th, n", [
+        pytest.param(name, th, n, id=f"{th}-{n}" if name == "group" else f"{name}-{th}-{n}")
+        for name in ("group", "tiny_group", "group_2048")
+        for th, n in [(1, 1), (1, 4), (3, 4), (4, 7)]])
+    def test_matches_the_pointwise_reference(self, request, name, th, n):
         # one polynomial per element: the secret, then th - 1 draws of the
         # rng; commitments g^a and values at points 1..n, one at a time
-        secret = [1.25, -0.5, 3.0, 0.0]
+        params = request.getfixturevalue(name)
+        if name == "tiny_group":  # whole values below 4 fit q = 23
+            secret, codec = [1.0, -2.0, 3.0, 0.0], FixedPointCodec(0, params.q, 1)
+        else:
+            secret, codec = [1.25, -0.5, 3.0, 0.0], FixedPointCodec(16, params.q, 4)
         rng, ref = random.Random(7), random.Random(7)
-        bundles, commits = vss.share(secret, th, n, group, codec, rng)
-        q = group.q
+        bundles, commits = vss.share(secret, th, n, params, codec, rng)
+        q = params.q
         polys = [[s] + [ref.randrange(q) for _ in range(th - 1)]
                  for s in codec.encode_vector(secret)]
         assert rng.getstate() == ref.getstate()
-        assert commits == tuple(tuple(pow(group.g, a, group.p) for a in coeffs)
+        assert commits == tuple(tuple(pow(params.g, a, params.p) for a in coeffs)
                                 for coeffs in polys)
         assert bundles == [ShareBundle(j, tuple(eval_poly(coeffs, j, q) for coeffs in polys))
                            for j in range(1, n + 1)]
