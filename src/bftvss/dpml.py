@@ -74,6 +74,9 @@ SAMPLES = 400
 TEST_SAMPLES = 1000
 TAU = 0.90
 THETA_COS = 0.8
+# the most rounds and coordinates a config may ask for: over ten times the
+# most that any test, bundled scenario or benchmark workload runs (30 and 256)
+MAX_ROUNDS, MAX_DIM = 1000, 4096
 
 
 def of_type(value, annotation) -> bool:
@@ -140,8 +143,8 @@ class TrainingConfig:
             raise ValueError("attack mode needs a non-empty attacker set")
         if not attacked and self.attackers:
             raise ValueError(f"mode {self.mode!r} does not take attackers")
-        if min(self.rounds, self.dim) < 1:
-            raise ValueError("rounds and dim must be positive")
+        if not (1 <= self.rounds <= MAX_ROUNDS and 1 <= self.dim <= MAX_DIM):
+            raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}] and dim in [1, {MAX_DIM}]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if (self.bits_p, self.bits_q) not in GROUPS:

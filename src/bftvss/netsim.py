@@ -25,6 +25,11 @@ class LivelockError(Exception):
     """Event budget exhausted: the run is not making progress."""
 
 
+# the most participants a config may ask for: ten times the most a test
+# validates (300,001), so a size like 10**30 is refused before anything runs
+MAX_N = 10**7
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n: int
@@ -35,8 +40,8 @@ class SimConfig:
     max_events: int = 2_000_000
 
     def __post_init__(self):
-        if self.f < 1 or self.n != 3 * self.f + 1:
-            raise ValueError("requires n = 3f + 1 with f >= 1")
+        if self.f < 1 or self.n != 3 * self.f + 1 or self.n > MAX_N:
+            raise ValueError(f"requires n = 3f + 1 with f >= 1 and n <= {MAX_N}")
         if self.gst < 0 or self.delta < 1:
             raise ValueError("gst must be >= 0 and delta >= 1")
 

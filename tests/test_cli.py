@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bftvss import dpml
+from bftvss import dpml, scenarios
 from bftvss.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,6 +136,30 @@ UNRUNNABLE["consensus-request_time-removed"] = {"kind": "consensus", "n": 4,
 def test_validate_rejects_what_run_cannot_run(tmp_path, case):
     p = tmp_path / "s.json"
     p.write_text(json.dumps({"name": "bad", **UNRUNNABLE[case]}))
+    assert main(["validate", str(p)]) == 2
+    assert main(["run", str(p), "--out-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+# sizes past their caps: validate passed each, and run then died in numpy
+# (dim), would loop for ever (rounds) or would build 10**30 replicas (n)
+TOO_BIG = {
+    "training-dim-1e30": {"kind": "training", "config": dict(FAST_CONFIG, dim=10**30)},
+    "training-rounds-1e30": {"kind": "training",
+                             "config": dict(FAST_CONFIG, rounds=10**30)},
+    "consensus-n-3e29": {"kind": "consensus", "n": 3 * 10**29 + 1, "script": "none"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_BIG))
+def test_sizes_past_their_caps_build_nothing(tmp_path, monkeypatch, case):
+    def build(*args, **kwargs):
+        raise AssertionError("run started building")
+
+    monkeypatch.setattr(dpml, "run", build)
+    monkeypatch.setattr(scenarios, "run_consensus", build)
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"name": "big", **TOO_BIG[case]}))
     assert main(["validate", str(p)]) == 2
     assert main(["run", str(p), "--out-dir", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()

@@ -27,7 +27,7 @@ from bftvss.dpml import (
     run,
 )
 from bftvss.field import FixedPointCodec, generate_group
-from bftvss.netsim import SimConfig
+from bftvss.netsim import MAX_N, SimConfig
 
 FAST = dict(rounds=4, dim=8)
 
@@ -64,6 +64,9 @@ class TestConfig:
         dict(n=1, f=0, th=1),                            # n = 3f + 1 needs f >= 1
         dict(attackers="1"),                             # not a list of ids
         dict(mode="ebyftves+acumpa", attackers=(True,)),  # a bool is no id
+        dict(dim=dpml.MAX_DIM + 1),
+        dict(rounds=dpml.MAX_ROUNDS + 1),
+        dict(n=MAX_N + 3, f=MAX_N // 3 + 1, th=MAX_N // 3 + 2),  # MAX_N is 3f + 1
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
@@ -79,6 +82,12 @@ class TestConfig:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_sizes_at_their_caps_pass(self):
+        TrainingConfig(dim=dpml.MAX_DIM, rounds=dpml.MAX_ROUNDS).validate()
+        f = MAX_N // 3
+        assert 3 * f + 1 == MAX_N
+        TrainingConfig(n=MAX_N, f=f, th=f + 1).validate()
 
     def test_threshold_between_f_and_n_minus_f(self):
         TrainingConfig(n=10, f=3, th=4).validate()
