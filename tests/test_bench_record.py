@@ -158,3 +158,40 @@ def test_checkouts_that_would_share_a_record_are_a_usage_error(monkeypatch, tmp_
     assert exc.value.code == 2
     assert "would all write BENCH_aaaaaaa" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def kernel_metrics(scale):
+    return {name: {"value": scale * (i + 1), "unit": "s"}
+            for i, name in enumerate(bench_record.KERNELS)}
+
+
+def test_kernel_rows_pass_the_check():
+    runs = {w: [kernel_metrics(s) for s in (1.0, 2.0, 3.0)]
+            for w in bench_record.KERNEL_SIZES}
+    rec = bench_record.make_record("a" * 40, False, SPEC, runs, 2, 8.0, 3, None)
+    assert bench_record.check_record(json.loads(json.dumps(rec))) == []
+    assert [(r["workload"], r["metric"], r["unit"]) for r in rec["rows"]] == [
+        (w, name, "s") for w in bench_record.KERNEL_SIZES for name in bench_record.KERNELS]
+
+
+@pytest.mark.parametrize("scale, shown", [(10.0, "x10.000  won 0/10 pairs"),
+                                          (0.1, "x0.100  won 10/10 pairs  gain")])
+def test_compare_prints_kernel_rows_and_never_fails_on_them(scale, shown):
+    # a kernel row has no bound in BENCHMARK.json: ten times slower is
+    # shown and paired, but fails nothing
+    before, after = make("a" * 40, [1.0] * 10), make("b" * 40, [1.0] * 10)
+    after["paired_with"] = before["rev"]
+    for rec, s in ((before, 1.0), (after, scale)):
+        rec["rows"] += bench_record.make_record(rec["rev"], False, SPEC, {
+            "kernels-96/48": [kernel_metrics(s)] * 10}, 2, 8.0, 10, None)["rows"]
+    lines, worse = bench_record.compare(before, after, SPEC)
+    assert not worse
+    kernel_lines = [line for line in lines if line.startswith("kernels-96/48")]
+    assert len(kernel_lines) == len(bench_record.KERNELS)
+    assert all(line.endswith(shown) for line in kernel_lines), kernel_lines
+
+
+def test_kernel_timing_imports_the_checkouts_own_source():
+    metrics = bench_record.run_bench(ROOT, "kernels-96/48", 0, 0.001)
+    assert sorted(metrics) == sorted(bench_record.KERNELS)
+    assert all(m["unit"] == "s" and m["value"] > 0 for m in metrics.values())

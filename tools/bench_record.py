@@ -7,28 +7,37 @@ Usage (from the repository root):
     python3 tools/bench_record.py --against ../parent --seed 2 --seconds 8
     python3 tools/bench_record.py --check records/BENCH_<rev>.json
     python3 tools/bench_record.py --compare records/BENCH_<a>.json records/BENCH_<b>.json
+    python3 tools/bench_record.py --kernels kernels-96/48 --seed 2 --seconds 8
 
 Each repeat runs ``python3 bench/run.py --workload W --seed S --seconds T``
-as its own process, once for each workload W of ``BENCHMARK.json``, and reads the JSON object on the last
-line of its output.  With ``--against DIR`` every run of this checkout is
-paired with a run of the checkout at DIR (which side goes first alternates),
-and one record is written for each.  A record, ``BENCH_<rev>.json`` (or
-``BENCH_<rev>-dirty.json`` when tracked files differ from the rev), holds
-one row per end-to-end metric of ``BENCHMARK.json`` and workload (median,
+as its own process, once for each workload W of ``BENCHMARK.json``, and
+reads the JSON object on the last line of its output.  It then times the
+kernels, one process per group size of ``KERNEL_SIZES``: ``--kernels``
+imports the checkout's own ``src/``, deals with seed S, and gives the median
+time of a call of ``field.exps`` (768 exponents), ``vss.share``,
+``vss.verify``, ``vss.sum_shares`` and ``vss.reconstruct``, each called for
+T/40 seconds and at least once.  With ``--against DIR`` every run of this
+checkout is paired with a run of the checkout at DIR (which side goes first
+alternates), and one record is written for each.  A record,
+``BENCH_<rev>.json`` (or ``BENCH_<rev>-dirty.json`` when tracked files
+differ from the rev), holds one row per end-to-end metric of
+``BENCHMARK.json`` and workload, and one per kernel and group size (median,
 interquartile range, repeats, unit and every value), plus the git rev, a
 dirty flag, the Python version, the CPU count and the command.  A run whose
 output is not correct ends the recording with an error.
 
-``--compare A B`` prints B's median over A's for each row, how many of
-the pairs B won when the two were recorded together, and flags a row that
-moved past its bound in ``BENCHMARK.json``; it exits 1 if a row got worse
-by more than its bound.  A paired row is labelled ``unresolved`` when A's
+``--compare A B`` prints B's median over A's for each row, how many of the
+pairs B won when the two were recorded together, and flags a row that moved
+past its bound in ``BENCHMARK.json``; it exits 1 if a row got worse by more
+than its bound.  A paired row is labelled ``unresolved`` when A's
 interquartile range exceeds the row's bound (relative to A's median) and B
 did not win every pair, and else ``gain`` when B won at least 9 in 10 pairs
-and its median is better than A's by more than A's interquartile range.  A header line names each of the seed, seconds,
-repeats, Python version and CPU count in which the two records differ,
-since their rows then do not measure like for like.  ``--check``
-validates a record's schema, not its values.
+and its median is better than A's by more than A's interquartile range.  A
+row whose metric has no bound in ``BENCHMARK.json``, as a kernel row, is
+printed and read as lower-is-better, but never fails.  A header line names
+each of the seed, seconds, repeats, Python version and CPU count in which
+the two records differ, since their rows then do not measure like for like.
+``--check`` validates a record's schema, not its values.
 """
 
 from __future__ import annotations
@@ -37,10 +46,12 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_VERSION = 1
@@ -49,6 +60,10 @@ RECORD_KEYS = {"schema_version": int, "rev": str, "dirty": bool, "python": str,
                "repeats": int, "paired_with": (str, type(None)), "rows": list}
 # a record's inputs that must match for its medians to compare like for like
 LIKE_FOR_LIKE = ("seed", "seconds", "repeats", "python", "cpu_count")
+# the kernel rows' pseudo-workloads: a group and the run's n, th and dim
+KERNEL_SIZES = {"kernels-96/48": dict(bits=(96, 48), n=4, th=3, dim=256),
+                "kernels-2048/256": dict(bits=(2048, 256), n=4, th=3, dim=16)}
+KERNELS = ("field.exps", "vss.share", "vss.verify", "vss.sum_shares", "vss.reconstruct")
 ROW_KEYS = {"workload": str, "metric": str, "unit": str, "median": (int, float),
             "iqr": (int, float), "repeats": int, "values": list}
 
@@ -77,14 +92,58 @@ def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in its own process; its last line, parsed."""
-    out = subprocess.run(bench_command(workload, seed, seconds), cwd=checkout,
-                         check=True, capture_output=True, text=True).stdout
+    """One benchmark run, or one kernel timing, in its own process; its last
+    line, parsed."""
+    if workload in KERNEL_SIZES:  # this file times them on the checkout's src/
+        command = ["python3", str(Path(__file__).resolve()), "--kernels", workload,
+                   "--seed", str(seed), "--seconds", f"{seconds:g}"]
+    else:
+        command = bench_command(workload, seed, seconds)
+    out = subprocess.run(command, cwd=checkout, check=True, capture_output=True,
+                         text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if result["correct"] is not True:
         raise RuntimeError(f"{checkout}: {workload} seed {seed}: "
                            f"{result['failed']} of {result['attempted']} runs failed")
     return result["metrics"]
+
+
+def time_kernels(workload: str, seed: int, seconds: float) -> dict:
+    """Median seconds per call of each of KERNELS, in the metrics layout of
+    bench/run.py, on the bftvss of the working directory's src/."""
+    sys.path.insert(0, str(Path.cwd() / "src"))
+    import bftvss
+    from bftvss import field, vss
+
+    if Path(bftvss.__file__).resolve().parent != Path.cwd().resolve() / "src" / "bftvss":
+        raise RuntimeError(f"imported bftvss from {bftvss.__file__}, not from ./src")
+    size = KERNEL_SIZES[workload]
+    params = field.generate_group(*size["bits"])
+    n, th, dim = size["n"], size["th"], size["dim"]
+    codec = field.FixedPointCodec(16, params.q, n)
+    rng = random.Random(seed)
+    es = [rng.randrange(params.q) for _ in range(768)]
+    secrets = [[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(n)]
+    dealt = [vss.share(s, th, n, params, codec, rng) for s in secrets]
+    own = [bundles[0] for bundles, _ in dealt]  # shareholder 1's, one per dealer
+    summed = [vss.sum_shares([bundles[j] for bundles, _ in dealt], params)
+              for j in range(n)]
+    calls = {
+        "field.exps": lambda: params.exps(es),
+        "vss.share": lambda: vss.share(secrets[0], th, n, params, codec, rng),
+        "vss.verify": lambda: vss.verify(own[0], dealt[0][1], params),
+        "vss.sum_shares": lambda: vss.sum_shares(own, params),
+        "vss.reconstruct": lambda: vss.reconstruct(summed, th, params, codec, dim),
+    }
+    metrics = {}
+    for name in KERNELS:
+        times, start = [], perf_counter()
+        while not times or perf_counter() - start < seconds / 40:
+            t = perf_counter()
+            calls[name]()
+            times.append(perf_counter() - t)
+        metrics[name] = {"value": statistics.median(times), "unit": "s"}
+    return {"correct": True, "metrics": metrics}
 
 
 def iqr(values: list[float]) -> float:
@@ -97,12 +156,13 @@ def iqr(values: list[float]) -> float:
 def make_record(rev: str, dirty: bool, spec: dict, runs: dict, seed: int,
                 seconds: float, repeats: int, paired_with: str | None) -> dict:
     """runs maps a workload to the metrics of each of its runs."""
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     rows = []
     for workload, metrics in runs.items():
-        for metric in spec["end_to_end"]:
-            values = [m[metric["name"]]["value"] for m in metrics]
-            rows.append({"workload": workload, "metric": metric["name"],
-                         "unit": metric["unit"], "median": statistics.median(values),
+        for name in KERNELS if workload in KERNEL_SIZES else units:
+            values = [m[name]["value"] for m in metrics]
+            rows.append({"workload": workload, "metric": name,
+                         "unit": units.get(name, "s"), "median": statistics.median(values),
                          "iqr": iqr(values), "repeats": len(values), "values": values})
     return {"schema_version": SCHEMA_VERSION, "rev": rev, "dirty": dirty,
             "python": platform.python_version(), "cpu_count": os.cpu_count(),
@@ -153,9 +213,10 @@ def compare(before: dict, after: dict, spec: dict) -> tuple[list[str], bool]:
     worse = False
     for row in after["rows"]:
         old = base.get((row["workload"], row["metric"]))
-        if old is None or row["metric"] not in bounds:
+        if old is None:
             continue
-        metric = bounds[row["metric"]]
+        # a row without a bound (a kernel row) is a time that fails nothing
+        metric = bounds.get(row["metric"], {"better": "lower", "bound": float("inf")})
         ratio = row["median"] / old["median"]
         loss = ratio - 1 if metric["better"] == "lower" else 1 - ratio
         flag = ""
@@ -225,8 +286,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", type=Path, default=ROOT / "records")
     parser.add_argument("--check", type=Path, metavar="RECORD")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"))
+    parser.add_argument("--kernels", choices=KERNEL_SIZES,
+                        help="time the kernels of ./src at one group size")
     args = parser.parse_args(argv)
     spec = load_spec()
+    if args.kernels:
+        print(json.dumps(time_kernels(args.kernels, args.seed, args.seconds)))
+        return 0
     if args.check:
         problems = check_record(json.loads(args.check.read_text()))
         for p in problems:
@@ -240,7 +306,7 @@ def main(argv=None) -> int:
     if args.repeats < 1 or args.seconds <= 0 or args.seed < 0:
         parser.error("--repeats must be >= 1, --seconds > 0 and --seed >= 0")
     checkouts = [ROOT] + ([args.against.resolve()] if args.against else [])
-    workloads = [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]] + list(KERNEL_SIZES)
     try:
         paths = record(checkouts, workloads, args.seed, args.seconds, args.repeats,
                        args.out_dir)
