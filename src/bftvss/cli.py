@@ -216,8 +216,8 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
 def compare(seeds: int = 5, rounds: int = 30, out_dir=None) -> int:
     """Run every mode on seeds 0..seeds-1 of the default config (attacker 3
     in the "+acumpa" modes) and print the report table."""
-    if rounds < 1:
-        raise ScenarioError("--rounds must be positive")
+    if not 1 <= rounds <= dpml.MAX_ROUNDS:
+        raise ScenarioError(f"--rounds must lie in [1, {dpml.MAX_ROUNDS}]")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     results = []

@@ -142,7 +142,7 @@ def test_validate_rejects_what_run_cannot_run(tmp_path, case):
 
 
 # sizes past their caps: validate passed each, and run then died in numpy
-# (dim), would loop for ever (rounds) or would build 10**30 replicas (n)
+# (dim), would run for ever (rounds) or would build 10**30 replicas (n)
 TOO_BIG = {
     "training-dim-1e30": {"kind": "training", "config": dict(FAST_CONFIG, dim=10**30)},
     "training-rounds-1e30": {"kind": "training",
@@ -362,6 +362,14 @@ def test_compare_output_is_readable_by_report(tmp_path, capsys):
     reported = capsys.readouterr().out.splitlines()
     assert reported == compared
     assert len(compared) == 6  # header plus one row per mode
+
+
+@pytest.mark.parametrize("rounds", ["0", str(dpml.MAX_ROUNDS + 1)])
+def test_compare_rejects_rounds_past_the_cap(tmp_path, capsys, rounds):
+    out = tmp_path / "out"
+    assert main(["compare", "--rounds", rounds, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --rounds must lie in")
+    assert not out.exists()
 
 
 def test_grid_output_is_readable_by_report(tmp_path, capsys):
