@@ -26,7 +26,7 @@ else:
 
 def test_numpy_free_modules_import_with_numpy_blocked():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", BLOCKED, *NUMPY_FREE], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
