@@ -348,7 +348,7 @@ class Replica:
 
     # -- event entry points --------------------------------------------------
 
-    def on_message(self, m: Message, now: int = 0):
+    def on_message(self, m: Message):
         if not self._authentic(m):
             self.dropped_count += 1
             return
@@ -362,7 +362,7 @@ class Replica:
                 return
         _HANDLERS[m.kind](self, m)
 
-    def on_timer(self, name, now: int = 0):
+    def on_timer(self, name):
         kind, arg = name  # arg: the target view of "vc", the slot of "batch" and "prop"
         if kind == "progress":
             self.timer_running = False

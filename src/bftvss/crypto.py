@@ -95,15 +95,19 @@ class HybridScheme:
         self._pair_keys: dict[tuple[int, int], bytes] = {}
         self._combs: dict[int, Comb] = {}
 
-    def keygen(self, rng: random.Random) -> KeyPair:
-        sk = rng.randrange(1, self.params.q)
-        pk = self._publics[sk] = self.params.exp(sk)
-        return KeyPair(public=pk, secret=sk)
+    def keygen(self, rng: random.Random, count: int) -> list[KeyPair]:
+        """count key pairs: the secrets drawn one after another, as count
+        calls of rng.randrange(1, q) draw them, and the public keys in one
+        exps call."""
+        secrets = [rng.randrange(1, self.params.q) for _ in range(count)]
+        publics = self.params.exps(secrets)
+        self._publics.update(zip(secrets, publics))
+        return [KeyPair(public=pk, secret=sk) for sk, pk in zip(secrets, publics)]
 
     def _message_key(self, secret: int, public: int, nonce: bytes) -> bytes:
         own = self._publics.get(secret)
         if own is None:
-            own = self._publics[secret] = self.params.exp(secret)
+            own = self._publics[secret] = self.params.exps((secret,))[0]
         ends = (own, public) if own <= public else (public, own)
         pair = self._pair_keys.get(ends)
         if pair is None:

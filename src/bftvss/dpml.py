@@ -19,10 +19,10 @@ trains for exactly config.rounds rounds.  Two drivers run the rounds:
   slots: encrypted shares plus commitments, then bundled verification
   votes, then aggregated sum shares.  A request carries only what its
   receivers cannot derive: its dealer, voter or sender is its authenticated
-  origin, the slot gives its kind, th splits the commitments into rows, and
-  a share's evaluation point is its holder's id + 1.  Shares always travel
-  encrypted, and config.attacker_reads says which the delaying dealer can
-  open.  At "own-shares" it opens only the shares dealt to itself, never th
+  origin, the slot gives its kind, th and the packed dimension split the
+  commitments into columns, and a share's evaluation point is its holder's
+  id + 1.  Shares always travel encrypted, and config.attacker_reads says
+  which the delaying dealer can open.  At "own-shares" it opens only the shares dealt to itself, never th
   of one honest dealer's, so it cannot reconstruct the honest updates, and
   a dealer that has submitted nothing when the share slot commits is left
   out of the round.  At "every-share" it sees every share before the slot
@@ -355,10 +355,12 @@ def encode_share_request(ciphertexts, commitments: vss.CommitmentVector) -> byte
     return wire.pack_blobs(ciphertexts) + vss.commitments_to_bytes(commitments)
 
 
-def decode_share_request(req: bytes, th: int):
+def decode_share_request(req: bytes, n: int, th: int, dimension: int):
+    """n ciphertexts and th commitment columns of dimension values, or
+    MalformedInputError."""
     r = wire.Reader(req)
-    ciphertexts = tuple(r.blobs())
-    return ciphertexts, vss.parse_commitments(req[r.off:], th)
+    ciphertexts = tuple(r.blobs(n))
+    return ciphertexts, vss.parse_commitments(req[r.off:], th, dimension)
 
 
 def encode_vote_request(verified) -> bytes:
@@ -373,8 +375,8 @@ def encode_agg_request(bundle: vss.ShareBundle) -> bytes:
     return bundle.to_bytes()
 
 
-def decode_agg_request(req: bytes, eval_point: int) -> vss.ShareBundle:
-    return vss.parse_bundle(req, eval_point)
+def decode_agg_request(req: bytes, eval_point: int, dimension: int) -> vss.ShareBundle:
+    return vss.parse_bundle(req, eval_point, dimension)
 
 
 class WorkflowParticipant(Replica):
@@ -405,6 +407,7 @@ class WorkflowParticipant(Replica):
         self.dataset = dataset
         self.coordinator = coordinator
         self.eval_point = rid + 1
+        self.packed_dim = codec.packed_length(config.dim)
         self.rng = random.Random(config.seed * 100003 + 900 + rid)
         self.w = np.array(w0, dtype=float)
         self.t = 0
@@ -445,11 +448,8 @@ class WorkflowParticipant(Replica):
         decoded = self._decoded(sq, origin, req)
         if decoded is None:
             return  # malformed input from a faulty peer
-        dim = self.codec.packed_length(self.config.dim)
         if sq == base:
             ciphertexts, commits = decoded
-            if len(ciphertexts) != self.config.n or len(commits) != dim:
-                return
             self._commits[origin] = commits
             if origin != self.rid:  # submit_shares kept the share it dealt itself
                 bundle = self._open(self.secret_key, origin, ciphertexts, self.rid)
@@ -458,18 +458,18 @@ class WorkflowParticipant(Replica):
         elif sq == base + 1:
             for d in decoded:
                 self._votes[d].add(origin)
-        elif decoded.dimension == dim:
+        else:
             self._agg[origin] = decoded
 
     def _open(self, key: int, origin: int, ciphertexts, j: int):
         """origin's share for participant j, at point j + 1, or None unless
         ciphertext j opens under key to values of the packed dimension."""
         try:
-            bundle = vss.parse_bundle(
-                self.scheme.decrypt(key, self.publics[origin], ciphertexts[j]), j + 1)
+            return vss.parse_bundle(
+                self.scheme.decrypt(key, self.publics[origin], ciphertexts[j]), j + 1,
+                self.packed_dim)
         except wire.MalformedInputError:
             return None  # undecryptable or malformed share from a faulty peer
-        return bundle if bundle.dimension == self.codec.packed_length(self.config.dim) else None
 
     def _decoded(self, sq: int, origin: int, req: bytes):
         """origin's request in slot sq decoded for the slot's kind, or None
@@ -481,11 +481,12 @@ class WorkflowParticipant(Replica):
         if key not in table:
             try:
                 if sq % 3 == 0:
-                    value = decode_share_request(req, self.config.th)
+                    value = decode_share_request(req, self.config.n, self.config.th,
+                                                 self.packed_dim)
                 elif sq % 3 == 1:
                     value = decode_vote_request(req)
                 else:
-                    value = decode_agg_request(req, origin + 1)
+                    value = decode_agg_request(req, origin + 1, self.packed_dim)
             except wire.MalformedInputError:
                 value = None
             if len(table) >= 6 * self.config.n:  # two rounds of requests
@@ -558,12 +559,12 @@ class DelayedDealerNode(WorkflowParticipant):
         """Withhold the honest update, hoping to observe enough shares first;
         a crafted vector goes out through super().submit_shares instead."""
 
-    def on_message(self, m, now=0):
+    def on_message(self, m):
         # only an authentic share request has a (bytes, bytes) payload to read
         if (m.kind == MsgKind.REQUEST and m.sq % 3 == 0
                 and m.sender != self.rid and self._authentic(m)):
             self._eavesdrop(m.sq, m.sender, m.payload[0])
-        super().on_message(m, now)
+        super().on_message(m)
 
     def _eavesdrop(self, sq: int, dealer: int, req: bytes):
         if self._decided(sq) or (decoded := self._decoded(sq, dealer, req)) is None:
@@ -571,7 +572,7 @@ class DelayedDealerNode(WorkflowParticipant):
         ciphertexts, _ = decoded
         store = self.observed.setdefault(sq, defaultdict(list))
         # read_keys[j] tries to open ciphertext j, the share at j + 1
-        for j, key in enumerate(self.read_keys[:len(ciphertexts)]):
+        for j, key in enumerate(self.read_keys):
             bundle = self._open(key, dealer, ciphertexts, j)
             if bundle is not None:
                 store[dealer].append(bundle)
@@ -602,7 +603,7 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     scheme = HybridScheme(group)
     key_rng = random.Random(config.seed * 100003 + 11)
-    keypairs = [scheme.keygen(key_rng) for _ in range(config.n)]
+    keypairs = scheme.keygen(key_rng, config.n)
     publics = [kp.public for kp in keypairs]
     keyring = KeyRing(range(config.n), random.Random(config.seed * 100003 + 13))
     coordinator = _Coordinator(datasets, test)

@@ -95,10 +95,6 @@ class GroupParams:
                 out = [a * row[e >> s & mask] % p for a, e in zip(out, es)]
         return out
 
-    def exp(self, e: int) -> int:
-        """g^(e mod q) mod p: exps of one exponent."""
-        return self.exps((e,))[0]
-
 
 class Comb:
     """The fixed-base comb of Lim and Lee (CRYPTO 1994) for one base of Z_p*:

@@ -179,14 +179,14 @@ class Simulator:
                 _, dst, src, msg = item
                 if self.trace_messages:
                     self.trace.add(self.clock, "deliver", src, dst, _summarize(msg))
-                nodes[dst].on_message(msg, self.clock)
+                nodes[dst].on_message(msg)
                 self.collect(dst)
             elif item[0] == "timer":
                 _, node_id, name, token = item
                 if live_timers.get((node_id, name)) != token:
                     continue  # cancelled or superseded
                 del live_timers[node_id, name]
-                nodes[node_id].on_timer(name, self.clock)
+                nodes[node_id].on_timer(name)
                 self.collect(node_id)
             else:
                 item[1]()
@@ -208,10 +208,10 @@ class SilentNode:
     def __init__(self, *_args, **_kwargs):
         pass
 
-    def on_message(self, m, now=0):
+    def on_message(self, m):
         pass
 
-    def on_timer(self, name, now=0):
+    def on_timer(self, name):
         pass
 
     def drain(self):

@@ -7,10 +7,11 @@ for every coefficient so shareholders can check their share without learning
 the secret.  Shares are additively homomorphic, which the aggregation
 workflow exploits: summed shares reconstruct to the sum of the dealt secrets.
 
-A share is its evaluation point and its values, and commitments are their
-rows; neither names a dealer.  Callers key both by dealer, and a receiver
-knows a share's point (its own, or its sender's) and th, so only the values
-cross the wire.
+A share is its evaluation point and its values, and commitments are th
+columns, one per coefficient; neither names a dealer.  Callers key both by
+dealer, and a receiver knows a share's point (its own, or its sender's), th
+and the dimension, so only the values cross the wire, and the parsers reject
+values of any other count.
 """
 
 from __future__ import annotations
@@ -47,28 +48,32 @@ class ShareBundle:
         return wire.pack_fixed(self.values)
 
 
-# Feldman commitments, one row per packed element: the th group elements
-# g^{a_0}, ..., g^{a_{th-1}} of its polynomial.
+# Feldman commitments, one column per coefficient: column k holds g^{a_k}
+# of every packed element's polynomial, so th columns of the dimension.
 CommitmentVector = tuple[tuple[int, ...], ...]
 
 
-def parse_bundle(data: bytes, eval_point: int) -> ShareBundle:
-    """Inverse of ShareBundle.to_bytes, for the share at eval_point."""
-    return ShareBundle(eval_point, wire.unpack_fixed(data))
+def parse_bundle(data: bytes, eval_point: int, dimension: int) -> ShareBundle:
+    """Inverse of ShareBundle.to_bytes, for the share at eval_point, which
+    must hold dimension values."""
+    values = wire.unpack_fixed(data)
+    if len(values) != dimension:
+        raise MalformedInputError(f"share of {len(values)} values, not {dimension}")
+    return ShareBundle(eval_point, values)
 
 
 def commitments_to_bytes(commitments: CommitmentVector) -> bytes:
-    """Every commitment, row by row, as one fixed-width vector: the receiver
-    knows th."""
-    return wire.pack_fixed([c for row in commitments for c in row])
+    """Every commitment, column by column, as one fixed-width vector: the
+    receiver knows th and the dimension."""
+    return wire.pack_fixed([c for column in commitments for c in column])
 
 
-def parse_commitments(data: bytes, th: int) -> CommitmentVector:
-    """Inverse of commitments_to_bytes: the values split into rows of th."""
+def parse_commitments(data: bytes, th: int, dimension: int) -> CommitmentVector:
+    """Inverse of commitments_to_bytes: th columns of dimension values."""
     values = wire.unpack_fixed(data)
-    if len(values) % th:
-        raise MalformedInputError("commitments do not split into rows of th")
-    return tuple(values[i : i + th] for i in range(0, len(values), th))
+    if len(values) != th * dimension:
+        raise MalformedInputError(f"commitments are not {th} columns of {dimension}")
+    return tuple(values[k * dimension : (k + 1) * dimension] for k in range(th))
 
 
 def eval_poly(coeffs: Sequence[int], x: int, q: int) -> int:
@@ -107,7 +112,7 @@ def share(
     # columns[k] holds every polynomial's coefficient of x^k
     columns = [[s % q for s in encoded]] + [draws[k :: th - 1] for k in range(th - 1)]
     flat = params.exps([a for column in columns for a in column])
-    commitments = tuple(zip(*(flat[k * d : (k + 1) * d] for k in range(th))))
+    commitments = tuple(tuple(flat[k * d : (k + 1) * d]) for k in range(th))
     # Horner's rule at each point over every polynomial at once, reduced once
     bundles = []
     for j in range(1, n + 1):
@@ -125,24 +130,23 @@ def verify(bundle: ShareBundle, commitments: CommitmentVector, params: GroupPara
     sides are evaluated column by column over every element, in Horner's
     form (...(c_{th-1}^j * c_{th-2})^j * ...)^j * c_0, so each commitment
     but the first costs one pow to the small exponent j.  That equals the
-    product form with exponents j^k reduced mod q for every row inside the
-    order-q subgroup, and for any row at all while j^(th-1) < q.  Rows of
-    unequal length have no columns, so each is checked on its own.
+    product form with exponents j^k reduced mod q for every element inside
+    the order-q subgroup, and for any element at all while j^(th-1) < q.
+    Raises MalformedInputError unless there is a column and every column
+    has the bundle's dimension.
     """
-    if bundle.dimension != len(commitments):
-        raise MalformedInputError("bundle and commitments disagree on dimension")
+    if not commitments or any(len(c) != bundle.dimension for c in commitments):
+        raise MalformedInputError("commitments are not columns of the bundle's dimension")
     p, j = params.p, bundle.eval_point
-    if len(set(map(len, commitments))) > 1:
-        return all(verify(ShareBundle(j, (v,)), (row,), params)
-                   for v, row in zip(bundle.values, commitments))
-    columns = list(zip(*commitments)) if commitments else [()]
-    rhs = columns[-1]
-    for column in columns[-2::-1]:
+    rhs = commitments[-1]
+    for column in commitments[-2::-1]:
         rhs = [pow(r, j, p) * c % p for r, c in zip(rhs, column)]
     return params.exps(bundle.values) == list(rhs)
 
 
 def _select_bundles(bundles: Iterable[ShareBundle], th: int) -> list[ShareBundle]:
+    if th < 1:
+        raise ValueError("threshold must be at least 1")
     chosen = sorted(bundles, key=lambda b: b.eval_point)
     points = [b.eval_point for b in chosen]
     if len(set(points)) != len(points):
@@ -176,8 +180,7 @@ def reconstruct_encoded(
             num = (num * (-xj)) % q
             den = (den * (xi - xj)) % q
         lambdas.append((num * pow(den, -1, q)) % q)
-    # chosen[0] raises IndexError when th < 1 leaves no bundle to take
-    columns = zip(chosen[0].values, *(b.values for b in chosen[1:]))
+    columns = zip(*(b.values for b in chosen))
     return tuple(sum(map(mul, column, lambdas)) % q for column in columns)
 
 
@@ -193,9 +196,8 @@ def reconstruct(
 
 
 def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBundle:
-    """Element-wise field sum of one shareholder's bundles, one per dealer,
-    or a lone bundle's values as they are.  Reconstructing th such sums
-    yields the sum of the secrets."""
+    """Element-wise field sum of one shareholder's bundles, one per dealer.
+    Reconstructing th such sums yields the sum of the secrets."""
     if not bundles:
         raise MalformedInputError("no bundles to sum")
     point, dimension = bundles[0].eval_point, bundles[0].dimension
@@ -203,8 +205,6 @@ def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBund
         raise MalformedInputError("eval_point mismatch in sum")
     if any(b.dimension != dimension for b in bundles):
         raise MalformedInputError("dimension mismatch in sum")
-    if len(bundles) == 1:
-        return ShareBundle(point, tuple(bundles[0].values))
     q = params.q
     return ShareBundle(point, tuple([sum(column) % q for column in
                                      zip(*(b.values for b in bundles))]))

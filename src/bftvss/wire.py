@@ -8,10 +8,6 @@ bytes for the same value.
 from __future__ import annotations
 
 
-def u8(x: int) -> bytes:
-    return x.to_bytes(1, "big")
-
-
 def u32(x: int) -> bytes:
     return x.to_bytes(4, "big")
 
@@ -68,14 +64,8 @@ class Reader:
         self.off += n
         return chunk
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
 
     def lp(self) -> bytes:
         return self.take(self.u32())
@@ -89,8 +79,10 @@ class Reader:
         return tuple([int.from_bytes(data[i : i + width], "big")
                       for i in range(0, len(data), width)])
 
-    def blobs(self) -> list:
-        count = self.u32()
+    def blobs(self, count: int) -> list:
+        """Inverse of pack_blobs, whose count must be count."""
+        if self.u32() != count:
+            raise MalformedInputError(f"blob count is not {count}")
         return [self.lp() for _ in range(count)]
 
     def expect_end(self):

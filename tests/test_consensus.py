@@ -67,7 +67,7 @@ def ref_entry(m) -> bytes:
 
 
 def ref_body(m) -> bytes:
-    return (wire.u8(m.kind) + wire.u64(m.view) + wire.u64(m.sq) + wire.u32(m.sender)
+    return (bytes([m.kind]) + wire.u64(m.view) + wire.u64(m.sq) + wire.u32(m.sender)
             + wire.lp(ref_payload(m.kind, m.payload)))
 
 
@@ -815,14 +815,14 @@ class DropsViewZeroCommits(Replica):
         self.new_views: list[Message] = []
         self.views_entered: list[int] = []
 
-    def on_message(self, m, now=0):
+    def on_message(self, m):
         if m.kind == MsgKind.COMMIT and m.view == 0:
             (digest,) = m.payload
             self.prepared_in_view_0.add(digest)
             return
         if m.kind == MsgKind.NEW_VIEW:
             self.new_views.append(m)
-        super().on_message(m, now)
+        super().on_message(m)
 
     def _enter_view(self, target):
         self.views_entered.append(target)

@@ -9,6 +9,7 @@ from bftvss.crypto import (
     NONCE_LEN,
     DecryptionError,
     HybridScheme,
+    KeyPair,
     KeyRing,
 )
 
@@ -40,7 +41,17 @@ class TestHybridScheme:
     def parties(self, group, rng):
         """A scheme and the key pairs of a sender and a recipient."""
         scheme = HybridScheme(group)
-        return scheme, scheme.keygen(rng), scheme.keygen(rng)
+        return (scheme, *scheme.keygen(rng, 2))
+
+    def test_keygen_draws_each_secret_in_turn(self, group):
+        # the secrets of count keys are count draws of randrange(1, q), and
+        # each public key is g to its secret
+        rng, ref = random.Random(3), random.Random(3)
+        pairs = HybridScheme(group).keygen(rng, 5)
+        secrets = [ref.randrange(1, group.q) for _ in range(5)]
+        assert pairs == [KeyPair(public=pow(group.g, s, group.p), secret=s) for s in secrets]
+        assert rng.getstate() == ref.getstate()
+        assert HybridScheme(group).keygen(rng, 0) == []
 
     def test_roundtrip(self, parties, rng):
         scheme, a, b = parties
@@ -49,14 +60,14 @@ class TestHybridScheme:
 
     def test_wrong_key_fails(self, parties, rng):
         scheme, a, b = parties
-        c = scheme.keygen(rng)  # c's secret in place of the recipient's
+        (c,) = scheme.keygen(rng, 1)  # c's secret in place of the recipient's
         ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
         with pytest.raises(DecryptionError):
             scheme.decrypt(c.secret, a.public, ct)
 
     def test_wrong_sender_public_fails(self, parties, rng):
         scheme, a, b = parties
-        c = scheme.keygen(rng)  # c's public key in place of the sender's
+        (c,) = scheme.keygen(rng, 1)  # c's public key in place of the sender's
         ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
         with pytest.raises(DecryptionError):
             scheme.decrypt(b.secret, c.public, ct)
@@ -91,7 +102,7 @@ class TestHybridScheme:
 
     def test_fresh_scheme_builds_its_own_combs(self, parties, rng, comb_counts):
         scheme, a, b = parties
-        c = scheme.keygen(rng)
+        (c,) = scheme.keygen(rng, 1)
         built, evaluated = comb_counts
         for s in (scheme, HybridScheme(scheme.params)):
             s.encrypt(a.secret, c.public, b"to c", rng)
@@ -110,7 +121,7 @@ class TestHybridScheme:
         scheme, a, b = parties
         ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
         assert scheme.decrypt(b.secret, a.public, ct) == b"secret payload"
-        c = scheme.keygen(rng)  # the memo holds (a, b); c holds neither secret
+        (c,) = scheme.keygen(rng, 1)  # the memo holds (a, b); c holds neither secret
         for public in (a.public, b.public):
             with pytest.raises(DecryptionError):
                 scheme.decrypt(c.secret, public, ct)
@@ -118,7 +129,7 @@ class TestHybridScheme:
     def test_secret_not_from_keygen_roundtrips(self, parties, rng):
         scheme, a, _ = parties
         secret = rng.randrange(1, scheme.params.q)
-        public = scheme.params.exp(secret)
+        (public,) = scheme.params.exps([secret])
         ct = scheme.encrypt(secret, a.public, b"secret payload", rng)
         assert scheme.decrypt(a.secret, public, ct) == b"secret payload"
         ct = scheme.encrypt(a.secret, public, b"reply", rng)
@@ -161,7 +172,7 @@ class TestHybridScheme:
     def test_roundtrip_property(self, group, plaintext, seed):
         scheme = HybridScheme(group)
         r = random.Random(seed)
-        a, b = scheme.keygen(r), scheme.keygen(r)
+        a, b = scheme.keygen(r, 2)
         ct = scheme.encrypt(a.secret, b.public, plaintext, r)
         assert scheme.decrypt(b.secret, a.public, ct) == plaintext
 

@@ -126,10 +126,20 @@ class TestRequestCodecs:
         bundles, commits = vss.share([1.0, -1.0], 3, 4, group, codec, rng)
         cts = [b.to_bytes() for b in bundles]
         req = encode_share_request(cts, commits)
-        out_cts, out_commits = decode_share_request(req, 3)
+        dim = codec.packed_length(2)
+        out_cts, out_commits = decode_share_request(req, 4, 3, dim)
         assert out_cts == tuple(cts) and out_commits == commits
         with pytest.raises(vss.MalformedInputError):
-            decode_share_request(req + b"\x00", 3)
+            decode_share_request(req + b"\x00", 4, 3, dim)
+
+    @pytest.mark.parametrize("n, th, dim", [(3, 3, 2), (5, 3, 2), (4, 2, 2), (4, 4, 2),
+                                            (4, 3, 1), (4, 3, 3)])
+    def test_share_request_of_another_shape_rejected(self, group, codec, rng, n, th, dim):
+        # 4 ciphertexts and 3 columns of 2: any other count, th or dimension
+        bundles, commits = vss.share([1.0, -1.0], 3, 4, group, codec, rng)
+        req = encode_share_request([b.to_bytes() for b in bundles], commits)
+        with pytest.raises(vss.MalformedInputError):
+            decode_share_request(req, n, th, dim)
 
     def test_vote_request_roundtrip(self):
         req = encode_vote_request([3, 0, 2])
@@ -139,12 +149,15 @@ class TestRequestCodecs:
         bundles, _ = vss.share([0.5], 3, 4, group, codec, rng)
         summed = vss.sum_shares([bundles[0]], group)
         req = encode_agg_request(summed)
-        assert decode_agg_request(req, 1) == summed
+        assert decode_agg_request(req, 1, summed.dimension) == summed
+        for dim in (0, 2):
+            with pytest.raises(vss.MalformedInputError):
+                decode_agg_request(req, 1, dim)
 
     def test_agg_request_trailing_byte_rejected(self, group, codec, rng):
         bundles, _ = vss.share([0.5], 3, 4, group, codec, rng)
         with pytest.raises(vss.MalformedInputError):
-            decode_agg_request(encode_agg_request(bundles[0]) + b"\x00", 1)
+            decode_agg_request(encode_agg_request(bundles[0]) + b"\x00", 1, 1)
 
 
 class TestPlainEngine:
@@ -210,13 +223,17 @@ class TestDefendedEngine:
         assert a.to_dict() == b.to_dict()
 
 
+def decode_own_share_request(node, req):
+    return decode_share_request(req, node.config.n, node.config.th, node.packed_dim)
+
+
 class ShortCommitments(dpml.WorkflowParticipant):
     """Participant 0 submits commitments one element short."""
 
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 0:
-            cts, commits = decode_share_request(req, self.config.th)
-            req = encode_share_request(cts, commits[:-1])
+            cts, commits = decode_own_share_request(self, req)
+            req = encode_share_request(cts, tuple(c[:-1] for c in commits))
         super().broadcast_update(sq, req)
 
 
@@ -235,7 +252,7 @@ class ShortAggShare(dpml.WorkflowParticipant):
 
     def broadcast_update(self, sq, req):
         if self.rid in self.short and sq % 3 == 2:
-            bundle = decode_agg_request(req, self.eval_point)
+            bundle = decode_agg_request(req, self.eval_point, self.packed_dim)
             req = encode_agg_request(dataclasses.replace(bundle, values=bundle.values[:-1]))
         super().broadcast_update(sq, req)
 
@@ -349,17 +366,17 @@ class Reflector(RecordsVerified):
             return super().submit_shares(vector)
         self._pending = vector
 
-    def on_message(self, m, now=0):
+    def on_message(self, m):
         if (self.rid == 0 and m.kind == MsgKind.REQUEST and m.sq % 3 == 0
                 and m.sender == 1 and self._pending is not None):
-            self._theirs = decode_share_request(m.payload[0], self.config.th)[0][0]
+            self._theirs = decode_own_share_request(self, m.payload[0])[0][0]
             vector, self._pending = self._pending, None
             super().submit_shares(vector)
-        super().on_message(m, now)
+        super().on_message(m)
 
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 0:
-            cts, commits = decode_share_request(req, self.config.th)
+            cts, commits = decode_own_share_request(self, req)
             req = encode_share_request(cts[:1] + (self._theirs,) + cts[2:], commits)
         super().broadcast_update(sq, req)
 
@@ -369,7 +386,7 @@ class FlipsCiphertext(RecordsVerified):
 
     def broadcast_update(self, sq, req):
         if self.rid == 0 and sq % 3 == 0:
-            cts, commits = decode_share_request(req, self.config.th)
+            cts, commits = decode_own_share_request(self, req)
             flipped = cts[1][:-1] + bytes([cts[1][-1] ^ 1])
             req = encode_share_request(cts[:1] + (flipped,) + cts[2:], commits)
         super().broadcast_update(sq, req)
@@ -412,7 +429,7 @@ def round_one():
     group = generate_group(config.bits_p, config.bits_q)
     codec = FixedPointCodec(config.fraction_bits, group.q, config.n)
     scheme = crypto.HybridScheme(group)
-    keys = [scheme.keygen(random.Random(i)) for i in range(config.n)]
+    keys = [scheme.keygen(random.Random(i), 1)[0] for i in range(config.n)]
     datasets, test, w0 = dpml._task(config)
     coordinator = dpml._Coordinator(datasets, test)
     keyring = crypto.KeyRing(range(config.n), random.Random(0))
@@ -438,25 +455,27 @@ def round_one():
 
 def peer_request(slot, valid, seal):
     """Arbitrary bytes, a truncation or one-byte mutation of a valid request,
-    or a well-formed request one size off: n ciphertexts, the packed
-    dimension 8 in the commitments, in the share the ciphertext opens to, or
-    in an aggregated share."""
+    or a well-formed request one size off: n ciphertexts, th = 3 commitment
+    columns, the packed dimension 8 in every column, in the share the
+    ciphertext opens to, or in an aggregated share."""
     def elements(k):
         return st.lists(st.integers(0, 2**100), min_size=k, max_size=k)
 
     off = st.sampled_from([0, 7, 9])
     if slot == 0:
-        def share_request(count, rows, values):
-            return encode_share_request([seal(wire.pack_fixed(values))] * count, rows)
+        def share_request(count, columns, values):
+            return encode_share_request([seal(wire.pack_fixed(values))] * count, columns)
 
-        def commitments(k):
-            return st.lists(st.tuples(*[st.integers(0, 2**100)] * 3),
-                            min_size=k, max_size=k)
+        def commitments(dim, th=3):
+            return st.lists(elements(dim).map(tuple), min_size=th, max_size=th)
 
         resized = st.one_of(
             st.builds(share_request, st.sampled_from([0, 1, 3, 5]), commitments(8),
                       elements(8)),
             st.builds(share_request, st.just(4), off.flatmap(commitments), elements(8)),
+            st.builds(share_request, st.just(4),
+                      st.sampled_from([1, 2, 4]).flatmap(lambda th: commitments(8, th)),
+                      elements(8)),
             st.builds(share_request, st.just(4), commitments(8), off.flatmap(elements)))
     else:
         resized = off.flatmap(elements).map(wire.pack_fixed)
@@ -471,8 +490,8 @@ def peer_request(slot, valid, seal):
 
 class TestPeerBytes:
     """Whatever one origin's request in a slot holds, receiving_update raises
-    nothing and stores only commitments and shares of the packed dimension,
-    so the slot's own step raises nothing either."""
+    nothing and stores only th commitment columns and shares of the packed
+    dimension, so the slot's own step raises nothing either."""
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
     @given(data=st.data())
@@ -490,10 +509,36 @@ class TestPeerBytes:
                     sq, o, req if (sq, o) == (slot, origin) else requests[sq][o])
             if sq < 2:  # the aggregate slot's step needs every participant
                 receiver.on_slot_committed(sq, ())
-        dim = receiver.codec.packed_length(receiver.config.dim)
-        assert all(len(c) == dim for c in receiver._commits.values())
+        dim, th = receiver.codec.packed_length(receiver.config.dim), receiver.config.th
+        assert all(len(c) == th and {len(col) for col in c} == {dim}
+                   for c in receiver._commits.values())
         assert all(b.dimension == dim for b in receiver._own_shares.values())
         assert all(b.dimension == dim for b in receiver._agg.values())
+
+
+def resized_share_requests(node, req):
+    """req with one ciphertext more or fewer, or every commitment column one
+    element longer or shorter."""
+    cts, commits = decode_own_share_request(node, req)
+    return {"n+1": encode_share_request(cts + cts[-1:], commits),
+            "n-1": encode_share_request(cts[:-1], commits),
+            "dim+1": encode_share_request(cts, tuple(c + c[-1:] for c in commits)),
+            "dim-1": encode_share_request(cts, tuple(c[:-1] for c in commits))}
+
+
+def test_share_request_of_another_shape_is_neither_stored_nor_eavesdropped():
+    """A share request of the wrong shape decodes to nothing: no receiver
+    stores its commitments or opens its share, and the delaying dealer opens
+    none of it either, though its own ciphertext is intact."""
+    participant, (shares, _, _), _ = round_one()
+    receiver, node = participant(1), participant(3, dpml.DelayedDealerNode)
+    for name, req in resized_share_requests(receiver, shares[0]).items():
+        receiver.receiving_update(0, 0, req)
+        node._eavesdrop(0, 0, req)
+        assert 0 not in receiver._commits and 0 not in receiver._own_shares, name
+        assert node.observed == {}, name
+    node._eavesdrop(0, 0, shares[0])  # the valid request opens
+    assert [b.eval_point for b in node.observed[0][0]] == [4]
 
 
 @pytest.mark.parametrize("voters, admitted", [((0, 1), [0, 1, 2]),
@@ -563,7 +608,7 @@ def test_no_participant_checks_its_own_share(monkeypatch, mode):
         group = generate_group(96, 48)
         for counts in (sealed, opened):
             assert sum(counts.values()) == 4 * 3 * FAST["rounds"]
-            assert all(public != group.exp(secret) for secret, public in counts)
+            assert all([public] != group.exps([secret]) for secret, public in counts)
 
 
 @pytest.mark.parametrize("attacker_reads", dpml.ATTACKER_READS)
@@ -579,10 +624,10 @@ def test_attacker_forgets_committed_slots(monkeypatch, attacker_reads):
             super().__init__(*args)
             nodes.append(self)
 
-        def on_message(self, m, now=0):
+        def on_message(self, m):
             if m.kind == MsgKind.REQUEST and m.sq == 0 and m.sender != self.rid:
                 slot_zero.append(m)
-            super().on_message(m, now)
+            super().on_message(m)
 
         def _share_slot_done(self, sq):
             seen.append(sum(map(len, self.observed.get(sq, {}).values())))
@@ -676,7 +721,7 @@ def test_identical_aggregated_shares_keep_their_origins_points():
         assert {o: b.eval_point for o, b in receiver._agg.items()} == {
             o: o + 1 for o in range(4)}
         assert {b.values for b in receiver._agg.values()} == {
-            decode_agg_request(aggs[0], 1).values}
+            decode_agg_request(aggs[0], 1, receiver.packed_dim).values}
 
 
 class TestPreGstTraining:

@@ -43,24 +43,30 @@ class TestHandOracle:
         assert vss.reconstruct_encoded(bundles, 2, tiny_group) == (5,)
 
     def test_commitments_verify(self, tiny_group):
-        # commitments for f(x) = 5 + 3x: (g^5, g^3) = (32, 8) mod 47
+        # commitments for f(x) = 5 + 3x: the columns (g^5,) and (g^3,) mod 47
         assert pow(2, 5, 47) == 32 and pow(2, 3, 47) == 8
-        commits = ((32, 8),)
+        commits = ((32,), (8,))
         good = ShareBundle(eval_point=2, values=(11,))
         assert vss.verify(good, commits, tiny_group)
         bad = ShareBundle(eval_point=2, values=(12,))
         assert not vss.verify(bad, commits, tiny_group)
 
 
+def transpose(matrix):
+    """Commitment rows, one per element, from columns, one per coefficient,
+    or back: the per-element references below take rows."""
+    return tuple(zip(*matrix))
+
+
 def product_form_verify(bundle, commitments, params):
     """The textbook right-hand side, prod_k c_k^(j^k mod q), kept as an
-    oracle for verify's Horner form."""
+    oracle for verify's Horner form; commitments in rows."""
     p, q, j = params.p, params.q, bundle.eval_point
     for value, row in zip(bundle.values, commitments):
         rhs = 1
         for k, c in enumerate(row):
             rhs = rhs * pow(c, pow(j, k, q), p) % p
-        if params.exp(value) != rhs:
+        if params.exps([value]) != [rhs]:
             return False
     return True
 
@@ -68,7 +74,8 @@ def product_form_verify(bundle, commitments, params):
 # The per-element loops that share, verify, sum_shares and
 # reconstruct_encoded replaced with whole-vector passes, kept as references:
 # each new kernel must give the same result, or raise the same type, on any
-# input.
+# input of a shape that both take.  The share and verify references keep
+# commitments in rows.
 
 def per_element_share(secret, th, n, params, codec, rng):
     encoded = codec.encode_vector(secret)
@@ -76,7 +83,7 @@ def per_element_share(secret, th, n, params, codec, rng):
         raise ValueError("threshold must satisfy 1 <= th <= n")
     q = params.q
     polys = [[s % q] + [rng.randrange(q) for _ in range(th - 1)] for s in encoded]
-    commitments = tuple(tuple(params.exp(a) for a in coeffs) for coeffs in polys)
+    commitments = tuple(tuple(params.exps(coeffs)) for coeffs in polys)
     return ([ShareBundle(j, tuple(eval_poly(coeffs, j, q) for coeffs in polys))
              for j in range(1, n + 1)], commitments)
 
@@ -98,7 +105,7 @@ def per_element_sum_shares(bundles, params):
     if not bundles:
         raise MalformedInputError("no bundles to sum")
     first, q = bundles[0], params.q
-    acc = list(first.values)
+    acc = [v % q for v in first.values]
     for b in bundles[1:]:
         if b.eval_point != first.eval_point or b.dimension != first.dimension:
             raise MalformedInputError("mismatch in sum")
@@ -126,6 +133,11 @@ def per_element_reconstruct_encoded(bundles, th, params):
     return tuple(out)
 
 
+def share_in_rows(*args):
+    bundles, commitments = vss.share(*args)
+    return bundles, transpose(commitments)
+
+
 def outcome(kernel, *args):
     """What a call returns, or the type of what it raises."""
     try:
@@ -142,8 +154,9 @@ def any_values(params, dim):
 class TestWholeVectorKernels:
     """share, verify, sum_shares and reconstruct_encoded agree with the
     per-element references above, at every group, on values at least q and
-    negative, a single bundle, dimension-0 bundles, and commitment rows of
-    unequal or zero length."""
+    negative, a single bundle and dimension-0 bundles; verify raises
+    MalformedInputError on no commitment columns or columns of unequal
+    length."""
 
     GROUPS = ["tiny_group", "group", "group_2048"]
 
@@ -159,7 +172,7 @@ class TestWholeVectorKernels:
         th, n = data.draw(st.integers(0, 5), label="th"), data.draw(st.integers(1, 6), label="n")
         seed = data.draw(st.integers(0, 2**32), label="seed")
         rng, ref = random.Random(seed), random.Random(seed)
-        assert outcome(vss.share, secret, th, n, params, codec, rng) == outcome(
+        assert outcome(share_in_rows, secret, th, n, params, codec, rng) == outcome(
             per_element_share, secret, th, n, params, codec, ref)
         assert rng.getstate() == ref.getstate()
 
@@ -169,33 +182,38 @@ class TestWholeVectorKernels:
     def test_verify(self, request, name, data):
         params = request.getfixturevalue(name)
         dim = data.draw(st.integers(0, 4), label="dim")
+        th = data.draw(st.integers(0, 4), label="th")
         values = data.draw(any_values(params, dim), label="values")
-        widths = data.draw(st.one_of(
-            st.lists(st.integers(0, 4), min_size=dim, max_size=dim),
-            st.integers(0, 4).map(lambda th: [th] * dim)), label="row lengths")
-        if data.draw(st.booleans(), label="honest rows"):
-            # rows of polynomials whose values at j are the shares, so that
-            # the elements after the first are reached
-            rows, j = [], data.draw(st.integers(1, 13), label="j")
-            for e, width in enumerate(widths):
-                coeffs = data.draw(st.lists(st.integers(0, params.q - 1),
-                                            min_size=width, max_size=width))
-                rows.append(tuple(params.exp(a) for a in coeffs))
-                values[e] = eval_poly(coeffs, j, params.q)
+        if data.draw(st.booleans(), label="honest columns"):
+            # columns of polynomials whose values at j are the shares, so
+            # that the elements after the first are reached
+            j = data.draw(st.integers(1, 13), label="j")
+            polys = [data.draw(st.lists(st.integers(0, params.q - 1),
+                                        min_size=th, max_size=th)) for _ in range(dim)]
+            columns = [params.exps([coeffs[k] for coeffs in polys]) for k in range(th)]
+            values = [eval_poly(coeffs, j, params.q) for coeffs in polys]
         else:
             j = data.draw(st.integers(0, 13), label="j")
-            rows = [tuple(data.draw(any_values(params, width))) for width in widths]
+            columns = [data.draw(any_values(params, dim)) for _ in range(th)]
         if data.draw(st.booleans(), label="spoil one element") and dim:
             e = data.draw(st.integers(0, dim - 1))
             values[e] += 1
-        if data.draw(st.booleans(), label="lift one commitment by p") and any(rows):
-            e = data.draw(st.sampled_from([e for e, row in enumerate(rows) if row]))
-            rows[e] = (rows[e][0] + params.p,) + rows[e][1:]
-        if data.draw(st.booleans(), label="drop a row"):
-            rows = rows[1:]
-        bundle, commitments = ShareBundle(j, tuple(values)), tuple(rows)
-        assert outcome(vss.verify, bundle, commitments, params) == outcome(
-            per_element_verify, bundle, commitments, params)
+        if data.draw(st.booleans(), label="lift one commitment by p") and th and dim:
+            k, e = data.draw(st.integers(0, th - 1)), data.draw(st.integers(0, dim - 1))
+            columns[k][e] += params.p
+        short = data.draw(st.sampled_from(["none", "every column", "one column"]),
+                          label="drop the last element of")
+        if short != "none" and th and dim:
+            k = data.draw(st.integers(0, th - 1)) if short == "one column" else None
+            columns = [c[:-1] if k in (None, i) else c for i, c in enumerate(columns)]
+        bundle = ShareBundle(j, tuple(values))
+        commitments = tuple(tuple(c) for c in columns)
+        if th and len(set(map(len, commitments))) == 1:
+            assert outcome(vss.verify, bundle, commitments, params) == outcome(
+                per_element_verify, bundle, transpose(commitments), params)
+        else:  # no column, or columns of unequal length: no rows to compare
+            assert outcome(vss.verify, bundle, commitments, params) == (
+                "raises", MalformedInputError)
 
     @pytest.mark.parametrize("name", GROUPS)
     @given(data=st.data())
@@ -224,7 +242,7 @@ class TestWholeVectorKernels:
                    for x in points]
         if bundles and data.draw(st.booleans(), label="one longer bundle"):
             bundles[0] = ShareBundle(points[0], bundles[0].values + (1,))
-        th = data.draw(st.integers(-1, 5), label="th")
+        th = data.draw(st.integers(1, 5), label="th")
         assert outcome(vss.reconstruct_encoded, bundles, th, params) == outcome(
             per_element_reconstruct_encoded, bundles, th, params)
 
@@ -245,7 +263,7 @@ class TestHornerVerify:
         dim = data.draw(st.integers(1, 3), label="dim")
         polys = [data.draw(st.lists(st.integers(0, q - 1), min_size=th, max_size=th))
                  for _ in range(dim)]
-        rows = [[params.exp(a) for a in coeffs] for coeffs in polys]
+        rows = [params.exps(coeffs) for coeffs in polys]
         values = [vss.eval_poly(coeffs, j, q) for coeffs in polys]
         outside = st.one_of(st.just(p - 1), st.integers(2, p - 2))
         for e in range(dim):
@@ -257,7 +275,7 @@ class TestHornerVerify:
             values[e] = (values[e] + data.draw(st.integers(1, q - 1))) % q
         bundle = ShareBundle(j, tuple(values))
         commitments = tuple(tuple(row) for row in rows)
-        assert vss.verify(bundle, commitments, params) == product_form_verify(
+        assert vss.verify(bundle, transpose(commitments), params) == product_form_verify(
             bundle, commitments, params)
 
     @pytest.mark.parametrize("name", ["group", "group_2048"])
@@ -266,15 +284,15 @@ class TestHornerVerify:
         rng = random.Random(5)
         th, q = 13, params.q
         coeffs = [rng.randrange(q) for _ in range(th)]
-        row = tuple(params.exp(a) for a in coeffs)
+        row = tuple(params.exps(coeffs))
         for j in range(1, 14):
             bundle = ShareBundle(j, (vss.eval_poly(coeffs, j, q),))
-            assert vss.verify(bundle, (row,), params)
+            assert vss.verify(bundle, transpose((row,)), params)
             assert not vss.verify(ShareBundle(j, ((bundle.values[0] + 1) % q,)),
-                                  (row,), params)
+                                  transpose((row,)), params)
             for k in range(th):
                 tampered = row[:k] + (row[k] * params.g % params.p,) + row[k + 1:]
-                assert not vss.verify(bundle, (tampered,), params)
+                assert not vss.verify(bundle, transpose((tampered,)), params)
 
     @pytest.mark.parametrize("name", ["group", "group_2048"])
     def test_only_the_last_value_wrong_fails(self, request, name, rng):
@@ -294,11 +312,11 @@ class TestHornerVerify:
         # -1 = p - 1 lies outside the order-q subgroup; raised to j^k it is 1
         # at an even j, so both forms accept it in place of any c_k, k >= 1
         coeffs = [7, 11, 13]
-        row = [group.exp(a) for a in coeffs]
+        row = group.exps(coeffs)
         row[1] = row[1] * (group.p - 1) % group.p
         for j, passes in ((2, True), (3, False)):
             bundle = ShareBundle(j, (vss.eval_poly(coeffs, j, group.q),))
-            assert vss.verify(bundle, (tuple(row),), group) is passes
+            assert vss.verify(bundle, transpose((row,)), group) is passes
             assert product_form_verify(bundle, (tuple(row),), group) is passes
 
 
@@ -321,8 +339,8 @@ class TestShareReconstruct:
         polys = [[s] + [ref.randrange(q) for _ in range(th - 1)]
                  for s in codec.encode_vector(secret)]
         assert rng.getstate() == ref.getstate()
-        assert commits == tuple(tuple(pow(params.g, a, params.p) for a in coeffs)
-                                for coeffs in polys)
+        assert commits == tuple(tuple(pow(params.g, coeffs[k], params.p) for coeffs in polys)
+                                for k in range(th))
         assert bundles == [ShareBundle(j, tuple(eval_poly(coeffs, j, q) for coeffs in polys))
                            for j in range(1, n + 1)]
 
@@ -332,6 +350,13 @@ class TestShareReconstruct:
         assert all(vss.verify(b, commits, group) for b in bundles)
         for subset in itertools.combinations(bundles, 3):
             assert vss.reconstruct(subset, 3, group, codec, 3) == tuple(secret)
+
+    @pytest.mark.parametrize("th", [0, -1])
+    def test_threshold_below_one_raises(self, group, codec, rng, th):
+        # th -1 used to take every bundle but the last and return a wrong sum
+        bundles, _ = vss.share([1.0], 3, 4, group, codec, rng)
+        with pytest.raises(ValueError, match="at least 1"):
+            vss.reconstruct_encoded(bundles, th, group)
 
     def test_insufficient_shares(self, group, codec, rng):
         bundles, _ = vss.share([1.0], 3, 4, group, codec, rng)
@@ -386,6 +411,17 @@ class TestSoundness:
         with pytest.raises(MalformedInputError):
             vss.verify(longer, commits, group)
 
+    def test_columns_of_unequal_length_or_another_dimension_raise(self, group, codec,
+                                                                   rng):
+        bundles, commits = vss.share([0.5, -0.5, 1.0], 3, 4, group, codec, rng)
+        three, pair = bundles[0], ShareBundle(1, bundles[0].values[:2])
+        for bundle, columns in (
+                (three, commits[:2] + (commits[2][:-1],)),  # the last one short
+                (pair, commits[:2]),  # two columns of three for two elements
+                (ShareBundle(1, ()), ())):  # no column at all
+            with pytest.raises(MalformedInputError):
+                vss.verify(bundle, columns, group)
+
 
 class TestHiding:
     def test_below_threshold_shares_are_consistent_with_any_secret(self):
@@ -414,6 +450,10 @@ class TestHomomorphism:
         total = vss.reconstruct(summed, 3, group, codec, 2)
         assert total == (0.75, 1.5)
 
+    def test_lone_bundle_comes_back_reduced(self, group):
+        lone = ShareBundle(2, (group.q, group.q + 5, 7))
+        assert vss.sum_shares([lone], group) == ShareBundle(2, (0, 5, 7))
+
     def test_sum_rejects_mismatched_points(self, group, codec, rng):
         a, _ = vss.share([1.0], 2, 4, group, codec, rng)
         b, _ = vss.share([1.0], 2, 4, group, codec, rng)
@@ -425,32 +465,45 @@ class TestSerialization:
     def test_bundle_roundtrip(self, group, codec, rng):
         bundles, commits = vss.share([1.0, -2.0], 3, 4, group, codec, rng)
         for b in bundles:
-            assert vss.parse_bundle(b.to_bytes(), b.eval_point) == b
-        assert vss.parse_commitments(vss.commitments_to_bytes(commits), 3) == commits
+            assert vss.parse_bundle(b.to_bytes(), b.eval_point, 2) == b
+        assert vss.parse_commitments(vss.commitments_to_bytes(commits), 3, 2) == commits
 
     def test_truncated_bundle_rejected(self, group, codec, rng):
         bundles, _ = vss.share([1.0], 3, 4, group, codec, rng)
         data = bundles[0].to_bytes()
         with pytest.raises(MalformedInputError):
-            vss.parse_bundle(data[:-1], 1)
+            vss.parse_bundle(data[:-1], 1, 1)
         with pytest.raises(MalformedInputError):
-            vss.parse_bundle(data + b"\x00", 1)
+            vss.parse_bundle(data + b"\x00", 1, 1)
 
     def test_truncated_commitments_rejected(self, group, codec, rng):
         _, commits = vss.share([1.0], 3, 4, group, codec, rng)
         with pytest.raises(MalformedInputError):
-            vss.parse_commitments(vss.commitments_to_bytes(commits)[:-2], 3)
+            vss.parse_commitments(vss.commitments_to_bytes(commits)[:-2], 3, 1)
 
     def test_coordinates_without_commitments_rejected(self):
-        # 3 commitments of width 1: rows of th 3 or 1, not of 2
+        # 3 commitments of width 1: 3 columns of 1 or 1 column of 3, nothing else
         commitments = wire.pack_fixed([5, 6, 7])
-        assert vss.parse_commitments(commitments, 3) == ((5, 6, 7),)
-        assert vss.parse_commitments(commitments, 1) == ((5,), (6,), (7,))
-        with pytest.raises(MalformedInputError):
-            vss.parse_commitments(commitments, 2)  # 3 is not a multiple of 2
+        assert vss.parse_commitments(commitments, 3, 1) == ((5,), (6,), (7,))
+        assert vss.parse_commitments(commitments, 1, 3) == ((5, 6, 7),)
+        for th, dim in ((2, 1), (2, 2), (3, 2), (1, 2), (3, 0)):
+            with pytest.raises(MalformedInputError):
+                vss.parse_commitments(commitments, th, dim)
 
     def test_empty_commitments_roundtrip(self):
-        assert vss.parse_commitments(vss.commitments_to_bytes(()), 3) == ()
+        # a zero-dimension vector's commitments are th empty columns
+        empty = ((), (), ())
+        assert vss.parse_commitments(vss.commitments_to_bytes(empty), 3, 0) == empty
+
+    @given(st.integers(1, 5), st.integers(0, 4), st.data())
+    def test_columns_roundtrip(self, th, dim, data):
+        columns = tuple(tuple(data.draw(st.lists(st.integers(0, 2**100), min_size=dim,
+                                                 max_size=dim)))
+                        for _ in range(th))
+        data_bytes = vss.commitments_to_bytes(columns)
+        assert vss.parse_commitments(data_bytes, th, dim) == columns
+        # column by column: the values of column k follow those of column k - 1
+        assert wire.unpack_fixed(data_bytes) == sum(columns, ())
 
     def test_zero_width_rejected_before_allocating(self):
         # count 2^32 - 1 at width 0: raises on the header alone
@@ -459,7 +512,7 @@ class TestSerialization:
         try:
             for parse in (vss.parse_bundle, vss.parse_commitments):
                 with pytest.raises(MalformedInputError):
-                    parse(header, 1)
+                    parse(header, 1, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -468,19 +521,19 @@ class TestSerialization:
     def test_values_past_the_end_rejected(self):
         # count 2 at width 3 needs 6 bytes; 5 are there
         short = wire.u32(2) + wire.u32(3) + bytes(5)
-        assert vss.parse_bundle(short + b"\x00", 1).values == (0, 0)
+        assert vss.parse_bundle(short + b"\x00", 1, 2).values == (0, 0)
         with pytest.raises(MalformedInputError):
-            vss.parse_bundle(short, 1)
+            vss.parse_bundle(short, 1, 2)
         with pytest.raises(MalformedInputError):
-            vss.parse_commitments(short, 1)
+            vss.parse_commitments(short, 1, 2)
         # a count whose values could not fit in any real input
         huge = wire.u32(2**32 - 1) + wire.u32(2**32 - 1)
         with pytest.raises(MalformedInputError):
-            vss.parse_bundle(huge, 1)
+            vss.parse_bundle(huge, 1, 2**32 - 1)
 
     def test_trailing_byte_rejected(self, group, codec, rng):
         bundles, commits = vss.share([1.0, -2.0], 3, 4, group, codec, rng)
         with pytest.raises(MalformedInputError):
-            vss.parse_bundle(bundles[0].to_bytes() + b"\x00", 1)
+            vss.parse_bundle(bundles[0].to_bytes() + b"\x00", 1, 2)
         with pytest.raises(MalformedInputError):
-            vss.parse_commitments(vss.commitments_to_bytes(commits) + b"\x00", 3)
+            vss.parse_commitments(vss.commitments_to_bytes(commits) + b"\x00", 3, 2)
