@@ -14,8 +14,10 @@ takes the highest prepared certificate of each slot they name.
 Each replica runs one progress timer, only while requests wait at its
 execution watermark; its timeouts double per view change, up to 2^_MAX_BACKOFF
 times the first.  A 2f+1 COMMIT quorum in any view commits its digest,
-whatever view the batch arrives in; any other normal-case message of a view
-that is not the replica's own is dropped, as in PBFT.
+whatever view of the slot the batch is accepted in; any other normal-case
+message of a view that is not the replica's own is dropped, as in PBFT.  A
+committed slot is decided: it takes no more input, as an executed one takes
+none, and VIEW_CHANGEs carry its prepared certificate until it executes.
 
 Each replica is a pure state machine: one event in (message or timer fire),
 outbound messages and timer operations out.  The simulator owns time and
@@ -216,8 +218,7 @@ class SlotState:
     verified: dict = dc_field(default_factory=dict)  # origin -> last triple whose tag checked
     proposals: dict = dc_field(default_factory=dict)  # proposer -> initial proposal
     own_request: Optional[bytes] = None  # what we submitted here
-    committed: bool = False
-    committed_batch: Optional[tuple[ReqTriple, ...]] = None
+    committed_batch: Optional[tuple[ReqTriple, ...]] = None  # None until the slot commits
     deferred: Optional[bytes] = None  # digest whose commit quorum came before its batch
     proposal_view: Optional[int] = None  # view in which we sent our pre-propose
     emitted_view: Optional[int] = None  # view in which we (as primary) pre-prepared
@@ -292,7 +293,7 @@ class Replica:
 
     def _decided(self, sq: int) -> bool:
         slot = self.slots.get(sq)
-        return sq < self.next_exec or (slot is not None and slot.committed)
+        return sq < self.next_exec or (slot is not None and slot.committed_batch is not None)
 
     def _authentic(self, m: Message) -> bool:
         return m.memo(self.keyring, _tag_ok, self.keyring, m)
@@ -353,8 +354,10 @@ class Replica:
             self.dropped_count += 1
             return
         if m.kind in _NORMAL_CASE:
-            if m.sq < self.next_exec:
-                return  # the slot is executed and gone; nothing here is a fault
+            # a decided slot takes no more input, silently (_decided, inlined for speed)
+            slot = self.slots.get(m.sq)
+            if m.sq < self.next_exec or (slot is not None and slot.committed_batch is not None):
+                return
             # stale COMMITs still count: a commit quorum in any view proves the
             # slot committed; a later view's message is dropped, as in PBFT
             if m.view != self.view and (m.view > self.view or m.kind != MsgKind.COMMIT):
@@ -371,17 +374,14 @@ class Replica:
         elif kind == "vc":
             if self.view < arg and self._waiting():
                 self._start_view_change(arg + 1)
-        elif arg >= self.next_exec:
-            handler = {"batch": self._form_proposal, "prop": self._emit_pre_prepare}[kind]
-            handler(arg)
+        elif not self._decided(arg):
+            (self._form_proposal if kind == "batch" else self._emit_pre_prepare)(arg)
 
     # -- request batching ------------------------------------------------
 
     def _on_request(self, m: Message):
         sq = m.sq
         slot = self._slot(sq)
-        if slot.committed:
-            return
         req, rtag = m.payload
         triple = (m.sender, req, rtag)
         if not self._requests_ok(m, slot, (triple,)):
@@ -400,9 +400,6 @@ class Replica:
 
     def _form_proposal(self, sq: int):
         slot = self._slot(sq)
-        if (slot.committed or slot.proposal_view == self.view
-                or len(slot.pending) < 2 * self.f + 1):
-            return
         self._cancel_timer(("batch", sq))
         if sq == self.next_exec:
             self._restart_progress_timer()
@@ -418,16 +415,17 @@ class Replica:
 
     def _on_pre_propose(self, m: Message):
         sq = m.sq
+        if self.primary() != self.rid:
+            self.dropped_count += 1  # only a Byzantine sender pre-proposes to a backup
+            return
         slot = self._slot(sq)
-        if slot.committed or slot.emitted_view == self.view:
+        if slot.emitted_view == self.view:
             return
         proposal = tuple(m.payload)
         if not self._requests_ok(m, slot, proposal):
             self.dropped_count += 1
             return
         slot.proposals[m.sender] = proposal
-        if self.primary() != self.rid:
-            return
         if len(slot.proposals) > 2 * self.f:
             if len(slot.proposals) >= self.n:
                 self._emit_pre_prepare(sq)
@@ -436,8 +434,6 @@ class Replica:
 
     def _emit_pre_prepare(self, sq: int):
         slot = self._slot(sq)
-        if slot.committed or slot.emitted_view == self.view or self.primary() != self.rid:
-            return
         if slot.at(self.view).accepted_digest is not None:
             return  # a certificate-backed digest already occupies this slot
         if len(slot.proposals) <= 2 * self.f:
@@ -501,8 +497,6 @@ class Replica:
     def _on_commit(self, m: Message):
         (digest,) = m.payload
         slot = self._slot(m.sq)
-        if slot.committed:
-            return
         sv = slot.at(m.view)
         sv.commits[digest][m.sender] = m
         count = len(sv.commits[digest])
@@ -513,25 +507,24 @@ class Replica:
             sv.commit_sent = True
             self._broadcast(self._make(MsgKind.COMMIT, m.sq, (digest,), view=m.view))
         if count >= 2 * self.f + 1:
-            if sv.batch is not None and sv.accepted_digest == digest:
-                self._commit_local(m.sq, m.view, digest, sv.batch)
+            # the batch may be accepted in any view of the slot: the quorum's own first
+            for view in (m.view, *slot.views):
+                if slot.views[view].accepted_digest == digest:
+                    self._commit_local(m.sq, view, digest, slot.views[view].batch)
+                    break
             else:
                 # quorum reached before we saw the batch; commit it on arrival, in any view
                 slot.deferred = digest
 
     def _commit_local(self, sq: int, view: int, digest: bytes, batch):
-        slot = self._slot(sq)
-        if slot.committed:
-            return
-        slot.committed = True
-        slot.committed_batch = batch
+        self._slot(sq).committed_batch = batch
         if self.commit_listener is not None:
             self.commit_listener(self.rid, sq, view, digest)
         self._drain_executions()
 
     def _drain_executions(self):
         start = self.next_exec
-        while (slot := self.slots.get(self.next_exec)) is not None and slot.committed:
+        while (slot := self.slots.get(self.next_exec)) is not None and slot.committed_batch is not None:
             batch = slot.committed_batch
             sq = self.next_exec
             self.next_exec += 1
@@ -572,7 +565,7 @@ class Replica:
         certs = []
         for sq, slot in sorted(self.slots.items()):
             prepared = [view for view, sv in slot.views.items() if sv.prepare_cert]
-            if prepared and not slot.committed:
+            if prepared:
                 view = max(prepared)
                 sv = slot.views[view]
                 certs.append((sq, view, sv.batch, sv.prepare_cert))
@@ -651,21 +644,20 @@ class Replica:
         self._cancel_timer(("vc", target))
         for old in [t for t in self.view_changes if t <= target]:
             del self.view_changes[old]
-        for sq, slot in self.slots.items():
-            if slot.committed:
-                continue
+        live = [(sq, s) for sq, s in sorted(self.slots.items()) if s.committed_batch is None]
+        for sq, slot in live:
             slot.proposals = {}
             self._cancel_timer(("batch", sq))
             self._cancel_timer(("prop", sq))
         self._restart_progress_timer()
         # re-propose what we already batched, so the new primary does not
         # have to wait out a full round of request rebroadcasts
-        for sq, slot in sorted(self.slots.items()):
-            if not slot.committed and slot.proposal_view is not None:
+        for sq, slot in live:
+            if slot.proposal_view is not None:
                 self._propose(sq, slot)
         # our own uncommitted requests go out again under the new view
-        for sq, slot in sorted(self.slots.items()):
-            if slot.own_request is not None and not slot.committed:
+        for sq, slot in live:
+            if slot.own_request is not None:
                 self._send_request(sq, slot.own_request)
 
 

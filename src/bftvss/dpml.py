@@ -17,11 +17,12 @@ trains for exactly config.rounds rounds.  Two drivers run the rounds:
   (WorkflowParticipant) and a malicious one is a subclass of it
   (DelayedDealerNode for "+acumpa").  Each round occupies three consensus
   slots: encrypted shares plus commitments, then bundled verification
-  votes, then aggregated sum shares.  A request carries only what its
-  receivers cannot derive: its dealer, voter or sender is its authenticated
-  origin, the slot gives its kind, th and the packed dimension split the
-  commitments into columns, and a share's evaluation point is its holder's
-  id + 1.  Shares always travel encrypted, and config.attacker_reads says
+  votes, then aggregated sum shares, or complaints from participants that
+  hold no verified share of some admitted dealer.  A request carries only
+  what its receivers cannot derive: its dealer, voter or sender is its
+  authenticated origin, the slot gives its kind, th and the packed
+  dimension split the commitments into columns, and a share's evaluation
+  point is its holder's id + 1.  Shares always travel encrypted, and config.attacker_reads says
   which the delaying dealer can open.  At "own-shares" it opens only the shares dealt to itself, never th
   of one honest dealer's, so it cannot reconstruct the honest updates, and
   a dealer that has submitted nothing when the share slot commits is left
@@ -375,7 +376,16 @@ def encode_agg_request(bundle: vss.ShareBundle) -> bytes:
     return bundle.to_bytes()
 
 
-def decode_agg_request(req: bytes, eval_point: int, dimension: int) -> vss.ShareBundle:
+def encode_complaint(dealers) -> bytes:
+    # a share starts with the top byte of its u32 count, 0 up to MAX_DIM
+    return b"C" + wire.pack_fixed(sorted(dealers))
+
+
+def decode_agg_request(req: bytes, eval_point: int, dimension: int):
+    """An aggregated share, or a complaint: the tuple of admitted dealers of
+    which its sender holds no verified share."""
+    if req[:1] == b"C":
+        return wire.unpack_fixed(req[1:])
     return vss.parse_bundle(req, eval_point, dimension)
 
 
@@ -385,9 +395,11 @@ class WorkflowParticipant(Replica):
 
     Round t (1-indexed) occupies slots 3(t-1)..3(t-1)+2: encrypted shares
     with commitments, then one bundled verification-vote request per
-    participant, then aggregated sum shares.  All round state but the share
-    a participant deals itself is fed by receiving_update, so it is scoped to
-    committed batches by construction.
+    participant, then aggregated sum shares, or complaints naming the
+    admitted dealers of which their sender holds no verified share, so that
+    the slot batches and the round ends in WorkflowError below th shares.
+    All round state but the share a participant deals itself is fed by
+    receiving_update, so it is scoped to committed batches by construction.
     A share verifies at the recipient's own point against its origin's
     commitments, or it earns the origin no vote from that recipient.  A
     participant's own request, authenticated as its own, needs no check: it
@@ -518,16 +530,23 @@ class WorkflowParticipant(Replica):
         if not dealer_set:
             raise WorkflowError(f"round {self.t}: no dealer reached {self.config.th} votes")
         self._dealer_set = dealer_set
-        if all(d in self._verified for d in dealer_set):
+        unverified = [d for d in dealer_set if d not in self._verified]
+        if unverified:
+            self.broadcast_update(sq + 1, encode_complaint(unverified))
+        else:
             summed = vss.sum_shares([self._own_shares[d] for d in dealer_set],
                                     self.group)
             self.broadcast_update(sq + 1, encode_agg_request(summed))
 
     def _agg_slot_done(self):
-        if len(self._agg) < self.config.th:
-            raise WorkflowError(f"round {self.t}: only {len(self._agg)} aggregated "
-                                f"shares committed, need {self.config.th}")
-        total = vss.reconstruct(self._agg.values(), self.config.th,
+        shares = [v for v in self._agg.values() if isinstance(v, vss.ShareBundle)]
+        if len(shares) < self.config.th:
+            complaints = {o: list(v) for o, v in sorted(self._agg.items())
+                          if not isinstance(v, vss.ShareBundle)}
+            raise WorkflowError(f"round {self.t}: only {len(shares)} aggregated shares "
+                                f"committed, need {self.config.th}; complaints "
+                                f"(sender: dealers): {complaints}")
+        total = vss.reconstruct(shares, self.config.th,
                                 self.group, self.codec, self.config.dim)
         self.w = np.asarray(total) / len(self._dealer_set)
         self.coordinator.round_complete(self.rid, self.t, self.w,

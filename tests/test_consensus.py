@@ -322,6 +322,16 @@ class TestRejectionRules:
             sends += rep.drain()[0]
             assert any(m.kind == MsgKind.PRE_PREPARE for _, m in sends) == emits
 
+    def test_pre_propose_only_to_the_primary(self, keyring):
+        # an honest replica pre-proposes only to its view's primary, so only
+        # a Byzantine sender reaches a backup; nothing of it is kept there
+        _, batch = self.proposals(keyring, ())
+        for rid, accepted in ((1, False), (0, True)):
+            rep = Replica(rid, 4, 1, keyring)
+            rep.on_message(signed(keyring, MsgKind.PRE_PROPOSE, 0, 0, 2, batch))
+            assert rep.dropped_count == (0 if accepted else 1)
+            assert (0 in rep.slots) == accepted
+
     def test_one_request_per_origin_executes(self, keyring):
         executed = []
 
@@ -734,8 +744,8 @@ def run_two_slots(seed=0):
 
 
 class TestExecutionWatermark:
-    """A slot's state lives until the slot executes; below next_exec nothing
-    happens."""
+    """A slot's state lives until the slot executes; a decided slot, below
+    next_exec or committed here, takes no more input."""
 
     def test_executed_slots_leave_the_replica(self):
         for node in run_two_slots().values():
@@ -745,17 +755,35 @@ class TestExecutionWatermark:
             assert not hasattr(node, "initial_proposals")
             assert not hasattr(node, "own_requests")
 
-    def test_late_prepares_for_an_executed_slot_are_ignored(self):
-        node = run_two_slots()[0]
-        node.drain()
-        dropped = node.dropped_count
-        # a full quorum of validly tagged PREPAREs for executed slot 0
-        for sender in range(3):
-            node.on_message(signed(node.keyring, MsgKind.PREPARE, node.view, 0,
-                                   sender, (b"\x11" * 32,)))
-        assert node.slots == {}
-        assert node.drain() == ([], [])
-        assert node.dropped_count == dropped  # below the watermark is no fault
+    def test_late_prepares_for_an_executed_slot_are_ignored(self, keyring):
+        # slot 0 executes as it commits; slot 1 commits while slot 0 is empty,
+        # so it stays decided but not executed
+        for sq, next_exec in ((0, 1), (1, 0)):
+            rep = Replica(3, 4, 1, keyring)
+            batch = (triple(keyring, 0, sq, b"req"),)
+            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, sq, 0,
+                                  (tuple((p, batch) for p in (0, 1, 2)),)))
+            for sender in (0, 1, 2):
+                rep.on_message(signed(keyring, MsgKind.COMMIT, 0, sq, sender,
+                                      (batch_digest(batch),)))
+            assert rep.next_exec == next_exec
+            vcs = tuple(signed(keyring, MsgKind.VIEW_CHANGE, 0, 0, s, (1, ())) for s in (0, 1, 2))
+            rep.on_message(signed(keyring, MsgKind.NEW_VIEW, 1, 0, 1, (vcs,)))
+            assert rep.view == 1
+            rep.drain()
+            slots, dropped = repr(rep.slots), rep.dropped_count
+            # a full quorum of validly tagged PREPAREs, view 1's PRE_PREPARE
+            # of another batch for the slot, and its batching timers, late
+            for sender in range(3):
+                rep.on_message(signed(keyring, MsgKind.PREPARE, 1, sq, sender, (b"\x11" * 32,)))
+            other = (triple(keyring, 1, sq, b"other"),)
+            rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 1, sq, 1,
+                                  (tuple((p, other) for p in (0, 1, 2)),)))
+            rep.on_timer(("batch", sq))
+            rep.on_timer(("prop", sq))
+            assert repr(rep.slots) == slots
+            assert rep.drain() == ([], [])
+            assert rep.dropped_count == dropped  # a decided slot's late input is no fault
 
     def test_submitting_below_the_watermark_rejected(self):
         node = run_two_slots()[0]
@@ -886,3 +914,73 @@ class TestCertificateCarryover:
         for rid in (0, 2, 3):
             assert nodes[rid].views_entered == [2]  # view 1 never entered
             assert commits[rid] == (2, digest)
+
+
+class TestCommittedSlotStaysDecided:
+    """Replicas 0 and 1 commit slot 1 in view 0 while slot 0 is empty, so
+    neither executes it; replica 2 sees nothing of view 0, and replica 3 is
+    Byzantine.  Every message is delivered by hand.  Replica 3, primary of
+    view 3, then pre-prepares slot 1 again without replica 0's request."""
+
+    honest = (0, 1, 2)
+
+    def deliver(self, msgs, to=honest):
+        for m in msgs:
+            for rid in to:
+                self.reps[rid].on_message(m)
+
+    def sent(self, kind, rids=honest):
+        """Each message of kind that replicas rids sent, once; the rest of
+        their outboxes is dropped, since every delivery here is by hand."""
+        out = []
+        for rid in rids:
+            out += dict.fromkeys(m for _, m in self.reps[rid].drain()[0] if m.kind == kind)
+        return out
+
+    def run(self, keyring):
+        self.reps = {rid: Replica(rid, 4, 1, keyring) for rid in self.honest}
+        self.commits = []
+        for rep in self.reps.values():
+            rep.commit_listener = (
+                lambda rid, sq, view, digest: self.commits.append((rid, sq, digest)))
+        byzantine = functools.partial(signed, keyring)
+        for rep in self.reps.values():
+            rep.broadcast_update(1, b"req%d" % rep.rid)
+        self.deliver(self.sent(MsgKind.REQUEST) + [byzantine(
+            MsgKind.REQUEST, 0, 1, 3, (b"req3", request_tag(keyring, 3, 1, b"req3")))])
+        everything = tuple(triple(keyring, o, 1, b"req%d" % o) for o in range(4))
+        self.deliver(self.sent(MsgKind.PRE_PROPOSE)
+                     + [byzantine(MsgKind.PRE_PROPOSE, 0, 1, 3, everything)], to=(0,))
+        self.deliver(self.sent(MsgKind.PRE_PREPARE, (0,)), to=(0, 1))
+        self.digest = batch_digest(everything)
+        self.deliver(self.sent(MsgKind.PREPARE)
+                     + [byzantine(MsgKind.PREPARE, 0, 1, 3, (self.digest,))], to=(0, 1))
+        self.view_0_commits = (self.sent(MsgKind.COMMIT)
+                               + [byzantine(MsgKind.COMMIT, 0, 1, 3, (self.digest,))])
+        self.deliver(self.view_0_commits, to=(0, 1))
+        assert self.commits == [(0, 1, self.digest), (1, 1, self.digest)]
+        assert all(rep.next_exec == 0 for rep in self.reps.values())
+        # every honest replica votes for view 3, whose primary is replica 3
+        for rep in self.reps.values():
+            rep._start_view_change(3)
+        vcs = tuple(self.sent(MsgKind.VIEW_CHANGE))
+        self.deliver([byzantine(MsgKind.NEW_VIEW, 3, 0, 3, (vcs,))])
+        assert all(rep.view == 3 for rep in self.reps.values())
+        others = everything[1:]
+        self.deliver([byzantine(MsgKind.PRE_PREPARE, 3, 1, 3,
+                                (tuple((p, others) for p in (1, 2, 3)),))])
+        self.view_3_prepares = self.sent(MsgKind.PREPARE)
+        self.deliver(self.view_3_prepares
+                     + [byzantine(MsgKind.PREPARE, 3, 1, 3, (batch_digest(others),))])
+        self.deliver(self.sent(MsgKind.COMMIT)
+                     + [byzantine(MsgKind.COMMIT, 3, 1, 3, (batch_digest(others),))])
+
+    def test_a_later_view_cannot_decide_it_again(self, keyring):
+        self.run(keyring)
+        assert {digest for _, _, digest in self.commits} == {self.digest}
+        assert [m.sender for m in self.view_3_prepares] == [2]
+
+    def test_view_zero_commits_decide_the_third_replica(self, keyring):
+        self.run(keyring)
+        self.deliver(self.view_0_commits, to=(2,))
+        assert self.commits[2:] == [(2, 1, self.digest)]

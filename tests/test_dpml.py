@@ -304,6 +304,30 @@ class TwoShortAggShares(ShortAggShare):
     short = (0, 1)
 
 
+class SpoilsShareAndWithholds(dpml.WorkflowParticipant):
+    """Participant 3 seals participant 0's share with its last plaintext byte
+    flipped, so that the share fails vss.verify at 0, and submits no
+    aggregated share; 1, 2 and 3 still vote dealer 3 in."""
+
+    def submit_shares(self, vector):
+        if self.rid != 3:
+            return super().submit_shares(vector)
+        encrypt = self.scheme.encrypt
+
+        def spoiled(secret, public, plaintext, rng):
+            if public == self.publics[0]:
+                plaintext = plaintext[:-1] + bytes([plaintext[-1] ^ 1])
+            return encrypt(secret, public, plaintext, rng)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(self.scheme, "encrypt", spoiled)
+            super().submit_shares(vector)
+
+    def broadcast_update(self, sq, req):
+        if self.rid != 3 or sq % 3 != 2:
+            super().broadcast_update(sq, req)
+
+
 class StopsAfterRoundOne(dpml.WorkflowParticipant):
     """Participant 1 trains no round after the first; its replica keeps
     voting."""
@@ -343,6 +367,20 @@ class TestWorkflowFailure:
         with pytest.raises(WorkflowError, match=message) as excinfo:
             run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
         assert excinfo.traceback[-1].name == raised_in
+
+    def test_complaint_names_the_unverified_dealer(self, monkeypatch):
+        # participant 0 complains of dealer 3 in the aggregate slot, which
+        # then batches on 2f + 1 requests; were it to submit nothing, the
+        # slot would never batch and the run would end at the event budget
+        monkeypatch.setattr(dpml, "WorkflowParticipant", SpoilsShareAndWithholds)
+        monkeypatch.setattr(dpml, "SimConfig", functools.partial(SimConfig, max_events=60_000))
+        for seed in range(5):
+            with pytest.raises(WorkflowError) as excinfo:
+                run(TrainingConfig(mode="ebyftves", seed=seed, **FAST))
+            assert str(excinfo.value) == (
+                "round 1: only 2 aggregated shares committed, need 3; "
+                "complaints (sender: dealers): {0: [3]}")
+            assert excinfo.traceback[-1].name == "_agg_slot_done"
 
 
 class RecordsVerified(dpml.WorkflowParticipant):
