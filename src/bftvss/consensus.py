@@ -185,6 +185,8 @@ def encode_payload(kind: MsgKind, payload: tuple) -> bytes:
         return b"".join(parts)
     if kind in (MsgKind.PREPARE, MsgKind.COMMIT):
         (digest,) = payload
+        if type(digest) is not bytes:  # receivers hash it
+            raise TypeError("a digest is bytes")
         return wire.lp(digest)
     if kind == MsgKind.VIEW_CHANGE:
         target, certs = payload

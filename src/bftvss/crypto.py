@@ -51,15 +51,6 @@ class KeyPair:
     secret: int
 
 
-def _stream(key: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out.extend(hashlib.sha256(key + wire.u64(counter)).digest())
-        counter += 1
-    return bytes(out[:length])
-
-
 def _xor(data: bytes, stream: bytes) -> bytes:
     """data XOR stream, for a stream of data's length."""
     return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(
@@ -67,20 +58,26 @@ def _xor(data: bytes, stream: bytes) -> bytes:
 
 
 class HybridScheme:
-    """Static Diffie-Hellman pair keys plus hash keystream plus integrity tag.
+    """Static Diffie-Hellman pair keys plus SHAKE-256 keystream plus keyed
+    BLAKE2b tag.
 
-    The pair (i, j) shares K = sha256(pk_j^sk_i) = sha256(pk_i^sk_j).  It is
-    computed on first use and is then memoised on this instance under the
-    unordered pair of public keys, so a run computes n(n-1)/2 pair keys, one
-    per pair, whichever end asks first, all in its first round: no
-    participant seals a ciphertext to itself.  The power of the other end's
-    public key is evaluated on a field.Comb of that key, built the first
-    time the key is a base and memoised here under the key alone; a secret
-    the comb cannot hold raises ValueError.  The pair-key memo is reached
-    only through a secret whose public key the scheme derives itself, so
-    only the two ends of a pair can use that pair's key.  Each message
-    draws a nonce, keys the keystream and the tag with sha256(K || nonce),
-    and is framed nonce || lp(body) || mac.
+    The pair (i, j) shares K = sha256(pk_j^sk_i) = sha256(pk_i^sk_j), the
+    power written big-endian at p's byte width.  It is computed on first use
+    and is then memoised on this instance under the unordered pair of public
+    keys, so a run computes n(n-1)/2 pair keys, one per pair, whichever end
+    asks first, all in its first round: no participant seals a ciphertext to
+    itself.  The power of the other end's public key is evaluated on a
+    field.Comb of that key, built the first time the key is a base and
+    memoised here under the key alone, so each pair key costs bits(q)/4
+    squarings and as many multiplications where pow pays about bits(q)
+    squarings; a secret the comb cannot hold raises ValueError.  The
+    pair-key memo is reached only through a secret whose public key the
+    scheme derives itself, so only the two ends of a pair can use that
+    pair's key.  Each message draws a nonce and keys both its keystream,
+    shake_256(k), and its tag, blake2b keyed with k (TAG_LEN bytes), with
+    k = sha256(K || nonce).  A ciphertext is nonce || body || tag with no
+    length prefix of its own, since it travels as a length-prefixed blob of
+    its share request; one shorter than NONCE_LEN + TAG_LEN is malformed.
 
     Because K_ij = K_ji, j can reflect i's ciphertext for j back to i as
     its own.  It opens to i's share for j, which fails verification at i's
@@ -114,26 +111,23 @@ class HybridScheme:
             comb = self._combs.get(public)
             if comb is None:
                 comb = self._combs[public] = Comb(self.params, public)
-            shared = comb.pow(secret)
-            pair = self._pair_keys[ends] = hashlib.sha256(wire.big(shared)).digest()
+            shared = comb.pow(secret).to_bytes((self.params.p.bit_length() + 7) // 8, "big")
+            pair = self._pair_keys[ends] = hashlib.sha256(shared).digest()
         return hashlib.sha256(pair + nonce).digest()
 
     def encrypt(self, secret: int, public: int, plaintext: bytes,
                 rng: random.Random) -> bytes:
         nonce = rng.randbytes(NONCE_LEN)
         key = self._message_key(secret, public, nonce)
-        body = _xor(plaintext, _stream(key, len(plaintext)))
-        mac = hashlib.sha256(key + body).digest()
-        return nonce + wire.lp(body) + mac
+        body = _xor(plaintext, hashlib.shake_256(key).digest(len(plaintext)))
+        return nonce + body + hashlib.blake2b(body, key=key, digest_size=TAG_LEN).digest()
 
     def decrypt(self, secret: int, public: int, ciphertext: bytes) -> bytes:
-        try:
-            r = wire.Reader(ciphertext)
-            nonce, body, mac = r.take(NONCE_LEN), r.lp(), r.take(TAG_LEN)
-            r.expect_end()
-        except wire.MalformedInputError as exc:
-            raise DecryptionError("malformed ciphertext") from exc
+        if len(ciphertext) < NONCE_LEN + TAG_LEN:
+            raise DecryptionError("malformed ciphertext")
+        nonce, body, mac = (ciphertext[:NONCE_LEN], ciphertext[NONCE_LEN:-TAG_LEN],
+                            ciphertext[-TAG_LEN:])
         key = self._message_key(secret, public, nonce)
-        if hashlib.sha256(key + body).digest() != mac:
+        if hashlib.blake2b(body, key=key, digest_size=TAG_LEN).digest() != mac:
             raise DecryptionError("integrity check failed")
-        return _xor(body, _stream(key, len(body)))
+        return _xor(body, hashlib.shake_256(key).digest(len(body)))

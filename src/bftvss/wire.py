@@ -21,14 +21,6 @@ def lp(b: bytes) -> bytes:
     return u32(len(b)) + b
 
 
-def big(x: int) -> bytes:
-    """Length-prefixed big-endian encoding of a non-negative big integer."""
-    if x < 0:
-        raise ValueError("negative integer has no canonical encoding")
-    n = max(1, (x.bit_length() + 7) // 8)
-    return lp(x.to_bytes(n, "big"))
-
-
 def pack_fixed(xs) -> bytes:
     """u32 count, u32 width, then each non-negative integer big-endian at that
     width: the byte length of the largest, and at least 1."""

@@ -615,6 +615,15 @@ class TestRejectionRules:
             assert rep.dropped_count == (0 if accepted else 1)
             assert (1 in rep._slot(0).pending) == accepted
 
+    @pytest.mark.parametrize("kind", [MsgKind.PREPARE, MsgKind.COMMIT])
+    def test_vote_of_a_bytearray_digest_is_dropped(self, keyring, kind):
+        # a bytearray digest encodes as the bytes digest does, so it carries
+        # the sender's genuine tag, but a replica could not hash it
+        m = signed(keyring, kind, 0, 0, 1, (b"d" * 32,))
+        rep = Replica(0, 4, 1, keyring)
+        rep.on_message(dataclasses.replace(m, payload=(bytearray(b"d" * 32),)))
+        assert rep.dropped_count == 1
+
 
 class TestPreparedOnAcceptedBatch:
     """A replica is prepared only on the batch it accepted: a PREPARE quorum

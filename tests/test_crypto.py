@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from bftvss import crypto, field
 from bftvss.crypto import (
     NONCE_LEN,
+    TAG_LEN,
     DecryptionError,
     HybridScheme,
     KeyPair,
@@ -161,11 +163,27 @@ class TestHybridScheme:
     def test_malformed_framing_fails(self, parties, rng):
         scheme, a, b = parties
         ct = scheme.encrypt(a.secret, b.public, b"secret payload", rng)
-        off = NONCE_LEN  # the body's length prefix follows the nonce
-        overrun = ct[:off] + len(ct).to_bytes(4, "big") + ct[off + 4:]
-        for bad in (ct + b"\x00", overrun):
-            with pytest.raises(DecryptionError):
-                scheme.decrypt(b.secret, a.public, bad)
+        # too short for a nonce and a tag; then one byte more of body, which
+        # the tag does not cover
+        with pytest.raises(DecryptionError, match="malformed"):
+            scheme.decrypt(b.secret, a.public, ct[:NONCE_LEN + TAG_LEN - 1])
+        with pytest.raises(DecryptionError, match="integrity"):
+            scheme.decrypt(b.secret, a.public, ct + b"\x00")
+
+    def test_frame_is_nonce_body_tag(self, parties, rng):
+        # a SHAKE-256 keystream and a keyed BLAKE2b tag, both keyed with the
+        # message key of the pair and the nonce, and no length prefix
+        scheme, a, b = parties
+        plaintext = b"secret payload"
+        ct = scheme.encrypt(a.secret, b.public, plaintext, random.Random(5))
+        nonce = random.Random(5).randbytes(NONCE_LEN)
+        key = scheme._message_key(b.secret, a.public, nonce)
+        stream = hashlib.shake_256(key).digest(len(plaintext))
+        body = bytes(x ^ y for x, y in zip(plaintext, stream))
+        tag = hashlib.blake2b(body, key=key, digest_size=TAG_LEN).digest()
+        assert ct == nonce + body + tag
+        assert scheme.encrypt(a.secret, b.public, b"", random.Random(5)) == (
+            nonce + hashlib.blake2b(b"", key=key, digest_size=TAG_LEN).digest())
 
     @given(st.binary(max_size=256), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)

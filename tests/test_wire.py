@@ -12,12 +12,6 @@ class TestPrimitives:
     def test_lp_layout(self):
         assert wire.lp(b"ab") == b"\x00\x00\x00\x02ab"
 
-    @given(st.integers(0, 2**256))
-    def test_big_roundtrip(self, x):
-        r = wire.Reader(wire.big(x))
-        assert int.from_bytes(r.lp(), "big") == x
-        r.expect_end()
-
     @given(st.lists(st.one_of(
         st.integers(0, 2**128),
         st.integers(1, 16).flatmap(lambda k: st.sampled_from([2**(8 * k) - 1, 2**(8 * k)])),

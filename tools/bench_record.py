@@ -15,8 +15,10 @@ reads the JSON object on the last line of its output.  It then times the
 kernels, one process per group size of ``KERNEL_SIZES``: ``--kernels``
 imports the checkout's own ``src/``, deals with seed S, and gives the median
 time of a call of ``field.exps`` (768 exponents), ``vss.share``,
-``vss.verify``, ``vss.sum_shares`` and ``vss.reconstruct``, each called for
-T/40 seconds and at least once.  With ``--against DIR`` every run of this
+``vss.verify``, ``vss.sum_shares``, ``vss.reconstruct``, and
+``crypto.encrypt`` and ``crypto.decrypt`` of one share bundle's bytes (one
+seal before timing builds the comb and the pair key), each called for T/40
+seconds and at least once.  With ``--against DIR`` every run of this
 checkout is paired with a run of the checkout at DIR (which side goes first
 alternates), and one record is written for each.  A record,
 ``BENCH_<rev>.json`` (or ``BENCH_<rev>-dirty.json`` when tracked files
@@ -63,7 +65,8 @@ LIKE_FOR_LIKE = ("seed", "seconds", "repeats", "python", "cpu_count")
 # the kernel rows' pseudo-workloads: a group and the run's n, th and dim
 KERNEL_SIZES = {"kernels-96/48": dict(bits=(96, 48), n=4, th=3, dim=256),
                 "kernels-2048/256": dict(bits=(2048, 256), n=4, th=3, dim=16)}
-KERNELS = ("field.exps", "vss.share", "vss.verify", "vss.sum_shares", "vss.reconstruct")
+KERNELS = ("field.exps", "vss.share", "vss.verify", "vss.sum_shares", "vss.reconstruct",
+           "crypto.encrypt", "crypto.decrypt")
 ROW_KEYS = {"workload": str, "metric": str, "unit": str, "median": (int, float),
             "iqr": (int, float), "repeats": int, "values": list}
 
@@ -113,7 +116,7 @@ def time_kernels(workload: str, seed: int, seconds: float) -> dict:
     bench/run.py, on the bftvss of the working directory's src/."""
     sys.path.insert(0, str(Path.cwd() / "src"))
     import bftvss
-    from bftvss import field, vss
+    from bftvss import crypto, field, vss
 
     if Path(bftvss.__file__).resolve().parent != Path.cwd().resolve() / "src" / "bftvss":
         raise RuntimeError(f"imported bftvss from {bftvss.__file__}, not from ./src")
@@ -128,12 +131,18 @@ def time_kernels(workload: str, seed: int, seconds: float) -> dict:
     own = [bundles[0] for bundles, _ in dealt]  # shareholder 1's, one per dealer
     summed = [vss.sum_shares([bundles[j] for bundles, _ in dealt], params)
               for j in range(n)]
+    scheme = crypto.HybridScheme(params)
+    a, b = scheme.keygen(rng, 2)
+    plaintext = own[0].to_bytes()
+    sealed = scheme.encrypt(a.secret, b.public, plaintext, rng)
     calls = {
         "field.exps": lambda: params.exps(es),
         "vss.share": lambda: vss.share(secrets[0], th, n, params, codec, rng),
         "vss.verify": lambda: vss.verify(own[0], dealt[0][1], params),
         "vss.sum_shares": lambda: vss.sum_shares(own, params),
         "vss.reconstruct": lambda: vss.reconstruct(summed, th, params, codec, dim),
+        "crypto.encrypt": lambda: scheme.encrypt(a.secret, b.public, plaintext, rng),
+        "crypto.decrypt": lambda: scheme.decrypt(b.secret, a.public, sealed),
     }
     metrics = {}
     for name in KERNELS:
