@@ -23,14 +23,19 @@ class EncodingRangeError(Exception):
 # table stays within this, so exps costs one multiplication per window of q:
 # 12-bit windows (4 rows) at 96/48 and 9-bit windows (29 rows) at 2048/256.
 # On a 2-core x86-64 VM (CPython 3.11.7) the tables build in about 4 ms and
-# 0.2 s, once per process.
+# 0.2 s, once per process.  A wider table misses the cache: at 96/48, on
+# fresh exponents (768 a call, median of 30 calls), the row-by-row walk took
+# 1.06 / 0.84 / 0.68 / 0.84 us per exponent at 8 / 10 / 12 / 16-bit windows
+# (1,536 / 5,120 / 16,384 / 196,608 entries), so 12 bits stays.
 _TABLE_ENTRIES = 1 << 14
 
 # Bits an unreduced product of table entries may reach before exps takes it
-# mod p.  On the same VM, exps over 768 exponents at 96/48 takes 0.7-0.8 us
-# per exponent reducing once (4 rows, 384 bits), 0.8-0.9 us reducing at every
-# row; at 2048/256 a product of two rows (4,096 bits) costs more than the
-# reduction it saves, 0.44 against 0.37-0.39 ms, so it reduces at every row.
+# mod p.  At 96/48 the four rows (384 bits) make one run, and on the same VM,
+# on fresh exponents, one expression per exponent over them takes 0.78 / 0.63
+# / 0.63 us per exponent at 16 / 256 / 768 exponents a call, against 1.24 /
+# 0.70 / 0.68 for the row-by-row walk.  At 2048/256 a product of two rows
+# (4,096 bits) costs more than the reduction it saves, 0.44 against
+# 0.37-0.39 ms, so it reduces at every row.
 _PRODUCT_BITS = 512
 
 # Teeth of a Comb: the rows an exponent is cut into.  On the same VM, the six
@@ -76,15 +81,23 @@ class GroupParams:
         return tuple(rows)
 
     def exps(self, es: Iterable[int]) -> list[int]:
-        """[g^(e mod q) mod p for e in es] from the fixed-base table, row by
-        row over every exponent at once: one multiplication per row, a
-        window of 0 picking row[0] = 1.  Rows are multiplied in runs of
-        _PRODUCT_BITS // bits(p), at least one, and the products are taken
-        mod p at each run's end: once at 96/48, at every row at 2048/256.
+        """[g^(e mod q) mod p for e in es] from the fixed-base table: one
+        multiplication per row, a window of 0 picking row[0] = 1.  Rows are
+        multiplied in runs of _PRODUCT_BITS // bits(p), at least one, and
+        each run's product is taken mod p.  A table of at most four rows,
+        all in one run (96/48's), takes one expression per exponent, so the
+        exponents are walked once; rows past the table read (1,), as an
+        exponent below q has no digit there.  Any other table (2048/256's,
+        a run per row) is walked row by row over every exponent at once.
         Equal to pow(g, e, p) whenever g has order q, as in every committed
         group."""
         p, q, w, rows = self.p, self.q, self._window, self._g_table
         mask, run = (1 << w) - 1, max(1, _PRODUCT_BITS // p.bit_length())
+        if len(rows) <= min(run, 4):
+            r0, r1, r2, r3 = rows + ((1,),) * (4 - len(rows))
+            w2, w3 = 2 * w, 3 * w
+            return [r0[e & mask] * r1[e >> w & mask] * r2[e >> w2 & mask]
+                    * r3[e >> w3 & mask] % p for x in es for e in [x % q]]
         es = [e % q for e in es]
         out = [rows[0][e & mask] for e in es]
         for i in range(1, len(rows)):
@@ -234,7 +247,10 @@ class FixedPointCodec:
 
     def encode_vector(self, xs) -> tuple[int, ...]:
         """Coordinate i goes to lane i % lanes of element i // lanes; the
-        last element's unused lanes are zero."""
+        last element's unused lanes are zero.  The coordinates are converted,
+        range-checked and scaled in one pass, so the first out of range
+        raises, and the elements packed in one pass per lane, the top
+        lane's first."""
         scale, bound, lanes, width = self.scale, self.max_abs, self.lanes, self.width
         vs = []
         for x in xs:
@@ -243,30 +259,26 @@ class FixedPointCodec:
                 raise EncodingRangeError(f"{x!r} outside the representable range: "
                                          f"|x| must stay below max_abs = {bound!r}")
             vs.append(round(x * scale))
-        out = []
-        for i in range(0, len(vs), lanes):
-            e = 0
-            for v in reversed(vs[i : i + lanes]):
-                e = (e << width) + v
-            out.append(e % self.q)
-        return tuple(out)
+        vs += [0] * (-len(vs) % lanes)
+        out = vs[lanes - 1 :: lanes]
+        for k in range(lanes - 2, -1, -1):
+            out = [(e << width) + v for e, v in zip(out, vs[k::lanes])]
+        q = self.q
+        return tuple([e % q for e in out])
 
     def decode_vector(self, es, dim: int) -> tuple[float, ...]:
         """Inverse of encode_vector for a vector of dim coordinates.  Each
-        element is centred into (-q/2, q/2] and its lanes peeled off from the
-        bottom as signed width-bit values; the padding lanes are dropped.
-        Any elements decode, to finite values."""
+        element is centred into (-q/2, q/2] and its lanes read from the
+        bottom as signed width-bit values, the padding lanes dropped.  Any
+        elements decode, to finite values.  One pass centres every element
+        and adds top to each of its lanes; lane k is then the sum's bits
+        width*k up less top, the value that peeling ((e + top) & mask) - top
+        lane by lane gives, wrap included, and a second pass reads them."""
         if len(es) != self.packed_length(dim):
             raise ValueError(f"{len(es)} elements do not carry {dim} coordinates")
-        q, half, scale, lanes, width = self.q, self.q // 2, self.scale, self.lanes, self.width
-        top, mask = 1 << (width - 1), (1 << width) - 1
-        out = []
-        for e in es:
-            e %= q
-            if e > half:
-                e -= q
-            for _ in range(lanes):
-                lane = ((e + top) & mask) - top
-                out.append(lane / scale)
-                e = (e - lane) >> width
-        return tuple(out[:dim])
+        q, scale, lanes, width = self.q, self.scale, self.lanes, self.width
+        top, mask, r = 1 << (width - 1), (1 << width) - 1, (q - 1) // 2
+        shifts = range(0, width * lanes, width)
+        offset = top * (((1 << width * lanes) - 1) // mask) - r  # top in every lane
+        biased = [(e + r) % q + offset for e in es]
+        return tuple([((a >> s & mask) - top) / scale for a in biased for s in shifts][:dim])

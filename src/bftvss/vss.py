@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Sequence
 
 from . import wire
@@ -113,13 +112,17 @@ def share(
     columns = [[s % q for s in encoded]] + [draws[k :: th - 1] for k in range(th - 1)]
     flat = params.exps([a for column in columns for a in column])
     commitments = tuple(tuple(flat[k * d : (k + 1) * d]) for k in range(th))
-    # Horner's rule at each point over every polynomial at once, reduced once
+    # Horner's rule at each point over every polynomial at once, reduced in
+    # the last step, the constant column's; at th = 1 that column is the
+    # values, already reduced
     bundles = []
     for j in range(1, n + 1):
         values = columns[-1]
-        for column in columns[-2::-1]:
+        for column in columns[-2:0:-1]:
             values = [v * j + c for v, c in zip(values, column)]
-        bundles.append(ShareBundle(j, tuple([v % q for v in values])))
+        if th > 1:
+            values = [(v * j + c) % q for v, c in zip(values, columns[0])]
+        bundles.append(ShareBundle(j, tuple(values)))
     return bundles, commitments
 
 
@@ -180,8 +183,11 @@ def reconstruct_encoded(
             num = (num * (-xj)) % q
             den = (den * (xi - xj)) % q
         lambdas.append((num * pow(den, -1, q)) % q)
-    columns = zip(*(b.values for b in chosen))
-    return tuple(sum(map(mul, column, lambdas)) % q for column in columns)
+    # lambda_i * values_i summed one bundle at a time, reduced once
+    acc = [v * lambdas[0] for v in chosen[0].values]
+    for b, lam in zip(chosen[1:], lambdas[1:]):
+        acc = [a + v * lam for a, v in zip(acc, b.values)]
+    return tuple([a % q for a in acc])
 
 
 def reconstruct(

@@ -132,6 +132,9 @@ class TestAcumpaAttacker:
         assert attacker.adaptive_rounds == [1]
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(target), rel=1e-9)
 
+    def test_nothing_observed_gives_no_target(self, group, codec):
+        assert self._attacker(group, codec).observed_target({}, 2) is None
+
     def test_below_threshold_observation_forces_fallback(self, group, codec, rng):
         attacker = self._attacker(group, codec)
         observed = {0: self._deal([1.0, 0.0], group, codec, rng)[:2]}

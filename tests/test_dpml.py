@@ -649,6 +649,14 @@ def test_no_participant_checks_its_own_share(monkeypatch, mode):
             assert all([public] != group.exps([secret]) for secret, public in counts)
 
 
+def test_baseline_round_without_a_verified_dealer_raises(monkeypatch):
+    """A baseline-vss round in which no share verifies admits no dealer,
+    and raises rather than averaging nothing."""
+    monkeypatch.setattr(vss, "verify", lambda bundle, commitments, params: False)
+    with pytest.raises(WorkflowError, match="round 1: no dealer cleared verification"):
+        run(TrainingConfig(mode="baseline-vss", seed=0, **FAST))
+
+
 @pytest.mark.parametrize("attacker_reads", dpml.ATTACKER_READS)
 def test_attacker_forgets_committed_slots(monkeypatch, attacker_reads):
     """The delaying dealer drops what it eavesdropped for a share slot once

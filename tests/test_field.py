@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -313,3 +314,101 @@ class TestPackedCodec:
     def test_nan_raises(self, packed):
         with pytest.raises(EncodingRangeError):
             packed.encode_vector([math.nan])
+
+
+# The coordinate-by-coordinate, lane-by-lane codec that encode_vector and
+# decode_vector replaced with passes over the whole vector, kept as the
+# reference: both must give the same elements, values and errors.
+
+def per_coordinate_encode(codec: FixedPointCodec, xs):
+    vs = []
+    for x in xs:
+        x = float(x)
+        if not abs(x) < codec.max_abs:
+            raise EncodingRangeError(f"{x!r} outside the representable range: "
+                                     f"|x| must stay below max_abs = {codec.max_abs!r}")
+        vs.append(round(x * codec.scale))
+    out = []
+    for i in range(0, len(vs), codec.lanes):
+        e = 0
+        for v in reversed(vs[i : i + codec.lanes]):
+            e = (e << codec.width) + v
+        out.append(e % codec.q)
+    return tuple(out)
+
+
+def per_lane_decode(codec: FixedPointCodec, es, dim):
+    if len(es) != codec.packed_length(dim):
+        raise ValueError(f"{len(es)} elements do not carry {dim} coordinates")
+    q, width = codec.q, codec.width
+    top, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    for e in es:
+        e %= q
+        if e > q // 2:
+            e -= q
+        for _ in range(codec.lanes):
+            lane = ((e + top) & mask) - top
+            out.append(lane / codec.scale)
+            e = (e - lane) >> width
+    return tuple(out[:dim])
+
+
+def codec_outcome(kernel, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returns", kernel(*args)
+    except Exception as exc:  # compared with the reference's
+        return "raises", type(exc), str(exc)
+
+
+def codecs(params: GroupParams):
+    """Codecs of one lane, and at 2048/256 of up to 14 lanes, for params."""
+    return st.builds(FixedPointCodec, st.sampled_from([0, 8, 16]), st.just(params.q),
+                     st.integers(1, 13))
+
+
+class TestCodecMatchesTheReference:
+    """encode_vector and decode_vector equal the per-coordinate, per-lane
+    references above bit for bit, at every group: the elements of in-range
+    vectors with the first out-of-range, NaN or infinite coordinate
+    anywhere, and the values of arbitrary elements, which wrap lane by lane
+    as the reference's ((e + top) & mask) - top does."""
+
+    GROUPS = ["tiny_group", "group", "group_2048"]
+
+    @pytest.mark.parametrize("name", GROUPS)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_encode(self, request, name, data):
+        params = request.getfixturevalue(name)
+        codec = data.draw(codecs(params), label="codec")
+        xs = data.draw(st.lists(in_range(codec), max_size=3 * codec.lanes + 1), label="xs")
+        outside = st.floats().filter(lambda x: not abs(x) < codec.max_abs)
+        edges = st.sampled_from([math.nan, math.inf, -math.inf, codec.max_abs,
+                                 -codec.max_abs])
+        for _ in range(data.draw(st.integers(0, 2), label="bad coordinates")):
+            xs.insert(data.draw(st.integers(0, len(xs))), data.draw(outside | edges))
+        if data.draw(st.booleans(), label="as an array"):
+            xs = np.asarray(xs, dtype=float)
+        assert codec_outcome(codec.encode_vector, xs) == codec_outcome(
+            per_coordinate_encode, codec, xs)
+
+    @pytest.mark.parametrize("name", GROUPS)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decode(self, request, name, data):
+        params = request.getfixturevalue(name)
+        codec = data.draw(codecs(params), label="codec")
+        dim = data.draw(st.integers(0, 3 * codec.lanes + 1), label="dim")
+        count = codec.packed_length(dim) + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+        q = params.q
+        # elements of [0, q), and below 0 or at least q, which reduce first
+        element = st.integers(0, q - 1) | st.integers(-2 * q, 3 * q)
+        if data.draw(st.booleans(), label="encodings"):
+            xs = data.draw(st.lists(in_range(codec), min_size=dim, max_size=dim))
+            es = list(codec.encode_vector(xs))
+        else:
+            es = data.draw(st.lists(element, min_size=max(count, 0), max_size=max(count, 0)))
+        assert codec_outcome(codec.decode_vector, es, dim) == codec_outcome(
+            per_lane_decode, codec, es, dim)

@@ -14,8 +14,9 @@ as its own process, once for each workload W of ``BENCHMARK.json``, and
 reads the JSON object on the last line of its output.  It then times the
 kernels, one process per group size of ``KERNEL_SIZES``: ``--kernels``
 imports the checkout's own ``src/``, deals with seed S, and gives the median
-time of a call of ``field.exps`` (768 exponents), ``vss.share``,
-``vss.verify``, ``vss.sum_shares``, ``vss.reconstruct``, and
+time of a call of ``field.exps`` (768 exponents), ``field.encode_vector`` of
+one dealer's vector and ``field.decode_vector`` of its encoding,
+``vss.share``, ``vss.verify``, ``vss.sum_shares``, ``vss.reconstruct``, and
 ``crypto.encrypt`` and ``crypto.decrypt`` of one share bundle's bytes (one
 seal before timing builds the comb and the pair key), each called for T/40
 seconds and at least once.  With ``--against DIR`` every run of this
@@ -65,8 +66,9 @@ LIKE_FOR_LIKE = ("seed", "seconds", "repeats", "python", "cpu_count")
 # the kernel rows' pseudo-workloads: a group and the run's n, th and dim
 KERNEL_SIZES = {"kernels-96/48": dict(bits=(96, 48), n=4, th=3, dim=256),
                 "kernels-2048/256": dict(bits=(2048, 256), n=4, th=3, dim=16)}
-KERNELS = ("field.exps", "vss.share", "vss.verify", "vss.sum_shares", "vss.reconstruct",
-           "crypto.encrypt", "crypto.decrypt")
+KERNELS = ("field.exps", "field.encode_vector", "field.decode_vector", "vss.share",
+           "vss.verify", "vss.sum_shares", "vss.reconstruct", "crypto.encrypt",
+           "crypto.decrypt")
 ROW_KEYS = {"workload": str, "metric": str, "unit": str, "median": (int, float),
             "iqr": (int, float), "repeats": int, "values": list}
 
@@ -133,10 +135,13 @@ def time_kernels(workload: str, seed: int, seconds: float) -> dict:
               for j in range(n)]
     scheme = crypto.HybridScheme(params)
     a, b = scheme.keygen(rng, 2)
+    encoded = codec.encode_vector(secrets[0])
     plaintext = own[0].to_bytes()
     sealed = scheme.encrypt(a.secret, b.public, plaintext, rng)
     calls = {
         "field.exps": lambda: params.exps(es),
+        "field.encode_vector": lambda: codec.encode_vector(secrets[0]),
+        "field.decode_vector": lambda: codec.decode_vector(encoded, dim),
         "vss.share": lambda: vss.share(secrets[0], th, n, params, codec, rng),
         "vss.verify": lambda: vss.verify(own[0], dealt[0][1], params),
         "vss.sum_shares": lambda: vss.sum_shares(own, params),

@@ -4,7 +4,7 @@
 Usage (from the repository root):
 
     python3 tools/linetrace.py
-    python3 tools/linetrace.py --strict consensus.py crypto.py wire.py
+    python3 tools/linetrace.py --strict consensus.py crypto.py wire.py field.py vss.py
     python3 tools/linetrace.py -- -m bftvss.cli grid --seeds 20
     python3 tools/linetrace.py -- path/to/script.py ARGS
 
