@@ -96,7 +96,9 @@ def share(
     """Encode a real-valued secret vector and share it element-wise.
 
     Returns n bundles (evaluation points 1..n, one per shareholder)
-    and the dealer's commitment vector.
+    and the dealer's commitment vector.  The coefficients are drawn as
+    rng.randrange(q) draws them, committed to in one params.exps call, and
+    every polynomial is evaluated at each point at once by Horner's rule.
     """
     encoded = codec.encode_vector(secret)
     if not (1 <= th <= n):
@@ -165,7 +167,9 @@ def _select_bundles(bundles: Iterable[ShareBundle], th: int) -> list[ShareBundle
 def reconstruct_encoded(
     bundles: Iterable[ShareBundle], th: int, params: GroupParams
 ) -> tuple[int, ...]:
-    """Lagrange interpolation at 0 over Z_q, per element.
+    """Lagrange interpolation at 0 over Z_q, per element: the sum of each
+    chosen bundle's values times its Lagrange coefficient, added one bundle
+    at a time and reduced once.
 
     If more than th bundles are given, the th with the lowest evaluation
     points are used, so the result is deterministic.
@@ -183,7 +187,6 @@ def reconstruct_encoded(
             num = (num * (-xj)) % q
             den = (den * (xi - xj)) % q
         lambdas.append((num * pow(den, -1, q)) % q)
-    # lambda_i * values_i summed one bundle at a time, reduced once
     acc = [v * lambdas[0] for v in chosen[0].values]
     for b, lam in zip(chosen[1:], lambdas[1:]):
         acc = [a + v * lam for a, v in zip(acc, b.values)]
