@@ -251,7 +251,7 @@ class FixedPointCodec:
         range-checked and scaled in one pass, so the first out of range
         raises, and the elements packed in one pass per lane, the top
         lane's first."""
-        scale, bound, lanes, width = self.scale, self.max_abs, self.lanes, self.width
+        scale, bound, lanes, width, q = self.scale, self.max_abs, self.lanes, self.width, self.q
         vs = []
         for x in xs:
             x = float(x)
@@ -263,7 +263,6 @@ class FixedPointCodec:
         out = vs[lanes - 1 :: lanes]
         for k in range(lanes - 2, -1, -1):
             out = [(e << width) + v for e, v in zip(out, vs[k::lanes])]
-        q = self.q
         return tuple([e % q for e in out])
 
     def decode_vector(self, es, dim: int) -> tuple[float, ...]:

@@ -401,14 +401,16 @@ class TestCodecMatchesTheReference:
         params = request.getfixturevalue(name)
         codec = data.draw(codecs(params), label="codec")
         dim = data.draw(st.integers(0, 3 * codec.lanes + 1), label="dim")
-        count = codec.packed_length(dim) + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
-        q = params.q
-        # elements of [0, q), and below 0 or at least q, which reduce first
-        element = st.integers(0, q - 1) | st.integers(-2 * q, 3 * q)
         if data.draw(st.booleans(), label="encodings"):
             xs = data.draw(st.lists(in_range(codec), min_size=dim, max_size=dim))
             es = list(codec.encode_vector(xs))
         else:
-            es = data.draw(st.lists(element, min_size=max(count, 0), max_size=max(count, 0)))
+            # elements of [0, q), and below 0 or at least q, which reduce
+            # first; now and then one too few or too many
+            q = params.q
+            count = max(0, codec.packed_length(dim) + data.draw(
+                st.sampled_from([0, 0, 0, -1, 1]), label="count off by"))
+            es = data.draw(st.lists(st.integers(0, q - 1) | st.integers(-2 * q, 3 * q),
+                                    min_size=count, max_size=count))
         assert codec_outcome(codec.decode_vector, es, dim) == codec_outcome(
             per_lane_decode, codec, es, dim)
