@@ -125,11 +125,11 @@ class AcumpaAttacker:
                                            self.codec, dim))
         return np.mean(np.array(secrets, dtype=float), axis=0)
 
-    def craft_submission(self, round_index: int,
-                         observed: dict[int, list[vss.ShareBundle]],
+    def craft_submission(self, round_index: int, target: Optional[np.ndarray],
                          own_update: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Return (vector to submit, adaptive_engaged)."""
-        target = self.observed_target(observed, own_update.size)
+        """Return (vector to submit, adaptive_engaged), crafted against
+        observed_target's reconstruction, or own_update when there is none,
+        and record the round as adaptive or fallback."""
         if target is not None and float(np.linalg.norm(target)) > 0:
             self.adaptive_rounds.append(round_index)
             return asdp_craft(target, self.theta_cos), True

@@ -217,7 +217,6 @@ class SlotState:
 
     views: dict = dc_field(default_factory=dict)  # view -> SlotViewState
     pending: dict = dc_field(default_factory=dict)  # origin -> latest request, kept across views
-    verified: dict = dc_field(default_factory=dict)  # origin -> last triple whose tag checked
     proposals: dict = dc_field(default_factory=dict)  # proposer -> initial proposal
     own_request: Optional[bytes] = None  # what we submitted here
     committed_batch: Optional[tuple[ReqTriple, ...]] = None  # None until the slot commits
@@ -301,15 +300,14 @@ class Replica:
         return m.memo(self.keyring, _tag_ok, self.keyring, m)
 
     def _requests_ok(self, m: Message, slot: SlotState, triples) -> bool:
-        """Check each request tag in m that differs from the one this replica
-        last verified for its origin in the slot; a check is memoised on m,
-        so a send's receivers share it."""
+        """Check each request tag in m but the one of its origin's pending
+        request in the slot, which _on_request checked; a check is memoised
+        on m, so a send's receivers share it."""
+        pending = slot.pending
         for t in triples:
-            if slot.verified.get(t[0]) != t:
-                if not m.memo(("request", self.keyring, t), check_request_tag,
-                              self.keyring, m.sq, t):
-                    return False
-                slot.verified[t[0]] = t
+            if pending.get(t[0]) != t and not m.memo(
+                    ("request", self.keyring, t), check_request_tag, self.keyring, m.sq, t):
+                return False
         return True
 
     def _quorum(self, msgs, kind: MsgKind, ok) -> bool:

@@ -302,7 +302,9 @@ def _baseline_step(config: TrainingConfig):
         # a delaying dealer sees every honest share before it has to submit
         observed = {d: list(bs) for d, bs in bundles.items()}
         for pid in sorted(attackers):
-            vec, _ = attackers[pid].craft_submission(t, observed, updates[pid])
+            attacker = attackers[pid]
+            vec, _ = attacker.craft_submission(
+                t, attacker.observed_target(observed, config.dim), updates[pid])
             bundles[pid], commits[pid] = deal(vec)
         # each dealer counts its own share as verified, unchecked
         accepted = sorted(
@@ -418,7 +420,6 @@ class WorkflowParticipant(Replica):
         self.publics = publics
         self.dataset = dataset
         self.coordinator = coordinator
-        self.eval_point = rid + 1
         self.packed_dim = codec.packed_length(config.dim)
         self.rng = random.Random(config.seed * 100003 + 900 + rid)
         self.w = np.array(w0, dtype=float)
@@ -560,19 +561,19 @@ class WorkflowParticipant(Replica):
 class DelayedDealerNode(WorkflowParticipant):
     """The ACuMPA attacker as a participant.  It withholds its shares,
     eavesdrops share requests for undecided slots, opens ciphertext j with
-    read_keys[j], and submits a crafted share request if the observations
-    reach the reconstruction threshold for every observed dealer before the
-    slot commits.  With read_keys its own key n times ("own-shares") only
-    its own shares decrypt, so that never happens: the batch forms without
-    it, and the round is recorded as a fallback round.  What it observed for
-    a slot is dropped once the slot commits."""
+    read_keys[j], the secret key it holds for recipient j, and submits a
+    crafted share request if the observations reach the reconstruction
+    threshold for every observed dealer before the slot commits.  With only
+    its own key ("own-shares") it opens only its own shares, so that never
+    happens: the batch forms without it, and the round is recorded as a
+    fallback round.  What it observed for a slot is dropped once the slot
+    commits."""
 
     def __init__(self, rid, config, keyring, group, codec, *args):
         super().__init__(rid, config, keyring, group, codec, *args)
         self.attacker = AcumpaAttacker(THETA_COS, config.th, group, codec)
-        self.read_keys = (self.secret_key,) * config.n
+        self.read_keys = {rid: self.secret_key}
         self.observed: dict[int, dict[int, list[vss.ShareBundle]]] = {}
-        self.submitted: set[int] = set()
 
     def submit_shares(self, vector):
         """Withhold the honest update, hoping to observe enough shares first;
@@ -591,28 +592,32 @@ class DelayedDealerNode(WorkflowParticipant):
         ciphertexts, _ = decoded
         store = self.observed.setdefault(sq, defaultdict(list))
         # read_keys[j] tries to open ciphertext j, the share at j + 1
-        for j, key in enumerate(self.read_keys):
+        for j, key in self.read_keys.items():
             bundle = self._open(key, dealer, ciphertexts, j)
             if bundle is not None:
                 store[dealer].append(bundle)
         self._maybe_submit(sq, store)
 
+    def _submitted(self, sq: int) -> bool:
+        """Whether broadcast_update put a request into slot sq; _slot(sq)
+        would create the slot."""
+        slot = self.slots.get(sq)
+        return slot is not None and slot.own_request is not None
+
     def _maybe_submit(self, sq: int, store):
-        if sq in self.submitted or sq != self.base_slot():
+        if sq != self.base_slot() or self._submitted(sq):
             return
-        if self.attacker.observed_target(store, self.config.dim) is None:
+        target = self.attacker.observed_target(store, self.config.dim)
+        if target is None:
             return  # keep waiting: more shares may still show up
-        crafted, _ = self.attacker.craft_submission(self.t, store, self.update)
-        self.submitted.add(sq)
+        crafted, _ = self.attacker.craft_submission(self.t, target, self.update)
         super().submit_shares(crafted)
 
     def _share_slot_done(self, sq: int):
-        observed = self.observed.pop(sq, {})
-        if sq not in self.submitted:
-            # the share slot just committed: what was observed until now is
-            # all the attacker will ever see this round, unless a crafted
-            # submission already went out before the deadline
-            self.attacker.craft_submission(self.t, observed, self.update)
+        self.observed.pop(sq, None)
+        if not self._submitted(sq):
+            # the share slot committed before a crafted submission went out
+            self.attacker.craft_submission(self.t, None, self.update)
         super()._share_slot_done(sq)
 
 
@@ -636,7 +641,7 @@ def run_defended(config: TrainingConfig, collect_trace: bool = False) -> RunResu
     attackers = {i: nodes[i].attacker for i in config.attackers}
     if config.attacker_reads == "every-share":
         for i in attackers:
-            nodes[i].read_keys = tuple(kp.secret for kp in keypairs)
+            nodes[i].read_keys = {j: kp.secret for j, kp in enumerate(keypairs)}
 
     sim_config = SimConfig(n=config.n, f=config.f, gst=config.gst,
                            delta=config.delta, seed=config.seed)

@@ -29,15 +29,6 @@ class EncodingRangeError(Exception):
 # (1,536 / 5,120 / 16,384 / 196,608 entries), so 12 bits stays.
 _TABLE_ENTRIES = 1 << 14
 
-# Bits an unreduced product of table entries may reach before exps takes it
-# mod p.  At 96/48 the four rows (384 bits) make one run, and on the same VM,
-# on fresh exponents, one expression per exponent over them takes 0.78 / 0.63
-# / 0.63 us per exponent at 16 / 256 / 768 exponents a call, against 1.24 /
-# 0.70 / 0.68 for the row-by-row walk.  At 2048/256 a product of two rows
-# (4,096 bits) costs more than the reduction it saves, 0.44 against
-# 0.37-0.39 ms, so it reduces at every row.
-_PRODUCT_BITS = 512
-
 # Teeth of a Comb: the rows an exponent is cut into.  On the same VM, the six
 # pair keys of an n = 4 run at 2048/256 (three combs, built on first use) take
 # a median 20.2 ms on 4-tooth combs, against 27.3 ms for pow; 2, 3, 5 and 6
@@ -82,18 +73,21 @@ class GroupParams:
 
     def exps(self, es: Iterable[int]) -> list[int]:
         """[g^(e mod q) mod p for e in es] from the fixed-base table: one
-        multiplication per row, a window of 0 picking row[0] = 1.  Rows are
-        multiplied in runs of _PRODUCT_BITS // bits(p), at least one, and
-        each run's product is taken mod p.  A table of at most four rows,
-        all in one run (96/48's), takes one expression per exponent, so the
-        exponents are walked once; rows past the table read (1,), as an
-        exponent below q has no digit there.  Any other table (2048/256's,
-        a run per row) is walked row by row over every exponent at once.
-        Equal to pow(g, e, p) whenever g has order q, as in every committed
-        group."""
+        multiplication per row, a window of 0 picking row[0] = 1.  A table of
+        at most four rows (96/48's) takes one expression per exponent, its
+        product taken mod p once, so the exponents are walked once; rows past
+        the table read (1,), as an exponent below q has no digit there.  Any
+        other table (2048/256's) is walked row by row over every exponent at
+        once, reducing mod p at every row.  Equal to pow(g, e, p) whenever g
+        has order q, as in every committed group."""
         p, q, w, rows = self.p, self.q, self._window, self._g_table
-        mask, run = (1 << w) - 1, max(1, _PRODUCT_BITS // p.bit_length())
-        if len(rows) <= min(run, 4):
+        mask = (1 << w) - 1
+        # Measured on the VM of _TABLE_ENTRIES, on fresh exponents: at 96/48
+        # one product per exponent takes 0.63 us per exponent at 768 a call,
+        # against 0.68 us for the row walk; at 2048/256 a product of two rows
+        # (4,096 bits) costs more than the reduction it saves, 0.44 against
+        # 0.37-0.39 ms, so the row walk reduces at every row.
+        if len(rows) <= 4:
             r0, r1, r2, r3 = rows + ((1,),) * (4 - len(rows))
             w2, w3 = 2 * w, 3 * w
             return [r0[e & mask] * r1[e >> w & mask] * r2[e >> w2 & mask]
@@ -102,10 +96,7 @@ class GroupParams:
         out = [rows[0][e & mask] for e in es]
         for i in range(1, len(rows)):
             row, s = rows[i], w * i
-            if (i + 1) % run and i + 1 < len(rows):
-                out = [a * row[e >> s & mask] for a, e in zip(out, es)]
-            else:
-                out = [a * row[e >> s & mask] % p for a, e in zip(out, es)]
+            out = [a * row[e >> s & mask] % p for a, e in zip(out, es)]
         return out
 
 

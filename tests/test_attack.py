@@ -127,7 +127,7 @@ class TestAcumpaAttacker:
         }
         target = attacker.observed_target(observed, 2)
         assert target == pytest.approx([0.5, 0.5], abs=1e-12)
-        out, engaged = attacker.craft_submission(1, observed, np.ones(2))
+        out, engaged = attacker.craft_submission(1, target, np.ones(2))
         assert engaged
         assert attacker.adaptive_rounds == [1]
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(target), rel=1e-9)
@@ -138,9 +138,10 @@ class TestAcumpaAttacker:
     def test_below_threshold_observation_forces_fallback(self, group, codec, rng):
         attacker = self._attacker(group, codec)
         observed = {0: self._deal([1.0, 0.0], group, codec, rng)[:2]}
-        assert attacker.observed_target(observed, 2) is None
+        target = attacker.observed_target(observed, 2)
+        assert target is None
         own = np.array([3.0, 4.0])
-        out, engaged = attacker.craft_submission(1, observed, own)
+        out, engaged = attacker.craft_submission(1, target, own)
         assert not engaged
         assert attacker.fallback_rounds == [1] and attacker.adaptive_rounds == []
         # nothing to craft against: the attacker's own update comes back as is

@@ -174,9 +174,10 @@ class TestReplicaUnit:
 
 
 class TestRequestTagsStillChecked:
-    """A replica skips only the tag check of a triple it already verified in
-    the slot: a triple that differs, even under a genuine tag, is checked,
-    and one bad tag drops the whole message."""
+    """A replica skips only the tag check of a triple equal to its origin's
+    pending request in the slot, whose REQUEST it checked: a triple that
+    differs, even under a genuine tag, is checked, and one bad tag drops the
+    whole message."""
 
     def primed(self, keyring, rid):
         rep = Replica(rid, 4, 1, keyring)

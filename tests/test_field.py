@@ -62,20 +62,17 @@ def exponents(params: GroupParams):
 
 
 def per_exponent_exps(params: GroupParams, es):
-    """exps one exponent at a time, each product of a run of rows taken mod
-    p at the run's end: the reference for the row-by-row kernel."""
+    """exps one exponent at a time, the product taken mod p at every row:
+    the reference for both of the kernel's paths."""
     p, q, w, rows = params.p, params.q, params._window, params._g_table
-    mask, run = (1 << w) - 1, max(1, field._PRODUCT_BITS // p.bit_length())
-    runs = [rows[i : i + run] for i in range(0, len(rows), run)]
+    mask = (1 << w) - 1
     out = []
     for e in es:
         e %= q
         acc = 1
-        for rows_of_run in runs:
-            for row in rows_of_run:
-                acc *= row[e & mask]
-                e >>= w
-            acc %= p
+        for row in rows:
+            acc = acc * row[e & mask] % p
+            e >>= w
         out.append(acc)
     return out
 
@@ -123,18 +120,13 @@ class TestFixedBaseExp:
             es = data.draw(st.lists(exponents(params), max_size=6))
             assert params.exps(es) == [pow(params.g, e, params.p) for e in es]
 
-    # the committed runs (one of 4 rows at 96/48, one row each at 2048/256),
-    # and runs that end inside the 96/48 table, after 2 and after 3 rows
-    @pytest.mark.parametrize("product_bits", [field._PRODUCT_BITS, 192, 288])
+    # the one-expression path (1 row, 4 rows) and the row walk (29 rows)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_per_exponent_loop(self, tiny_group, group, group_2048, data,
-                                           product_bits):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(field, "_PRODUCT_BITS", product_bits)
-            for params in (tiny_group, group, group_2048):
-                es = data.draw(st.lists(exponents(params), max_size=6))
-                assert params.exps(iter(es)) == per_exponent_exps(params, es)
+    def test_matches_the_per_exponent_loop(self, tiny_group, group, group_2048, data):
+        for params in (tiny_group, group, group_2048):
+            es = data.draw(st.lists(exponents(params), max_size=6))
+            assert params.exps(iter(es)) == per_exponent_exps(params, es)
 
     def test_empty_input(self, group):
         assert group.exps([]) == [] == group.exps(iter(()))

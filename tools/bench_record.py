@@ -16,12 +16,15 @@ kernels, one process per group size of ``KERNEL_SIZES``: ``--kernels``
 imports the checkout's own ``src/``, deals with seed S, and gives the median
 time of a call of ``field.exps`` (768 exponents), ``field.encode_vector`` of
 one dealer's vector and ``field.decode_vector`` of its encoding,
-``vss.share``, ``vss.verify``, ``vss.sum_shares``, ``vss.reconstruct``, and
-``crypto.encrypt`` and ``crypto.decrypt`` of one share bundle's bytes (one
-seal before timing builds the comb and the pair key), each called for T/40
-seconds and at least once.  With ``--against DIR`` every run of this
-checkout is paired with a run of the checkout at DIR (which side goes first
-alternates), and one record is written for each.  A record,
+``vss.share``, ``vss.verify`` (a share against its dealer's commitments),
+``vss.sum_shares``, ``vss.reconstruct``, and ``crypto.encrypt`` and
+``crypto.decrypt`` of one share bundle's bytes (one seal before timing builds
+the comb and the pair key), each called for T/40 seconds and at least once.
+``field.exps`` and ``vss.verify`` take fresh inputs at each call, cycled from
+a pool drawn and dealt before timing, so that their table walk is not
+cache-warm and no rng runs in the timed region.  With ``--against DIR``
+every run of this checkout is paired with a run of the checkout at DIR
+(which side goes first alternates), and one record is written for each.  A record,
 ``BENCH_<rev>.json`` (or ``BENCH_<rev>-dirty.json`` when tracked files
 differ from the rev), holds one row per end-to-end metric of
 ``BENCHMARK.json`` and workload, and one per kernel and group size (median,
@@ -46,6 +49,7 @@ the two records differ, since their rows then do not measure like for like.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -127,9 +131,15 @@ def time_kernels(workload: str, seed: int, seconds: float) -> dict:
     n, th, dim = size["n"], size["th"], size["dim"]
     codec = field.FixedPointCodec(16, params.q, n)
     rng = random.Random(seed)
-    es = [rng.randrange(params.q) for _ in range(768)]
     secrets = [[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(n)]
     dealt = [vss.share(s, th, n, params, codec, rng) for s in secrets]
+    pool = 32  # inputs per pool; a pool cycles one input per call
+    exponents = itertools.cycle(
+        [[rng.randrange(params.q) for _ in range(768)] for _ in range(pool)])
+    shares = itertools.cycle(
+        [(bundles[0], commits) for bundles, commits in (
+            vss.share([rng.uniform(-1, 1) for _ in range(dim)], th, n, params, codec, rng)
+            for _ in range(pool))])
     own = [bundles[0] for bundles, _ in dealt]  # shareholder 1's, one per dealer
     summed = [vss.sum_shares([bundles[j] for bundles, _ in dealt], params)
               for j in range(n)]
@@ -139,11 +149,11 @@ def time_kernels(workload: str, seed: int, seconds: float) -> dict:
     plaintext = own[0].to_bytes()
     sealed = scheme.encrypt(a.secret, b.public, plaintext, rng)
     calls = {
-        "field.exps": lambda: params.exps(es),
+        "field.exps": lambda: params.exps(next(exponents)),
         "field.encode_vector": lambda: codec.encode_vector(secrets[0]),
         "field.decode_vector": lambda: codec.decode_vector(encoded, dim),
         "vss.share": lambda: vss.share(secrets[0], th, n, params, codec, rng),
-        "vss.verify": lambda: vss.verify(own[0], dealt[0][1], params),
+        "vss.verify": lambda: vss.verify(*next(shares), params),
         "vss.sum_shares": lambda: vss.sum_shares(own, params),
         "vss.reconstruct": lambda: vss.reconstruct(summed, th, params, codec, dim),
         "crypto.encrypt": lambda: scheme.encrypt(a.secret, b.public, plaintext, rng),
