@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftvss import scenarios, wire
+from bftvss import consensus, scenarios, wire
 from bftvss.consensus import (
     Message,
     MsgKind,
@@ -202,6 +202,24 @@ class TestRequestTagsStillChecked:
             rep.on_message(signed(keyring, MsgKind.PRE_PREPARE, 0, 0, 0, (raw,)))
         assert rep.dropped_count == 1
         assert rep.slots[0].at(0).accepted_digest == batch_digest(genuine)
+
+
+def test_scripted_agreements_recheck_no_pending_request(monkeypatch):
+    """Over every script at n = 7, gst 100, delta 2 and seeds 1,000,000 to
+    1,000,039, where an inconsistent dealer sends two variants of its
+    request, the replicas make at most 1,360 request-tag checks."""
+    calls = []
+    check = consensus.check_request_tag
+
+    def counting_check(keyring, sq, triple):
+        calls.append(triple[0])
+        return check(keyring, sq, triple)
+
+    monkeypatch.setattr(consensus, "check_request_tag", counting_check)
+    for seed in range(1_000_000, 1_000_040):
+        for script in CONSENSUS_SCRIPTS:
+            assert run_consensus(7, script, seed, gst=100, delta=2)["safety_ok"]
+    assert len(calls) <= 1_360
 
 
 class TestEncodedOnce:
