@@ -15,20 +15,19 @@ trains for exactly config.rounds rounds.  Two drivers run the rounds:
 * the consensus workflow (run_defended) runs ebyftves, the defended mode,
   over the network simulator.  Each participant is a consensus replica
   (WorkflowParticipant) and a malicious one is a subclass of it
-  (DelayedDealerNode for "+acumpa").  Each round occupies three consensus
-  slots: encrypted shares plus commitments, then bundled verification
-  votes, then aggregated sum shares, or complaints from participants that
-  hold no verified share of some admitted dealer.  A request carries only
-  what its receivers cannot derive: its dealer, voter or sender is its
-  authenticated origin, the slot gives its kind, th and the packed
-  dimension split the commitments into columns, and a share's evaluation
-  point is its holder's id + 1.  Shares always travel encrypted, and config.attacker_reads says
-  which the delaying dealer can open.  At "own-shares" it opens only the shares dealt to itself, never th
-  of one honest dealer's, so it cannot reconstruct the honest updates, and
-  a dealer that has submitted nothing when the share slot commits is left
-  out of the round.  At "every-share" it sees every share before the slot
-  commits, and its crafted update enters every round: the commit deadline
-  alone does not defend, keeping the shares from the attacker does.
+  (DelayedDealerNode for "+acumpa").  Each round takes one consensus slot
+  per phase of PHASES.  A request carries only what its receivers cannot
+  derive: its dealer, voter or sender is its authenticated origin, the
+  slot gives its kind, th and the packed dimension split the commitments
+  into columns, and a share's evaluation point is its holder's id + 1.
+  Shares always travel encrypted, and config.attacker_reads says which the
+  delaying dealer can open.  At "own-shares" it opens only the shares
+  dealt to itself, never th of one honest dealer's, so it cannot
+  reconstruct the honest updates, and a dealer that has submitted nothing
+  when the share slot commits is left out of the round.  At "every-share"
+  it sees every share before the slot commits, and its crafted update
+  enters every round: the commit deadline alone does not defend, keeping
+  the shares from the attacker does.
 
 Division by the dealer count happens after reconstruction, in the real
 domain; the field only ever sees sums.
@@ -249,11 +248,11 @@ class _Coordinator:
         self.test = test
         self.metrics: list[RoundMetrics] = []
         self.weights_history: list[np.ndarray] = []
-        # (sq, origin, req) -> the request decoded for its slot's kind, None
+        # (sq, origin, req) -> the request decoded for its slot's phase, None
         # if it does not decode: every participant executes the same batch,
         # and the delaying dealer reads share requests from the same table,
         # so a run decodes each request once.  Bounded by
-        # WorkflowParticipant._decoded to two rounds of requests, 6n entries.
+        # WorkflowParticipant._decoded to two rounds of requests.
         self.decoded: dict = {}
 
     def round_complete(self, pid: int, t: int, w: np.ndarray, dealer_count: int):
@@ -353,6 +352,17 @@ def _finish(config: TrainingConfig, coordinator: _Coordinator,
 
 # -- engine: defended consensus-gated workflow --------------------------------
 
+# a defended round's phases in slot order: encrypted shares with commitments,
+# bundled verification votes, then aggregated sum shares or complaints.
+# Round t (1-indexed) holds PHASES[k] in slot len(PHASES) * (t - 1) + k.
+PHASES = ("shares", "votes", "agg")
+
+
+def slot_phase(sq: int) -> tuple[int, str]:
+    """The round and phase of any slot sq, a later round's too."""
+    t, k = divmod(sq, len(PHASES))
+    return t + 1, PHASES[k]
+
 
 def encode_share_request(ciphertexts, commitments: vss.CommitmentVector) -> bytes:
     return wire.pack_blobs(ciphertexts) + vss.commitments_to_bytes(commitments)
@@ -395,11 +405,11 @@ class WorkflowParticipant(Replica):
     """One defended-mode participant: a consensus replica whose application
     hooks run the training round.
 
-    Round t (1-indexed) occupies slots 3(t-1)..3(t-1)+2: encrypted shares
-    with commitments, then one bundled verification-vote request per
-    participant, then aggregated sum shares, or complaints naming the
-    admitted dealers of which their sender holds no verified share, so that
-    the slot batches and the round ends in WorkflowError below th shares.
+    A round takes one slot per phase of PHASES, and a participant submits
+    one request to each: its vote request bundles every dealer it verified,
+    and a complaint names the admitted dealers of which it holds no verified
+    share, so that the slot batches and the round ends in WorkflowError
+    below th shares.
     All round state but the share a participant deals itself is fed by
     receiving_update, so it is scoped to committed batches by construction.
     A share verifies at the recipient's own point against its origin's
@@ -408,6 +418,9 @@ class WorkflowParticipant(Replica):
     keeps the share it dealt itself, leaves that share's blob in the request
     empty, and counts itself verified once that request commits.
     """
+
+    # the step each phase runs once its slot commits, by name, so that an override runs
+    STEPS = {"shares": "_share_slot_done", "votes": "_vote_slot_done", "agg": "_agg_slot_done"}
 
     def __init__(self, rid, config, keyring, group, codec, scheme, secret_key,
                  publics, dataset, coordinator, w0):
@@ -426,8 +439,9 @@ class WorkflowParticipant(Replica):
         self.t = 0
         self.done = False
 
-    def base_slot(self) -> int:
-        return 3 * (self.t - 1)
+    def slot(self, phase: str) -> int:
+        """The current round's slot of phase."""
+        return len(PHASES) * (self.t - 1) + PHASES.index(phase)
 
     def start_round(self, t: int):
         self.t = t
@@ -449,26 +463,23 @@ class WorkflowParticipant(Replica):
                 self.secret_key, self.publics[j], bundles[j].to_bytes(), self.rng)
             for j in range(self.config.n)
         ]
-        self.broadcast_update(self.base_slot(),
+        self.broadcast_update(self.slot("shares"),
                               encode_share_request(ciphertexts, commits))
 
     # -- consensus application hooks ------------------------------------
 
     def receiving_update(self, sq: int, origin: int, req: bytes):
-        base = self.base_slot()
-        if not base <= sq <= base + 2:
-            return
-        decoded = self._decoded(sq, origin, req)
-        if decoded is None:
-            return  # malformed input from a faulty peer
-        if sq == base:
+        t, phase = slot_phase(sq)
+        if t != self.t or (decoded := self._decoded(sq, origin, req)) is None:
+            return  # another round's slot, or malformed input from a faulty peer
+        if phase == "shares":
             ciphertexts, commits = decoded
             self._commits[origin] = commits
             if origin != self.rid:  # submit_shares kept the share it dealt itself
                 bundle = self._open(self.secret_key, origin, ciphertexts, self.rid)
                 if bundle is not None:
                     self._own_shares[origin] = bundle
-        elif sq == base + 1:
+        elif phase == "votes":
             for d in decoded:
                 self._votes[d].add(origin)
         else:
@@ -492,29 +503,26 @@ class WorkflowParticipant(Replica):
         table = self.coordinator.decoded
         key = (sq, origin, req)
         if key not in table:
+            phase = slot_phase(sq)[1]
             try:
-                if sq % 3 == 0:
+                if phase == "shares":
                     value = decode_share_request(req, self.config.n, self.config.th,
                                                  self.packed_dim)
-                elif sq % 3 == 1:
+                elif phase == "votes":
                     value = decode_vote_request(req)
                 else:
                     value = decode_agg_request(req, origin + 1, self.packed_dim)
             except wire.MalformedInputError:
                 value = None
-            if len(table) >= 6 * self.config.n:  # two rounds of requests
+            if len(table) >= 2 * len(PHASES) * self.config.n:  # two rounds of requests
                 del table[next(iter(table))]  # the oldest goes first
             table[key] = value
         return table[key]
 
     def on_slot_committed(self, sq: int, batch):
-        base = self.base_slot()
-        if sq == base:
-            self._share_slot_done(sq)
-        elif sq == base + 1:
-            self._vote_slot_done(sq)
-        elif sq == base + 2:
-            self._agg_slot_done()
+        t, phase = slot_phase(sq)
+        if t == self.t:
+            getattr(self, self.STEPS[phase])(sq)
 
     def _share_slot_done(self, sq: int):
         self._verified = {
@@ -522,7 +530,7 @@ class WorkflowParticipant(Replica):
             if d in self._commits and (
                 d == self.rid or vss.verify(bundle, self._commits[d], self.group))
         }
-        self.broadcast_update(sq + 1, encode_vote_request(self._verified))
+        self.broadcast_update(self.slot("votes"), encode_vote_request(self._verified))
 
     def _vote_slot_done(self, sq: int):
         # th > f votes include an honest one, which names only committed dealers
@@ -533,13 +541,13 @@ class WorkflowParticipant(Replica):
         self._dealer_set = dealer_set
         unverified = [d for d in dealer_set if d not in self._verified]
         if unverified:
-            self.broadcast_update(sq + 1, encode_complaint(unverified))
+            self.broadcast_update(self.slot("agg"), encode_complaint(unverified))
         else:
             summed = vss.sum_shares([self._own_shares[d] for d in dealer_set],
                                     self.group)
-            self.broadcast_update(sq + 1, encode_agg_request(summed))
+            self.broadcast_update(self.slot("agg"), encode_agg_request(summed))
 
-    def _agg_slot_done(self):
+    def _agg_slot_done(self, sq: int):
         shares = [v for v in self._agg.values() if isinstance(v, vss.ShareBundle)]
         if len(shares) < self.config.th:
             complaints = {o: list(v) for o, v in sorted(self._agg.items())
@@ -580,9 +588,9 @@ class DelayedDealerNode(WorkflowParticipant):
         a crafted vector goes out through super().submit_shares instead."""
 
     def on_message(self, m):
-        # only an authentic share request has a (bytes, bytes) payload to read
-        if (m.kind == MsgKind.REQUEST and m.sq % 3 == 0
-                and m.sender != self.rid and self._authentic(m)):
+        # only an authentic request has an int slot and a (bytes, bytes) payload
+        if (m.kind == MsgKind.REQUEST and m.sender != self.rid and self._authentic(m)
+                and slot_phase(m.sq)[1] == "shares"):
             self._eavesdrop(m.sq, m.sender, m.payload[0])
         super().on_message(m)
 
@@ -605,7 +613,7 @@ class DelayedDealerNode(WorkflowParticipant):
         return slot is not None and slot.own_request is not None
 
     def _maybe_submit(self, sq: int, store):
-        if sq != self.base_slot() or self._submitted(sq):
+        if sq != self.slot("shares") or self._submitted(sq):
             return
         target = self.attacker.observed_target(store, self.config.dim)
         if target is None:

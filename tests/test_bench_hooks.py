@@ -59,6 +59,24 @@ print(json.dumps({"correct": out["all_committed"] and out["safety_ok"],
 """
 
 
+# Counts the tracer's spans per hooked name of dpml over one defended round:
+# a name the program calls through anything but its module or class
+# attribute (say, a table of function objects built at import) counts 0.
+TRACED_ROUND = """
+import json
+from collections import Counter
+from bftvss import dpml
+from probe import TARGETS, Probe, Tracer
+
+tracer = Tracer(Probe())
+dpml.run(dpml.TrainingConfig(mode="ebyftves+acumpa", attackers=(3,), rounds=1,
+                             attacker_reads="every-share"))
+spans = Counter(tracer.names[nid] for nid in tracer.name)
+print(json.dumps({name: spans[name] for name, owner, _, _ in TARGETS
+                  if owner in (dpml, dpml.WorkflowParticipant)}))
+"""
+
+
 def run_with_bench(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "bench")]))
@@ -79,3 +97,10 @@ def test_traced_counts_match_an_independent_count():
     # a silent primary forces a view change, so every kind is sent
     assert sorted(result["traced"][0]) == sorted(kind.name for kind in MsgKind)
     assert result["traced"] == result["counted"]
+
+
+def test_every_dpml_hook_is_reached():
+    proc = run_with_bench(TRACED_ROUND)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts and all(counts.values()), counts

@@ -25,6 +25,7 @@ from bftvss.dpml import (
     encode_share_request,
     encode_vote_request,
     run,
+    slot_phase,
 )
 from bftvss.field import FixedPointCodec, generate_group
 from bftvss.netsim import MAX_N, SimConfig
@@ -231,7 +232,7 @@ class ShortCommitments(dpml.WorkflowParticipant):
     """Participant 0 submits commitments one element short."""
 
     def broadcast_update(self, sq, req):
-        if self.rid == 0 and sq % 3 == 0:
+        if self.rid == 0 and slot_phase(sq)[1] == "shares":
             cts, commits = decode_own_share_request(self, req)
             req = encode_share_request(cts, tuple(c[:-1] for c in commits))
         super().broadcast_update(sq, req)
@@ -251,7 +252,7 @@ class ShortAggShare(dpml.WorkflowParticipant):
     short = (0,)
 
     def broadcast_update(self, sq, req):
-        if self.rid in self.short and sq % 3 == 2:
+        if self.rid in self.short and slot_phase(sq)[1] == "agg":
             bundle = decode_agg_request(req, self.rid + 1, self.packed_dim)
             req = encode_agg_request(dataclasses.replace(bundle, values=bundle.values[:-1]))
         super().broadcast_update(sq, req)
@@ -295,7 +296,8 @@ class NoVotes(dpml.WorkflowParticipant):
     """Every vote request names no dealer."""
 
     def broadcast_update(self, sq, req):
-        super().broadcast_update(sq, encode_vote_request([]) if sq % 3 == 1 else req)
+        votes = slot_phase(sq)[1] == "votes"
+        super().broadcast_update(sq, encode_vote_request([]) if votes else req)
 
 
 class TwoShortAggShares(ShortAggShare):
@@ -324,7 +326,7 @@ class SpoilsShareAndWithholds(dpml.WorkflowParticipant):
             super().submit_shares(vector)
 
     def broadcast_update(self, sq, req):
-        if self.rid != 3 or sq % 3 != 2:
+        if self.rid != 3 or slot_phase(sq)[1] != "agg":
             super().broadcast_update(sq, req)
 
 
@@ -341,12 +343,12 @@ class AltersAggShare(dpml.WorkflowParticipant):
     """Participant 1 alters one value of origin 0's aggregated share in its
     own copy before it reconstructs."""
 
-    def _agg_slot_done(self):
+    def _agg_slot_done(self, sq):
         if self.rid == 1:
             b = self._agg[0]
             self._agg[0] = dataclasses.replace(
                 b, values=((b.values[0] + 1) % self.group.q,) + b.values[1:])
-        super()._agg_slot_done()
+        super()._agg_slot_done(sq)
 
 
 class TestWorkflowFailure:
@@ -405,7 +407,7 @@ class Reflector(RecordsVerified):
         self._pending = vector
 
     def on_message(self, m):
-        if (self.rid == 0 and m.kind == MsgKind.REQUEST and m.sq % 3 == 0
+        if (self.rid == 0 and m.kind == MsgKind.REQUEST and slot_phase(m.sq)[1] == "shares"
                 and m.sender == 1 and self._pending is not None):
             self._theirs = decode_own_share_request(self, m.payload[0])[0][0]
             vector, self._pending = self._pending, None
@@ -413,7 +415,7 @@ class Reflector(RecordsVerified):
         super().on_message(m)
 
     def broadcast_update(self, sq, req):
-        if self.rid == 0 and sq % 3 == 0:
+        if self.rid == 0 and slot_phase(sq)[1] == "shares":
             cts, commits = decode_own_share_request(self, req)
             req = encode_share_request(cts[:1] + (self._theirs,) + cts[2:], commits)
         super().broadcast_update(sq, req)
@@ -423,7 +425,7 @@ class FlipsCiphertext(RecordsVerified):
     """Dealer 0 flips one byte of its ciphertext for participant 1."""
 
     def broadcast_update(self, sq, req):
-        if self.rid == 0 and sq % 3 == 0:
+        if self.rid == 0 and slot_phase(sq)[1] == "shares":
             cts, commits = decode_own_share_request(self, req)
             flipped = cts[1][:-1] + bytes([cts[1][-1] ^ 1])
             req = encode_share_request(cts[:1] + (flipped,) + cts[2:], commits)
@@ -694,6 +696,26 @@ def test_attacker_forgets_committed_slots(monkeypatch, attacker_reads):
         assert min(seen) > 3
 
 
+@pytest.mark.parametrize("seed", [14, 24, 33])
+def test_attacker_eavesdrops_the_next_rounds_share_slot(monkeypatch, seed):
+    """Before GST (100, delta 2) dealer 1's round-2 share request (slot 3)
+    reaches a delaying dealer that reads every share while it is still in
+    round 1, and the dealer stores what it opens of it: it knows a later
+    round's share slot as one.  Dropping it would move these seeds' runs."""
+    early = []
+
+    class Recording(dpml.DelayedDealerNode):
+        def _eavesdrop(self, sq, dealer, req):
+            super()._eavesdrop(sq, dealer, req)
+            if (sq, dealer, self.t) == (3, 1, 1) and self.observed.get(3, {}).get(1):
+                early.append(sq)
+
+    monkeypatch.setattr(dpml, "DelayedDealerNode", Recording)
+    run(TrainingConfig(mode="ebyftves+acumpa", attackers=(3,), seed=seed, gst=100,
+                       delta=2, rounds=2, attacker_reads="every-share"))
+    assert early
+
+
 @pytest.mark.parametrize("payload", [(), (5,)], ids=["empty", "int"])
 def test_attacker_drops_share_request_without_request_bytes(payload):
     """A share-slot REQUEST that carries no (request, tag) pair cannot be
@@ -703,6 +725,28 @@ def test_attacker_drops_share_request_without_request_bytes(payload):
     node.on_message(consensus.Message(MsgKind.REQUEST, 0, 0, 1, payload, b"x" * 32))
     assert node.dropped_count == 1
     assert node.observed == {}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("gst, delta", [(0, 1), (100, 2)])
+def test_honest_rounds_fill_three_slots_each(monkeypatch, seed, gst, delta):
+    """Round t holds shares, votes and aggregated shares in slots 3(t - 1),
+    +1 and +2: in a fault-free run every participant's on_slot_committed
+    runs for each slot once, in order (its replica may commit slot sq + 1
+    before sq, but executes them in order)."""
+    for t in (1, 2, dpml.MAX_ROUNDS):
+        for k in range(3):
+            assert slot_phase(3 * (t - 1) + k) == (t, ("shares", "votes", "agg")[k])
+    committed = collections.defaultdict(list)
+
+    class Recording(dpml.WorkflowParticipant):
+        def on_slot_committed(self, sq, batch):
+            committed[self.rid].append(sq)
+            super().on_slot_committed(sq, batch)
+
+    monkeypatch.setattr(dpml, "WorkflowParticipant", Recording)
+    run(TrainingConfig(mode="ebyftves", seed=seed, gst=gst, delta=delta, **FAST))
+    assert committed == {rid: list(range(3 * FAST["rounds"])) for rid in range(4)}
 
 
 def test_each_request_tag_checked_once_per_send(monkeypatch):
