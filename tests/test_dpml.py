@@ -716,13 +716,15 @@ def test_attacker_eavesdrops_the_next_rounds_share_slot(monkeypatch, seed):
     assert early
 
 
-@pytest.mark.parametrize("payload", [(), (5,)], ids=["empty", "int"])
-def test_attacker_drops_share_request_without_request_bytes(payload):
-    """A share-slot REQUEST that carries no (request, tag) pair cannot be
-    authentic: the delaying dealer drops it without eavesdropping on it."""
+@pytest.mark.parametrize("sq, payload", [(0, ()), (0, (5,)), (3.0, (b"req", b"tag"))],
+                         ids=["empty", "int", "float-slot"])
+def test_attacker_drops_share_request_without_request_bytes(sq, payload):
+    """A share-slot REQUEST that carries no (request, tag) pair, or whose
+    slot is no int, cannot be authentic: the delaying dealer drops it
+    without eavesdropping on it, and looks up no phase for it."""
     participant, _, _ = round_one()
     node = participant(3, dpml.DelayedDealerNode)
-    node.on_message(consensus.Message(MsgKind.REQUEST, 0, 0, 1, payload, b"x" * 32))
+    node.on_message(consensus.Message(MsgKind.REQUEST, 0, sq, 1, payload, b"x" * 32))
     assert node.dropped_count == 1
     assert node.observed == {}
 
