@@ -193,9 +193,12 @@ def run_scenario(path: str, seed=None, mode=None, out_dir=None,
         if trace:
             raise ScenarioError("--trace applies only to ebyftves runs")
         run_seed = 0 if seed is None else seed
-        outcome = scenarios.run_consensus(
-            n=scenario["n"], script=scenario["script"], seed=run_seed,
-            gst=scenario.get("gst", 0), delta=scenario.get("delta", 1))
+        try:  # SimConfig refuses a negative seed before anything runs
+            outcome = scenarios.run_consensus(
+                n=scenario["n"], script=scenario["script"], seed=run_seed,
+                gst=scenario.get("gst", 0), delta=scenario.get("delta", 1))
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
         payload = _payload(outcome, name, "consensus",
                            _assertions(_CONSENSUS_ASSERTS, asserts, outcome))
         out_path = os.path.join(out_dir,

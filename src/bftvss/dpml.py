@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, replace
 from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
 
@@ -124,8 +124,8 @@ class TrainingConfig:
             if not of_type(value, kind):
                 raise ValueError(f"{name} must be of type "
                                  f"{TrainingConfig.__annotations__[name]}, got {value!r}")
-        # n = 3f + 1 with f >= 1, gst >= 0, delta >= 1: the simulator's own checks
-        SimConfig(n=self.n, f=self.f, gst=self.gst, delta=self.delta)
+        # n = 3f + 1 with f >= 1, gst >= 0, delta >= 1, seed >= 0: the simulator's checks
+        SimConfig(n=self.n, f=self.f, gst=self.gst, delta=self.delta, seed=self.seed)
         # th <= f would let f colluders reconstruct a secret on their own;
         # th > n - f would leave the n - f honest aggregated shares short
         if not self.f < self.th <= self.n - self.f:
@@ -145,8 +145,6 @@ class TrainingConfig:
             raise ValueError(f"mode {self.mode!r} does not take attackers")
         if not (1 <= self.rounds <= MAX_ROUNDS and 1 <= self.dim <= MAX_DIM):
             raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}] and dim in [1, {MAX_DIM}]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if (self.bits_p, self.bits_q) not in GROUPS:
             raise ValueError(f"(bits_p, bits_q) must be one of {sorted(GROUPS)}")
         if self.attacker_reads not in ATTACKER_READS:
@@ -410,13 +408,15 @@ class WorkflowParticipant(Replica):
     and a complaint names the admitted dealers of which it holds no verified
     share, so that the slot batches and the round ends in WorkflowError
     below th shares.
-    All round state but the share a participant deals itself is fed by
-    receiving_update, so it is scoped to committed batches by construction.
-    A share verifies at the recipient's own point against its origin's
-    commitments, or it earns the origin no vote from that recipient.  A
-    participant's own request, authenticated as its own, needs no check: it
-    keeps the share it dealt itself, leaves that share's blob in the request
-    empty, and counts itself verified once that request commits.
+    receiving_update only files each committed request of the round in
+    _requests[phase][origin], and each phase's step works over its phase's
+    requests, so everything a step acts on was committed.  The share step
+    opens each committed dealer's share and keeps it in _own_shares if it
+    verifies at the recipient's own point against that dealer's commitments;
+    it votes for the dealers whose shares it holds.  A participant's own
+    request, authenticated as its own, needs no check: it keeps the share it
+    dealt itself, leaves that share's blob in the request empty, and votes
+    for itself once that request commits.
     """
 
     # the step each phase runs once its slot commits, by name, so that an override runs
@@ -445,11 +445,10 @@ class WorkflowParticipant(Replica):
 
     def start_round(self, t: int):
         self.t = t
-        self._commits: dict[int, vss.CommitmentVector] = {}
+        # phase -> origin -> its decoded request committed in this round's slot
+        self._requests: dict[str, dict] = {phase: {} for phase in PHASES}
+        # dealer -> the share it dealt this participant: its own, and each verified one
         self._own_shares: dict[int, vss.ShareBundle] = {}
-        self._verified: set[int] = set()
-        self._votes: dict[int, set[int]] = defaultdict(set)
-        self._agg: dict[int, vss.ShareBundle] = {}
         self._dealer_set: list[int] = []
         self.update = training.local_train(self.w, self.dataset, LEARNING_RATE)
         self.submit_shares(self.update)
@@ -470,20 +469,9 @@ class WorkflowParticipant(Replica):
 
     def receiving_update(self, sq: int, origin: int, req: bytes):
         t, phase = slot_phase(sq)
-        if t != self.t or (decoded := self._decoded(sq, origin, req)) is None:
-            return  # another round's slot, or malformed input from a faulty peer
-        if phase == "shares":
-            ciphertexts, commits = decoded
-            self._commits[origin] = commits
-            if origin != self.rid:  # submit_shares kept the share it dealt itself
-                bundle = self._open(self.secret_key, origin, ciphertexts, self.rid)
-                if bundle is not None:
-                    self._own_shares[origin] = bundle
-        elif phase == "votes":
-            for d in decoded:
-                self._votes[d].add(origin)
-        else:
-            self._agg[origin] = decoded
+        # another round's slot, or malformed input from a faulty peer, is dropped
+        if t == self.t and (decoded := self._decoded(sq, origin, req)) is not None:
+            self._requests[phase][origin] = decoded
 
     def _open(self, key: int, origin: int, ciphertexts, j: int):
         """origin's share for participant j, at point j + 1, or None unless
@@ -525,21 +513,24 @@ class WorkflowParticipant(Replica):
             getattr(self, self.STEPS[phase])(sq)
 
     def _share_slot_done(self, sq: int):
-        self._verified = {
-            d for d, bundle in self._own_shares.items()
-            if d in self._commits and (
-                d == self.rid or vss.verify(bundle, self._commits[d], self.group))
-        }
-        self.broadcast_update(self.slot("votes"), encode_vote_request(self._verified))
+        shares = self._requests["shares"]
+        for d, (ciphertexts, commits) in shares.items():
+            if d != self.rid:  # submit_shares kept the share it dealt itself
+                bundle = self._open(self.secret_key, d, ciphertexts, self.rid)
+                if bundle is not None and vss.verify(bundle, commits, self.group):
+                    self._own_shares[d] = bundle
+        self.broadcast_update(self.slot("votes"), encode_vote_request(
+            d for d in shares if d in self._own_shares))
 
     def _vote_slot_done(self, sq: int):
+        tally = Counter(d for dealers in self._requests["votes"].values()
+                        for d in set(dealers))
         # th > f votes include an honest one, which names only committed dealers
-        dealer_set = sorted(d for d, voters in self._votes.items()
-                            if len(voters) >= self.config.th)
+        dealer_set = sorted(d for d, votes in tally.items() if votes >= self.config.th)
         if not dealer_set:
             raise WorkflowError(f"round {self.t}: no dealer reached {self.config.th} votes")
         self._dealer_set = dealer_set
-        unverified = [d for d in dealer_set if d not in self._verified]
+        unverified = [d for d in dealer_set if d not in self._own_shares]
         if unverified:
             self.broadcast_update(self.slot("agg"), encode_complaint(unverified))
         else:
@@ -548,9 +539,10 @@ class WorkflowParticipant(Replica):
             self.broadcast_update(self.slot("agg"), encode_agg_request(summed))
 
     def _agg_slot_done(self, sq: int):
-        shares = [v for v in self._agg.values() if isinstance(v, vss.ShareBundle)]
+        agg = self._requests["agg"]
+        shares = [v for v in agg.values() if isinstance(v, vss.ShareBundle)]
         if len(shares) < self.config.th:
-            complaints = {o: list(v) for o, v in sorted(self._agg.items())
+            complaints = {o: list(v) for o, v in sorted(agg.items())
                           if not isinstance(v, vss.ShareBundle)}
             raise WorkflowError(f"round {self.t}: only {len(shares)} aggregated shares "
                                 f"committed, need {self.config.th}; complaints "

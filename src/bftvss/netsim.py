@@ -44,6 +44,9 @@ class SimConfig:
             raise ValueError(f"requires n = 3f + 1 with f >= 1 and n <= {MAX_N}")
         if self.gst < 0 or self.delta < 1:
             raise ValueError("gst must be >= 0 and delta >= 1")
+        # random.Random seeds from |seed|, so seed -s would replay seed s
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -45,6 +45,7 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
     if request_time is not None and request_time < 0:
         raise ValueError("request_time must be non-negative")
     f = (n - 1) // 3
+    config = SimConfig(n=n, f=f, gst=gst, delta=delta, seed=seed)
     position, behaviour = _BEHAVIOURS[script]
     byzantine = None if position is None else position % n
 
@@ -53,7 +54,6 @@ def run_consensus(n: int, script: str, seed: int, gst: int = 0, delta: int = 1,
              for i in range(n)}
 
     corrupt = frozenset() if byzantine is None else frozenset({byzantine})
-    config = SimConfig(n=n, f=f, gst=gst, delta=delta, seed=seed)
     sim = Simulator(config, nodes, AdversaryPolicy(corrupt=corrupt))
 
     commits: dict[int, dict] = {}

@@ -75,16 +75,6 @@ def parse_commitments(data: bytes, th: int, dimension: int) -> CommitmentVector:
     return tuple(values[k * dimension : (k + 1) * dimension] for k in range(th))
 
 
-def eval_poly(coeffs: Sequence[int], x: int, q: int) -> int:
-    """Evaluate a polynomial with the given coefficients (constant first) at x
-    over Z_q, by Horner's rule: the one-point reference for share, which
-    evaluates every polynomial at every point at once."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
-
-
 def share(
     secret: Sequence[float],
     th: int,

@@ -231,6 +231,13 @@ class TestRun:
         payload = json.loads((out / "c_silent-primary_0.json").read_text())
         assert payload["safety_ok"] is True
 
+    def test_negative_seed_rejected_for_consensus(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(ROOT / "scenarios" / "liveness_silent_primary.json"),
+                     "--seed", "-5", "--out-dir", str(out)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mode_flag_rejected_for_consensus(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({

@@ -709,6 +709,10 @@ class TestAgreementRuns:
         with pytest.raises(ValueError):
             run_consensus(n=5, script="none", seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            run_consensus(4, "none", -1)
+
 
 class TestFaultsFire:
     """Each Byzantine script really injects its fault into the run."""

@@ -51,6 +51,7 @@ class TestConfig:
         dict(dim=0),
         dict(delta=0),                                   # simulator's own check
         dict(gst=-1),
+        dict(seed=-1),                                   # would replay seed 1
         dict(dim="16"),                                  # not an integer
         dict(rounds=2.0),
         dict(th=1),                                      # f colluders reconstruct
@@ -345,8 +346,9 @@ class AltersAggShare(dpml.WorkflowParticipant):
 
     def _agg_slot_done(self, sq):
         if self.rid == 1:
-            b = self._agg[0]
-            self._agg[0] = dataclasses.replace(
+            agg = self._requests["agg"]
+            b = agg[0]
+            agg[0] = dataclasses.replace(
                 b, values=((b.values[0] + 1) % self.group.q,) + b.values[1:])
         super()._agg_slot_done(sq)
 
@@ -393,7 +395,8 @@ class RecordsVerified(dpml.WorkflowParticipant):
 
     def _share_slot_done(self, sq):
         super()._share_slot_done(sq)
-        self.verified[self.rid, self.t] = set(self._verified)
+        self.verified[self.rid, self.t] = {
+            d for d in self._requests["shares"] if d in self._own_shares}
 
 
 class Reflector(RecordsVerified):
@@ -551,9 +554,9 @@ class TestPeerBytes:
                 receiver.on_slot_committed(sq, ())
         dim, th = receiver.codec.packed_length(receiver.config.dim), receiver.config.th
         assert all(len(c) == th and {len(col) for col in c} == {dim}
-                   for c in receiver._commits.values())
+                   for _, c in receiver._requests["shares"].values())
         assert all(b.dimension == dim for b in receiver._own_shares.values())
-        assert all(b.dimension == dim for b in receiver._agg.values())
+        assert all(b.dimension == dim for b in receiver._requests["agg"].values())
 
 
 def resized_share_requests(node, req):
@@ -575,7 +578,7 @@ def test_share_request_of_another_shape_is_neither_stored_nor_eavesdropped():
     for name, req in resized_share_requests(receiver, shares[0]).items():
         receiver.receiving_update(0, 0, req)
         node._eavesdrop(0, 0, req)
-        assert 0 not in receiver._commits and 0 not in receiver._own_shares, name
+        assert 0 not in receiver._requests["shares"] and 0 not in receiver._own_shares, name
         assert node.observed == {}, name
     node._eavesdrop(0, 0, shares[0])  # the valid request opens
     assert [b.eval_point for b in node.observed[0][0]] == [4]
@@ -596,6 +599,37 @@ def test_dealer_needs_th_votes(voters, admitted):
             range(4) if origin in voters else range(3)))
     receiver.on_slot_committed(1, ())
     assert receiver._dealer_set == admitted
+
+
+def test_share_step_opens_each_committed_share_once(monkeypatch):
+    """receiving_update decrypts nothing: each participant's share step
+    opens each other committed dealer's ciphertext once a round, 3 × rounds
+    decryptions at each of the four participants (FAST config, seed 0)."""
+    opened, where = collections.Counter(), []
+
+    def tracking(name):
+        fn = getattr(dpml.WorkflowParticipant, name)
+
+        def tracked(node, *args):
+            where.append((name, node.rid))
+            try:
+                return fn(node, *args)
+            finally:
+                where.pop()
+        return tracked
+
+    for name in ("receiving_update", "_share_slot_done"):
+        monkeypatch.setattr(dpml.WorkflowParticipant, name, tracking(name))
+    decrypt = crypto.HybridScheme.decrypt
+
+    def counted(*args):
+        opened[where[-1] if where else None] += 1
+        return decrypt(*args)
+
+    monkeypatch.setattr(crypto.HybridScheme, "decrypt", counted)
+    result = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+    assert [m.dealer_count for m in result.metrics] == [4] * FAST["rounds"]
+    assert opened == {("_share_slot_done", rid): 3 * FAST["rounds"] for rid in range(4)}
 
 
 @pytest.mark.parametrize("rounds", [1, 3])
@@ -811,9 +845,10 @@ def test_identical_aggregated_shares_keep_their_origins_points():
     for receiver in (participant(1), participant(2)):
         for origin in range(4):
             receiver.receiving_update(2, origin, aggs[0])
-        assert {o: b.eval_point for o, b in receiver._agg.items()} == {
+        agg = receiver._requests["agg"]
+        assert {o: b.eval_point for o, b in agg.items()} == {
             o: o + 1 for o in range(4)}
-        assert {b.values for b in receiver._agg.values()} == {
+        assert {b.values for b in agg.values()} == {
             decode_agg_request(aggs[0], 1, receiver.packed_dim).values}
 
 

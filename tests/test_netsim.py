@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(n=4, f=1, delta=0)
 
+    def test_rejects_negative_seed(self):
+        # random.Random(-1) would replay seed 1's delivery schedule
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimConfig(n=4, f=1, seed=-1)
+
     def test_adversary_corruption_budget(self):
         config = SimConfig(n=4, f=1)
         with pytest.raises(ValueError):
