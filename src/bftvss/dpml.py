@@ -412,11 +412,10 @@ class WorkflowParticipant(Replica):
     _requests[phase][origin], and each phase's step works over its phase's
     requests, so everything a step acts on was committed.  The share step
     opens each committed dealer's share and keeps it in _own_shares if it
-    verifies at the recipient's own point against that dealer's commitments;
-    it votes for the dealers whose shares it holds.  A participant's own
-    request, authenticated as its own, needs no check: it keeps the share it
-    dealt itself, leaves that share's blob in the request empty, and votes
-    for itself once that request commits.
+    verifies at the recipient's own point against that dealer's commitments.
+    A participant's own request, authenticated as its own, needs no check: it
+    keeps the share it dealt itself, leaves that share's blob in the request
+    empty, and votes for itself once that request commits.
     """
 
     # the step each phase runs once its slot commits, by name, so that an override runs

@@ -532,9 +532,9 @@ def peer_request(slot, valid, seal):
 
 
 class TestPeerBytes:
-    """Whatever one origin's request in a slot holds, receiving_update raises
-    nothing and stores only th commitment columns and shares of the packed
-    dimension, so the slot's own step raises nothing either."""
+    """Whatever one origin's request in a slot holds, neither receiving_update
+    nor the slot's own step raises, and they keep only th commitment columns
+    and shares of the packed dimension."""
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
     @given(data=st.data())
