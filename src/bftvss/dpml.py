@@ -411,8 +411,14 @@ class WorkflowParticipant(Replica):
     receiving_update only files each committed request of the round in
     _requests[phase][origin], and each phase's step works over its phase's
     requests, so everything a step acts on was committed.  The share step
-    opens each committed dealer's share and keeps it in _own_shares if it
-    verifies at the recipient's own point against that dealer's commitments.
+    opens each committed dealer's share and verifies their sum once, at the
+    recipient's own point, against the product of their commitments; only if
+    that fails does it verify each alone.  What passes goes into
+    _own_shares.  The vote step checks the admitted dealers' sum again when
+    it leaves out a share held, as two dealers' errors may cancel in the
+    whole sum only.  The aggregate step takes th + f aggregated shares on one
+    polynomial as they are, and else the first th by point that verify
+    against the admitted dealers' product, raising WorkflowError below th.
     A participant's own request, authenticated as its own, needs no check: it
     keeps the share it dealt itself, leaves that share's blob in the request
     empty, and votes for itself once that request commits.
@@ -511,13 +517,27 @@ class WorkflowParticipant(Replica):
         if t == self.t:
             getattr(self, self.STEPS[phase])(sq)
 
+    def _keep_verified(self, opened: dict):
+        """Keep each opened share (dealer -> (share, commitments)) in
+        _own_shares if it verifies: all of them if their sum verifies against
+        the product of their commitments, else each that verifies alone."""
+        pairs = list(opened.values())
+        if pairs and not vss.verify(
+                vss.sum_shares([b for b, _ in pairs], self.group),
+                vss.sum_commitments([c for _, c in pairs], self.group), self.group):
+            opened = {d: (b, c) for d, (b, c) in opened.items()
+                      if vss.verify(b, c, self.group)}
+        self._own_shares.update((d, b) for d, (b, _) in opened.items())
+
     def _share_slot_done(self, sq: int):
         shares = self._requests["shares"]
+        opened = {}
         for d, (ciphertexts, commits) in shares.items():
             if d != self.rid:  # submit_shares kept the share it dealt itself
                 bundle = self._open(self.secret_key, d, ciphertexts, self.rid)
-                if bundle is not None and vss.verify(bundle, commits, self.group):
-                    self._own_shares[d] = bundle
+                if bundle is not None:
+                    opened[d] = (bundle, commits)
+        self._keep_verified(opened)
         self.broadcast_update(self.slot("votes"), encode_vote_request(
             d for d in shares if d in self._own_shares))
 
@@ -529,6 +549,13 @@ class WorkflowParticipant(Replica):
         if not dealer_set:
             raise WorkflowError(f"round {self.t}: no dealer reached {self.config.th} votes")
         self._dealer_set = dealer_set
+        others = set(dealer_set) - {self.rid}
+        if others < self._own_shares.keys() - {self.rid}:
+            # the share step checked the sum of every share held; the
+            # aggregated share carries the sum of the admitted ones alone
+            shares = self._requests["shares"]
+            self._keep_verified({d: (self._own_shares.pop(d), shares[d][1])
+                                 for d in sorted(others)})
         unverified = [d for d in dealer_set if d not in self._own_shares]
         if unverified:
             self.broadcast_update(self.slot("agg"), encode_complaint(unverified))
@@ -538,15 +565,34 @@ class WorkflowParticipant(Replica):
             self.broadcast_update(self.slot("agg"), encode_agg_request(summed))
 
     def _agg_slot_done(self, sq: int):
-        agg = self._requests["agg"]
-        shares = [v for v in agg.values() if isinstance(v, vss.ShareBundle)]
-        if len(shares) < self.config.th:
+        agg, th = self._requests["agg"], self.config.th
+        shares = {o: v for o, v in sorted(agg.items()) if isinstance(v, vss.ShareBundle)}
+        if len(shares) < th:
             complaints = {o: list(v) for o, v in sorted(agg.items())
                           if not isinstance(v, vss.ShareBundle)}
             raise WorkflowError(f"round {self.t}: only {len(shares)} aggregated shares "
-                                f"committed, need {self.config.th}; complaints "
+                                f"committed, need {th}; complaints "
                                 f"(sender: dealers): {complaints}")
-        total = vss.reconstruct(shares, self.config.th,
+        # th + f shares on one polynomial include th honest ones, which fix it;
+        # else the first th, by point, that verify against the dealers' product
+        if not (len(shares) >= th + self.config.f
+                and vss.consistent(shares.values(), th, self.group)):
+            commits = vss.sum_commitments(
+                [self._requests["shares"][d][1] for d in self._dealer_set], self.group)
+            passed, failed = {}, []
+            for o, bundle in shares.items():
+                if len(passed) == th:
+                    break
+                if vss.verify(bundle, commits, self.group):
+                    passed[o] = bundle
+                else:
+                    failed.append(o)
+            if len(passed) < th:
+                raise WorkflowError(f"round {self.t}: only {len(passed)} of {len(shares)} "
+                                    f"aggregated shares verify, need {th}; failing "
+                                    f"senders: {failed}")
+            shares = passed
+        total = vss.reconstruct(shares.values(), th,
                                 self.group, self.codec, self.config.dim)
         self.w = np.asarray(total) / len(self._dealer_set)
         self.coordinator.round_complete(self.rid, self.t, self.w,

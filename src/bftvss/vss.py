@@ -154,33 +154,46 @@ def _select_bundles(bundles: Iterable[ShareBundle], th: int) -> list[ShareBundle
     return chosen[:th]
 
 
-def reconstruct_encoded(
-    bundles: Iterable[ShareBundle], th: int, params: GroupParams
-) -> tuple[int, ...]:
-    """Lagrange interpolation at 0 over Z_q, per element: the sum of each
+def _interpolate(chosen: Sequence[ShareBundle], x: int, q: int) -> tuple[int, ...]:
+    """Lagrange interpolation at x over Z_q, per element: the sum of each
     chosen bundle's values times its Lagrange coefficient, added one bundle
-    at a time and reduced once.
-
-    If more than th bundles are given, the th with the lowest evaluation
-    points are used, so the result is deterministic.
-    """
-    chosen = _select_bundles(bundles, th)
-    q = params.q
+    at a time and reduced once."""
     xs = [b.eval_point for b in chosen]
-    # Lagrange basis coefficients at x = 0
     lambdas = []
     for i, xi in enumerate(xs):
         num, den = 1, 1
         for j, xj in enumerate(xs):
             if j == i:
                 continue
-            num = (num * (-xj)) % q
+            num = (num * (x - xj)) % q
             den = (den * (xi - xj)) % q
         lambdas.append((num * pow(den, -1, q)) % q)
     acc = [v * lambdas[0] for v in chosen[0].values]
     for b, lam in zip(chosen[1:], lambdas[1:]):
         acc = [a + v * lam for a, v in zip(acc, b.values)]
     return tuple([a % q for a in acc])
+
+
+def reconstruct_encoded(
+    bundles: Iterable[ShareBundle], th: int, params: GroupParams
+) -> tuple[int, ...]:
+    """Lagrange interpolation at 0 over Z_q, per element.
+
+    If more than th bundles are given, the th with the lowest evaluation
+    points are used, so the result is deterministic.
+    """
+    return _interpolate(_select_bundles(bundles, th), 0, params.q)
+
+
+def consistent(bundles: Iterable[ShareBundle], th: int, params: GroupParams) -> bool:
+    """Whether the bundles, at least th of them, all lie on one polynomial
+    of degree th-1 per element: the th with the lowest points fix it, and
+    each other bundle must hold its values at that bundle's point.  No
+    exponentiation, one Lagrange vector per extra point."""
+    chosen = sorted(bundles, key=lambda b: b.eval_point)
+    basis = _select_bundles(chosen, th)
+    return all(_interpolate(basis, b.eval_point, params.q) == b.values
+               for b in chosen[th:])
 
 
 def reconstruct(
@@ -207,3 +220,24 @@ def sum_shares(bundles: Sequence[ShareBundle], params: GroupParams) -> ShareBund
     q = params.q
     return ShareBundle(point, tuple([sum(column) % q for column in
                                      zip(*(b.values for b in bundles))]))
+
+
+def sum_commitments(commitment_sets: Sequence[CommitmentVector],
+                    params: GroupParams) -> CommitmentVector:
+    """Element-wise product mod p of several dealers' commitment columns.
+    Feldman commitments are homomorphic, so the product commits to the
+    summed polynomials, and verify checks a sum_shares of those dealers'
+    bundles against it."""
+    if not commitment_sets:
+        raise MalformedInputError("no commitments to sum")
+    shape = [len(column) for column in commitment_sets[0]]
+    if any([len(column) for column in c] != shape for c in commitment_sets):
+        raise MalformedInputError("commitment shape mismatch in sum")
+    p = params.p
+    product = []
+    for columns in zip(*commitment_sets):
+        acc = columns[0]
+        for column in columns[1:]:
+            acc = [a * c % p for a, c in zip(acc, column)]
+        product.append(tuple(acc))
+    return tuple(product)

@@ -259,6 +259,46 @@ class ShortAggShare(dpml.WorkflowParticipant):
         super().broadcast_update(sq, req)
 
 
+# what BadAggShare adds to each value: 12345 in the lowest lane
+AGG_OFFSET = 12345 << 16
+
+
+class BadAggShare(dpml.WorkflowParticipant):
+    """Each participant of bad adds AGG_OFFSET to every value of its
+    aggregated share; its complaints go out as they are."""
+
+    bad = (0,)
+
+    def broadcast_update(self, sq, req):
+        if self.rid in self.bad and slot_phase(sq)[1] == "agg" and req[:1] != b"C":
+            b = decode_agg_request(req, self.rid + 1, self.packed_dim)
+            req = encode_agg_request(dataclasses.replace(
+                b, values=tuple((v + AGG_OFFSET) % self.group.q for v in b.values)))
+        super().broadcast_update(sq, req)
+
+
+class SkewsShares(dpml.WorkflowParticipant):
+    """Each dealer d deals participant j a share whose values are off by
+    skews[d, j] mod q, against commitments to its honest shares."""
+
+    skews: dict = {}
+
+    def submit_shares(self, vector):
+        share = vss.share
+
+        def skewed(*args):
+            bundles, commits = share(*args)
+            for j, b in enumerate(bundles):
+                if offset := self.skews.get((self.rid, j)):
+                    bundles[j] = dataclasses.replace(
+                        b, values=tuple((v + offset) % self.group.q for v in b.values))
+            return bundles, commits
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vss, "share", skewed)
+            super().submit_shares(vector)
+
+
 class TestMalformedPeerInput:
     """A wrongly sized submission is dropped on receipt: the run ends with
     honest participants agreeing on weights (the coordinator raises
@@ -293,6 +333,155 @@ class TestMalformedPeerInput:
                    zip(honest.weights_history, result.weights_history, strict=True))
 
 
+def watch_checks(monkeypatch):
+    """(checks, votes): a Counter of the vss.verify calls each participant
+    makes in each step, by (participant, phase), and the dealers each
+    participant votes for in each round, by (participant, round)."""
+    checks, votes, steps = collections.Counter(), {}, []
+
+    def watched(phase):
+        step = getattr(dpml.WorkflowParticipant, dpml.WorkflowParticipant.STEPS[phase])
+
+        def watched_step(node, sq):
+            steps.append((node.rid, phase))
+            t = node.t
+            try:
+                return step(node, sq)
+            finally:
+                steps.pop()
+                if phase == "shares":
+                    votes[node.rid, t] = {d for d in node._requests["shares"]
+                                          if d in node._own_shares}
+        return watched_step
+
+    for phase, name in dpml.WorkflowParticipant.STEPS.items():
+        monkeypatch.setattr(dpml.WorkflowParticipant, name, watched(phase))
+    verify = vss.verify
+
+    def counted(*args):
+        checks[steps[-1]] += 1
+        return verify(*args)
+
+    monkeypatch.setattr(vss, "verify", counted)
+    return checks, votes
+
+
+class SplitsCancellingDealers(SkewsShares):
+    """n = 7, th = 5.  Dealers 5 and 6 deal participants 1-4 errors that
+    cancel, +-E at each one's point, where E(x) = AGG_OFFSET * (x - 1)
+    vanishes at participant 0's; 6 deals 0 a bad share, and neither 5 nor 6
+    votes for 6, so 6 falls short of th votes.  5 and 6 add E to their
+    aggregated shares, which then lie on one polynomial with the correct
+    share of 0 and the shares 1-4 would send were they left unchecked."""
+
+    skews = {(d, j): sign * AGG_OFFSET * j for d, sign in ((5, 1), (6, -1))
+             for j in range(1, 5)} | {(6, 0): 1}
+
+    def broadcast_update(self, sq, req):
+        phase = slot_phase(sq)[1]
+        if self.rid in (5, 6) and phase == "votes":
+            req = encode_vote_request(d for d in decode_vote_request(req) if d != 6)
+        if self.rid in (5, 6) and phase == "agg":
+            b = decode_agg_request(req, self.rid + 1, self.packed_dim)
+            req = encode_agg_request(dataclasses.replace(b, values=tuple(
+                (v + AGG_OFFSET * self.rid) % self.group.q for v in b.values)))
+        super().broadcast_update(sq, req)
+
+
+class TestSummedChecks:
+    """A participant verifies the sum of the shares dealt to it once a round,
+    against the product of their dealers' commitments, and checks each share
+    alone only when the sum fails; aggregated shares are checked before any
+    is reconstructed from."""
+
+    rounds = FAST["rounds"]
+
+    def run_with(self, monkeypatch, participant, skews=None, **config):
+        checks, votes = watch_checks(monkeypatch)
+        if skews is not None:
+            monkeypatch.setattr(participant, "skews", skews)
+        monkeypatch.setattr(dpml, "WorkflowParticipant", participant)
+        return run(TrainingConfig(mode="ebyftves", **FAST, **config)), checks, votes
+
+    def share_checks(self, checks):
+        """vss.verify calls on the shares dealt to each participant."""
+        return {rid: checks[rid, "shares"] + checks[rid, "votes"]
+                for rid, _ in checks if checks[rid, "shares"] + checks[rid, "votes"]}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("bits_p, bits_q", [(96, 48), (2048, 256)])
+    @pytest.mark.parametrize("sender, agg_checks", [(0, 4), (3, 3)])
+    def test_bad_agg_share(self, monkeypatch, seed, bits_p, bits_q, sender, agg_checks):
+        # bad-agg-share: weights are silently wrong unless the share is
+        # checked before reconstruction (at 96/48, seed 0: accuracy 0.546 in
+        # every round against 0.859 / 0.903 / 0.923).  The four shares lie on
+        # no one polynomial, so each participant checks them by point until
+        # three pass: origin 0's fails, origin 3's is never reached
+        config = dict(seed=seed, bits_p=bits_p, bits_q=bits_q)
+        honest = run(TrainingConfig(mode="ebyftves", **FAST, **config))
+        monkeypatch.setattr(BadAggShare, "bad", (sender,))
+        result, checks, _ = self.run_with(monkeypatch, BadAggShare, **config)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(honest.weights_history, result.weights_history, strict=True))
+        assert {rid: checks[rid, "agg"] for rid in range(4)} == {
+            rid: agg_checks * self.rounds for rid in range(4)}
+
+    def test_spoils_one_share(self, monkeypatch):
+        # spoils-one-share: dealer 3 spoils participant 0's share every round;
+        # 0's summed check fails, and its per-dealer loop leaves out only 3,
+        # which 1, 2 and 3 still vote in, as they would checking each share
+        honest = run(TrainingConfig(mode="ebyftves", seed=0, **FAST))
+        result, checks, votes = self.run_with(monkeypatch, SkewsShares, {(3, 0): 1})
+        assert self.share_checks(checks) == {0: 4 * self.rounds, 1: self.rounds,
+                                             2: self.rounds, 3: self.rounds}
+        for t in range(1, self.rounds + 1):
+            assert votes[0, t] == {0, 1, 2}
+            assert all(votes[j, t] == {0, 1, 2, 3} for j in (1, 2, 3))
+        assert [m.dealer_count for m in result.metrics] == [4] * self.rounds
+        # 0 complains of 3: the other three shares are too few to take
+        # unchecked, and each participant verifies them all
+        assert {rid: checks[rid, "agg"] for rid in range(4)} == {
+            rid: 3 * self.rounds for rid in range(4)}
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(honest.weights_history, result.weights_history, strict=True))
+
+    def test_spoiling_every_share_costs_n_checks(self, monkeypatch):
+        # the summed check's worst case: a dealer that spoils a share at every
+        # recipient forces the fallback at each, n = 4 verifies a round there,
+        # one more than one check per dealer; the dealer is left out
+        result, checks, _ = self.run_with(monkeypatch, SkewsShares,
+                                          {(3, j): 1 for j in range(3)})
+        assert self.share_checks(checks) == {0: 4 * self.rounds, 1: 4 * self.rounds,
+                                             2: 4 * self.rounds, 3: self.rounds}
+        assert [m.dealer_count for m in result.metrics] == [3] * self.rounds
+
+    def test_cancelling_dealers(self, monkeypatch):
+        # cancelling-dealers: dealers 5 and 6 deal participant 0 errors that
+        # cancel in its sum, so it votes for both; both are admitted, and the
+        # errors cancel again in its aggregated share
+        config = dict(n=7, f=2, seed=0)
+        honest = run(TrainingConfig(mode="ebyftves", **FAST, **config))
+        result, checks, votes = self.run_with(
+            monkeypatch, SkewsShares, {(5, 0): AGG_OFFSET, (6, 0): -AGG_OFFSET}, **config)
+        assert all(votes[0, t] == set(range(7)) for t in range(1, self.rounds + 1))
+        assert self.share_checks(checks)[0] == self.rounds
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(honest.weights_history, result.weights_history, strict=True))
+
+    def test_cancelling_dealers_split_by_the_vote(self, monkeypatch):
+        # when the vote keeps one of two cancelling dealers out, each fooled
+        # participant checks the sum of the admitted dealers' shares before it
+        # sends their aggregate, finds dealer 5 and complains; without that
+        # check its aggregated share would be wrong, all seven would lie on
+        # one polynomial, and the round would end with wrong weights
+        with pytest.raises(WorkflowError) as excinfo:
+            self.run_with(monkeypatch, SplitsCancellingDealers, n=7, f=2, th=5, seed=0)
+        assert str(excinfo.value) == (
+            "round 1: only 3 aggregated shares committed, need 5; complaints "
+            "(sender: dealers): {1: [5], 2: [5], 3: [5], 4: [5]}")
+        assert excinfo.traceback[-1].name == "_agg_slot_done"
+
+
 class NoVotes(dpml.WorkflowParticipant):
     """Every vote request names no dealer."""
 
@@ -307,24 +496,15 @@ class TwoShortAggShares(ShortAggShare):
     short = (0, 1)
 
 
-class SpoilsShareAndWithholds(dpml.WorkflowParticipant):
-    """Participant 3 seals participant 0's share with its last plaintext byte
-    flipped, so that the share fails vss.verify at 0, and submits no
-    aggregated share; 1, 2 and 3 still vote dealer 3 in."""
+class TwoBadAggShares(BadAggShare):
+    bad = (0, 1)
 
-    def submit_shares(self, vector):
-        if self.rid != 3:
-            return super().submit_shares(vector)
-        encrypt = self.scheme.encrypt
 
-        def spoiled(secret, public, plaintext, rng):
-            if public == self.publics[0]:
-                plaintext = plaintext[:-1] + bytes([plaintext[-1] ^ 1])
-            return encrypt(secret, public, plaintext, rng)
+class SpoilsShareAndWithholds(SkewsShares):
+    """Participant 3 deals participant 0 a share that fails vss.verify at 0,
+    and submits no aggregated share; 1, 2 and 3 still vote dealer 3 in."""
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(self.scheme, "encrypt", spoiled)
-            super().submit_shares(vector)
+    skews = {(3, 0): 1}
 
     def broadcast_update(self, sq, req):
         if self.rid != 3 or slot_phase(sq)[1] != "agg":
@@ -340,17 +520,22 @@ class StopsAfterRoundOne(dpml.WorkflowParticipant):
             super().start_round(t)
 
 
-class AltersAggShare(dpml.WorkflowParticipant):
-    """Participant 1 alters one value of origin 0's aggregated share in its
-    own copy before it reconstructs."""
+class AltersWeights(dpml.WorkflowParticipant):
+    """Participant 1 alters the first coordinate it reconstructs, after its
+    aggregated shares are checked."""
 
     def _agg_slot_done(self, sq):
-        if self.rid == 1:
-            agg = self._requests["agg"]
-            b = agg[0]
-            agg[0] = dataclasses.replace(
-                b, values=((b.values[0] + 1) % self.group.q,) + b.values[1:])
-        super()._agg_slot_done(sq)
+        if self.rid != 1:
+            return super()._agg_slot_done(sq)
+        reconstruct = vss.reconstruct
+
+        def altered(*args):
+            total = reconstruct(*args)
+            return (total[0] + 1.0,) + total[1:]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vss, "reconstruct", altered)
+            super()._agg_slot_done(sq)
 
 
 class TestWorkflowFailure:
@@ -363,9 +548,12 @@ class TestWorkflowFailure:
          "_agg_slot_done"),
         (StopsAfterRoundOne, r"training stalled: participants \[1\] did not finish "
          r"round 4", "run_defended"),
-        (AltersAggShare, r"round 1: participant \d+ reconstructed divergent weights",
+        (AltersWeights, r"round 1: participant \d+ reconstructed divergent weights",
          "round_complete"),
-    ], ids=["no-votes", "short-agg-shares", "stall", "divergent-weights"])
+        (TwoBadAggShares, r"round 1: only 2 of 4 aggregated shares verify, need 3; "
+         r"failing senders: \[0, 1\]$", "_agg_slot_done"),
+    ], ids=["no-votes", "short-agg-shares", "stall", "divergent-weights",
+            "bad-agg-shares"])
     def test_raises_where_found(self, monkeypatch, participant, message, raised_in):
         monkeypatch.setattr(dpml, "WorkflowParticipant", participant)
         with pytest.raises(WorkflowError, match=message) as excinfo:
@@ -654,14 +842,38 @@ def test_pair_keys_cost_one_pow_per_pair(comb_counts, rounds):
 
 @pytest.mark.parametrize("mode", ["baseline-vss", "ebyftves"])
 def test_no_participant_checks_its_own_share(monkeypatch, mode):
-    """Each participant verifies the shares of the n - 1 other dealers only,
-    and seals and decrypts no ciphertext for itself."""
+    """No participant verifies a share against its own commitments, or seals
+    or decrypts a ciphertext for itself.  In baseline-vss each verifies the
+    n - 1 other dealers' shares one by one; in ebyftves it verifies their
+    sum once a round, against the product of their commitments."""
     verified, opened, sealed = (collections.Counter() for _ in range(3))
-    verify = vss.verify
+    own, dealers_of, dealing = {}, {}, []
+    verify, share, sum_commitments = vss.verify, vss.share, vss.sum_commitments
     encrypt, decrypt = crypto.HybridScheme.encrypt, crypto.HybridScheme.decrypt
+
+    def recording_share(*args):
+        bundles, commitments = share(*args)
+        if dealing:  # the defended dealer whose submit_shares runs
+            own[commitments] = dealing[-1]
+        return bundles, commitments
+
+    def dealing_submit(node, vector):
+        dealing.append(node.rid)
+        try:
+            return submit(node, vector)
+        finally:
+            dealing.pop()
+
+    def recording_sum(commitment_sets, params):
+        product = sum_commitments(commitment_sets, params)
+        dealers_of[product] = {own[c] for c in commitment_sets}
+        return product
 
     def counting_verify(bundle, commitments, params):
         verified[bundle.eval_point] += 1
+        if mode == "ebyftves":
+            checked = dealers_of.get(commitments, {own.get(commitments)})
+            assert bundle.eval_point - 1 not in checked
         return verify(bundle, commitments, params)
 
     def counting_encrypt(self, secret, public, plaintext, rng):
@@ -672,13 +884,19 @@ def test_no_participant_checks_its_own_share(monkeypatch, mode):
         opened[secret, public] += 1
         return decrypt(self, secret, public, ciphertext)
 
+    submit = dpml.WorkflowParticipant.submit_shares
+    monkeypatch.setattr(dpml.WorkflowParticipant, "submit_shares", dealing_submit)
+    monkeypatch.setattr(vss, "share", recording_share)
+    monkeypatch.setattr(vss, "sum_commitments", recording_sum)
     monkeypatch.setattr(vss, "verify", counting_verify)
     monkeypatch.setattr(crypto.HybridScheme, "encrypt", counting_encrypt)
     monkeypatch.setattr(crypto.HybridScheme, "decrypt", counting_decrypt)
     result = run(TrainingConfig(mode=mode, seed=0, **FAST))
     assert [m.dealer_count for m in result.metrics] == [4] * FAST["rounds"]
-    assert verified == {j: 3 * FAST["rounds"] for j in range(1, 5)}
+    per_round = 3 if mode == "baseline-vss" else 1
+    assert verified == {j: per_round * FAST["rounds"] for j in range(1, 5)}
     if mode == "ebyftves":
+        assert len(own) == 4 * FAST["rounds"]
         group = generate_group(96, 48)
         for counts in (sealed, opened):
             assert sum(counts.values()) == 4 * 3 * FAST["rounds"]

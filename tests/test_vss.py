@@ -471,6 +471,79 @@ class TestHomomorphism:
             vss.sum_shares([a[0], b[1]], group)
 
 
+def deal_many(group, data):
+    """A few dealers' shares and commitments, at 96/48: (n, th, dealt)."""
+    n = data.draw(st.integers(1, 7), label="n")
+    th = data.draw(st.integers(1, n), label="th")
+    dealers = data.draw(st.integers(1, 5), label="dealers")
+    dim = data.draw(st.integers(1, 12), label="dim")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    codec = FixedPointCodec(16, group.q, dealers)
+    dealt = [vss.share([rng.uniform(-4, 4) for _ in range(dim)], th, n, group, codec, rng)
+             for _ in range(dealers)]
+    return n, th, dealt
+
+
+def changed(bundle, data, q):
+    """bundle with one value moved by a nonzero amount mod q."""
+    k = data.draw(st.integers(0, bundle.dimension - 1), label="element")
+    delta = data.draw(st.integers(1, q - 1), label="delta")
+    values = list(bundle.values)
+    values[k] = (values[k] + delta) % q
+    return dataclasses.replace(bundle, values=tuple(values))
+
+
+class TestSummedChecks:
+    """sum_commitments and consistent, the defended round's two checks on
+    sums, at 96/48."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_summed_share_verifies_against_the_product(self, group, data):
+        n, th, dealt = deal_many(group, data)
+        j = data.draw(st.integers(0, n - 1), label="holder")
+        bundles = [bs[j] for bs, _ in dealt]
+        product = vss.sum_commitments([c for _, c in dealt], group)
+        assert vss.verify(vss.sum_shares(bundles, group), product, group)
+        # any one value of any one share changed moves the sum: it fails
+        d = data.draw(st.integers(0, len(bundles) - 1), label="dealer")
+        bundles[d] = changed(bundles[d], data, group.q)
+        assert not vss.verify(vss.sum_shares(bundles, group), product, group)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_aggregated_shares_are_consistent(self, group, data):
+        n, th, dealt = deal_many(group, data)
+        aggregated = [vss.sum_shares([bs[j] for bs, _ in dealt], group) for j in range(n)]
+        chosen = data.draw(st.permutations(aggregated), label="order")
+        chosen = chosen[:data.draw(st.integers(th, n), label="m")]
+        assert vss.consistent(chosen, th, group)
+        # th + 1 or more shares fix the polynomial twice: one changed value
+        # leaves them on none
+        if len(chosen) > th:
+            i = data.draw(st.integers(0, len(chosen) - 1), label="changed")
+            chosen[i] = changed(chosen[i], data, group.q)
+            assert not vss.consistent(chosen, th, group)
+
+    def test_mismatched_shapes_raise(self, group):
+        columns = ((1, 2), (3, 4))
+        for sets in ([], [columns, ((1, 2),)], [columns, ((1,), (3, 4))],
+                     [columns, ((1, 2), (3, 4), (5, 6))]):
+            with pytest.raises(MalformedInputError):
+                vss.sum_commitments(sets, group)
+        for bundles in ([ShareBundle(1, (1, 2)), ShareBundle(2, (1,))],
+                        [ShareBundle(1, (1,)), ShareBundle(1, (2,))]):
+            with pytest.raises(MalformedInputError):
+                vss.consistent(bundles, 1, group)
+        with pytest.raises(InsufficientSharesError):
+            vss.consistent([ShareBundle(1, (1,))], 2, group)
+
+    def test_products_are_reduced(self, tiny_group):
+        # over p = 47: 2 * 5 = 10, 24 * 3 = 72 = 25 mod 47
+        assert vss.sum_commitments([((2,), (24,)), ((5,), (3,))], tiny_group) == (
+            (10,), (25,))
+
+
 class TestSerialization:
     def test_bundle_roundtrip(self, group, codec, rng):
         bundles, commits = vss.share([1.0, -2.0], 3, 4, group, codec, rng)
