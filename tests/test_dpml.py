@@ -405,16 +405,19 @@ class TestSummedChecks:
 
     def share_checks(self, checks):
         """vss.verify calls on the shares dealt to each participant."""
-        return {rid: checks[rid, "shares"] + checks[rid, "votes"]
-                for rid, _ in checks if checks[rid, "shares"] + checks[rid, "votes"]}
+        counts = collections.Counter()
+        for (rid, phase), calls in checks.items():
+            if phase != "agg":
+                counts[rid] += calls
+        return counts
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("bits_p, bits_q", [(96, 48), (2048, 256)])
     @pytest.mark.parametrize("sender, agg_checks", [(0, 4), (3, 3)])
     def test_bad_agg_share(self, monkeypatch, seed, bits_p, bits_q, sender, agg_checks):
         # bad-agg-share: weights are silently wrong unless the share is
-        # checked before reconstruction (at 96/48, seed 0: accuracy 0.546 in
-        # every round against 0.859 / 0.903 / 0.923).  The four shares lie on
+        # checked before reconstruction (default config, seed 0, 3 rounds:
+        # accuracy 0.546 in every round against 0.859 / 0.903 / 0.923).  The four shares lie on
         # no one polynomial, so each participant checks them by point until
         # three pass: origin 0's fails, origin 3's is never reached
         config = dict(seed=seed, bits_p=bits_p, bits_q=bits_q)
